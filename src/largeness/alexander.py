@@ -13,6 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
+from math import gcd, lcm
 from typing import Sequence
 
 from .abelian import Chi
@@ -21,6 +22,26 @@ from .words import (Presentation, Word, concat, gen_of, inverse, letter,
 
 # ---------------------------------------------------------------------------
 # coefficient fields
+
+
+def is_prime(n: int) -> bool:
+    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+
+
+def prime_factors(n: int) -> tuple:
+    """The distinct primes dividing ``n``, ascending; () for 0 and +-1."""
+    n = abs(n)
+    out = []
+    d = 2
+    while d * d <= n:
+        if n % d == 0:
+            out.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    if n > 1:
+        out.append(n)
+    return tuple(out)
 
 
 @dataclass(frozen=True)
@@ -42,7 +63,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if self.p < 2 or any(self.p % d == 0 for d in range(2, int(self.p ** 0.5) + 1)):
+        if not is_prime(self.p):
             raise ValueError(f"{self.p} is not prime")
 
     @property
@@ -169,12 +190,9 @@ class LaurentPoly:
         low = self.coeffs[0][0]
         shifted = {e - low: c for e, c in self.coeffs}
         if isinstance(self.field, RationalField):
-            from math import gcd, lcm
             denom = lcm(*(Fraction(c).denominator for c in shifted.values()))
             ints = {e: int(c * denom) for e, c in shifted.items()}
-            g = 0
-            for c in ints.values():
-                g = gcd(g, c)
+            g = gcd(*ints.values())
             if ints[0] < 0:
                 g = -g
             return LaurentPoly.make(self.field, {e: Fraction(c, g) for e, c in ints.items()})
@@ -468,13 +486,23 @@ def lp_matrix_rank(rows, field) -> tuple:
 
 def alexander_is_zero(p: Presentation, chi: Chi, field, strategy: str = "min") -> bool:
     """True when the coordinate-form matrix has rank < n-1 over field(t)."""
+    return rank_witness(p, chi, field, strategy) is not None
+
+
+def rank_witness(p: Presentation, chi: Chi, field, strategy: str = "min"):
+    """The replayable evidence that the Alexander invariant of ``chi``
+    vanishes over ``field``: {"rank", "rows", "pivot_cols"} (plus "reason"
+    when the matrix is too narrow), or None when it does not vanish."""
     mat = alexander_matrix(p, chi, field, strategy)
     if mat.nrows == 0:
-        return False
+        return None
     if mat.ncols < mat.nrows:
-        return True
-    rank, _ = lp_matrix_rank(_poly_rows(mat), field)
-    return rank < mat.nrows
+        return {"rank": 0, "rows": mat.nrows, "pivot_cols": [],
+                "reason": "fewer relators than module generators"}
+    rank, pivots = lp_matrix_rank(_poly_rows(mat), field)
+    if rank < mat.nrows:
+        return {"rank": rank, "rows": mat.nrows, "pivot_cols": list(pivots)}
+    return None
 
 
 def lp_det(rows, field) -> LaurentPoly:

@@ -13,14 +13,15 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from itertools import combinations, product
 from math import gcd
 from typing import Optional, Sequence
 
 from . import abelian
-from .alexander import (PrimeField, QQ, alexander_matrix, field_by_name,
-                        lp_matrix_rank, _poly_rows)
+from .alexander import (PrimeField, QQ, field_by_name, is_prime,
+                        prime_factors, rank_witness)
 from .abelian import Chi, abelianization, hermite_rows, image_span_rank
-from .subgroups import CosetTable, reidemeister_schreier, tietze_simplify
+from .subgroups import CosetTable, cover_presentation, subgroup_classes
 from .words import (Presentation, SearchCapExceeded, Word, commutator,
                     conjugator_between, cyclic_reduce, gen_of, inverse,
                     is_commutator, is_proper_power, parse_word, power, rotate,
@@ -43,13 +44,10 @@ class CertifyConfig:
     whitehead_budget: int = 10000
     max_alex_rows: int = 40
     li_nodes: int = 120000
-    threads: int = 1
 
     def __post_init__(self):
-        if self.threads < 1:
-            raise ValueError("threads must be >= 1")
         for p in self.primes:
-            if p < 2 or any(p % d == 0 for d in range(2, int(p ** 0.5) + 1)):
+            if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
 
 
@@ -73,6 +71,11 @@ class Certificate:
     def final_presentation(self) -> Presentation:
         return self.chain[-1].presentation if self.chain else self.presentation
 
+    def lift(self, p: Presentation, links: tuple) -> "Certificate":
+        """This certificate, made for the last cover in ``links``, restated
+        over ``p``, the presentation the links start from."""
+        return Certificate(self.kind, p, tuple(links) + self.chain, self.data)
+
 
 @dataclass(frozen=True)
 class Verdict:
@@ -95,7 +98,19 @@ def presentation_to_json(p: Presentation):
             "relators": [word_to_text(r, p.generators) for r in p.relators]}
 
 
+def _check(ok: bool, what: str) -> None:
+    if not ok:
+        raise ValueError(f"malformed certificate: {what}")
+
+
+def _is_str_list(x) -> bool:
+    return isinstance(x, list) and all(isinstance(t, str) for t in x)
+
+
 def presentation_from_json(obj) -> Presentation:
+    _check(isinstance(obj, dict), "a presentation must be an object")
+    _check(_is_str_list(obj["generators"]) and _is_str_list(obj["relators"]),
+           "generators and relators must be lists of strings")
     names = tuple(obj["generators"])
     rels = tuple(parse_word(t, names) for t in obj["relators"])
     return Presentation(names, rels)
@@ -111,9 +126,22 @@ def certificate_to_json(c: Certificate):
 
 
 def certificate_from_json(obj) -> Certificate:
+    """Parse certificate JSON; ValueError or KeyError on a wrong shape."""
+    _check(isinstance(obj, dict), "the top level must be an object")
+    links = obj["chain"]
+    _check(isinstance(links, list) and all(isinstance(l, dict) for l in links),
+           "the chain must be a list of objects")
+    for l in links:
+        t = l["table"]
+        _check(isinstance(t, dict) and isinstance(t["degree"], int)
+               and isinstance(t["action"], list)
+               and all(isinstance(perm, list)
+                       and all(isinstance(x, int) for x in perm)
+                       for perm in t["action"]),
+               "a table must have an integer degree and integer permutations")
     chain = tuple(ChainLink(CosetTable.from_json(l["table"]),
                             presentation_from_json(l["presentation"]))
-                  for l in obj["chain"])
+                  for l in links)
     return Certificate(obj["kind"], presentation_from_json(obj["presentation"]),
                        chain, obj["data"])
 
@@ -199,21 +227,6 @@ def classify_bs_shape(w: Word) -> Optional[dict]:
     return None
 
 
-def _prime_factors(n: int) -> tuple:
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
-    return tuple(out)
-
-
 def automatic_primes(p: Presentation) -> tuple:
     """Primes suggested by relator shapes: divisors of 1-e for conjugated
     powers g A g^-1 = A^e, and of gcd(l, m) for Baumslag-Solitar shapes."""
@@ -223,14 +236,14 @@ def automatic_primes(p: Presentation) -> tuple:
             continue
         hit = classify_conjugated_power(r)
         if hit and hit["exponent"] not in (0, 1):
-            out.update(_prime_factors(1 - hit["exponent"]))
+            out.update(prime_factors(1 - hit["exponent"]))
         gens = {gen_of(lt) for lt in r}
         if len(gens) == 2:
             bs = classify_bs_shape(cyclic_reduce(r)[0])
             if bs:
                 g = gcd(abs(bs["l"]), abs(bs["m"]))
                 if g > 1:
-                    out.update(_prime_factors(g))
+                    out.update(prime_factors(g))
     return tuple(sorted(out))
 
 
@@ -245,8 +258,6 @@ def sweep_vectors(dim: int, height: int, max_support: int = 2):
     For dim > 4 only vectors supported on at most ``max_support``
     coordinates are produced, to keep the sweep finite in practice.
     """
-    from itertools import combinations, product
-
     vecs = []
     if dim <= 4:
         for v in product(range(-height, height + 1), repeat=dim):
@@ -267,10 +278,7 @@ def sweep_vectors(dim: int, height: int, max_support: int = 2):
     out = []
     seen = set()
     for v in vecs:
-        g = 0
-        for x in v:
-            g = gcd(g, x)
-        if g != 1:
+        if gcd(*v) != 1:
             continue
         first = next(x for x in v if x)
         if first < 0:
@@ -289,9 +297,7 @@ def chi_from_coords(basis: Sequence[Chi], coords: Sequence[int]) -> Chi:
     for c, b in zip(coords, basis):
         for i in range(n):
             vals[i] += c * b.values[i]
-    g = 0
-    for x in vals:
-        g = gcd(g, x)
+    g = gcd(*vals)
     if g > 1:
         vals = [x // g for x in vals]
     return Chi(tuple(vals))
@@ -327,6 +333,22 @@ def solve_chi_killing(p: Presentation, words: Sequence[Word]) -> Optional[Chi]:
 
 
 def certify(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict:
+    """Run the routes in order; a LARGE verdict is replayed once before it
+    is returned."""
+    return replayed(p, decide(p, config))
+
+
+def replayed(p: Presentation, verdict: Verdict) -> Verdict:
+    """``verdict`` itself, once its certificate (if LARGE) replays against
+    ``p``; RuntimeError otherwise."""
+    if verdict.is_large and not verify_certificate(p, verdict.certificate):
+        raise RuntimeError("internal error: emitted certificate failed replay")
+    return verdict
+
+
+def decide(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict:
+    """The routes of ``certify`` without the final replay: for searches that
+    lift the verdict into a larger certificate and replay that instead."""
     diags = []
     verdict = _route_deficiency(p, diags)
     if verdict is None:
@@ -342,8 +364,6 @@ def certify(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict
         verdict = _route_low_index(p, config, diags, wits)
     if verdict is None:
         verdict = Verdict(UNKNOWN, None, None, tuple(diags))
-    if verdict.is_large and not verify_certificate(p, verdict.certificate):
-        raise RuntimeError("internal error: emitted certificate failed replay")
     return verdict
 
 
@@ -464,19 +484,6 @@ def _route_commutator(p: Presentation, config, diags, wits) -> Optional[Verdict]
     return None
 
 
-def _rank_witness(p: Presentation, chi: Chi, fld):
-    mat = alexander_matrix(p, chi, fld)
-    if mat.nrows == 0:
-        return None
-    if mat.ncols < mat.nrows:
-        return {"rank": 0, "rows": mat.nrows, "pivot_cols": [],
-                "reason": "fewer relators than module generators"}
-    rank, pivots = lp_matrix_rank(_poly_rows(mat), fld)
-    if rank < mat.nrows:
-        return {"rank": rank, "rows": mat.nrows, "pivot_cols": list(pivots)}
-    return None
-
-
 def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     if p.ngens - 1 > config.max_alex_rows:
         diags.append(
@@ -495,7 +502,7 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     for coords in vectors:
         chi = chi_from_coords(basis, coords)
         for fld in fields:
-            wit = _rank_witness(p, chi, fld)
+            wit = rank_witness(p, chi, fld)
             if wit is not None:
                 cert = Certificate("alexander_zero", p, (), {
                     "chi": list(chi.values), "field": fld.name, **wit})
@@ -511,12 +518,6 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     return None
 
 
-def _cover_presentation(p: Presentation, table: CosetTable):
-    raw, _ = reidemeister_schreier(p, table)
-    simp, _, _ = tietze_simplify(raw)
-    return simp
-
-
 def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
     if config.budget < 1:
         diags.append("low-index route: recursion budget exhausted")
@@ -524,22 +525,12 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
     if config.max_index < 2:
         diags.append("low-index route: max index < 2")
         return None
-    from .subgroups import _search_tables, canonical_rebase, _unflatten
-
-    budget_cell = [config.li_nodes]
-    raw, truncated = _search_tables(p, config.max_index, budget_cell)
-    found = {}
-    for table in raw:
-        rep = min(canonical_rebase(table, b).flat() for b in range(table.degree))
-        key = (table.degree, rep)
-        if key not in found:
-            found[key] = CosetTable(table.degree, _unflatten(rep, p.ngens, table.degree))
+    classes, truncated = subgroup_classes(p, config.max_index, config.li_nodes)
     covers = []
-    for key in sorted(found):
-        table = found[key]
+    for table in classes:
         if table.degree < 2:
             continue
-        sub = _cover_presentation(p, table)
+        sub, _ = cover_presentation(p, table)
         covers.append((table, sub))
         # a commutator relator upstairs plus a cover whose abelianization
         # is not Z x Z gives largeness outright
@@ -559,11 +550,9 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
                 return Verdict(LARGE, cert, None, tuple(diags))
     child_cfg = replace(config, budget=config.budget - 1)
     for table, sub in covers:
-        child = certify(sub, child_cfg)
+        child = decide(sub, child_cfg)
         if child.is_large:
-            cert = Certificate(child.certificate.kind, p,
-                               (ChainLink(table, sub),) + child.certificate.chain,
-                               child.certificate.data)
+            cert = child.certificate.lift(p, (ChainLink(table, sub),))
             diags.append(
                 f"cover of index {table.degree} certified large "
                 f"({child.certificate.kind})")
@@ -604,7 +593,7 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
     for link in cert.chain:
         if not _table_valid(cur, link.table):
             return False
-        regenerated = _cover_presentation(cur, link.table)
+        regenerated, _ = cover_presentation(cur, link.table)
         if regenerated != link.presentation:
             return False
         cur = regenerated
@@ -649,17 +638,12 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
         return conjugator_between(relator, power(root, e)) is not None
     if cert.kind == "alexander_zero":
         chi = Chi(tuple(data["chi"]))
-        if len(chi.values) != cur.ngens:
-            return False
-        g = 0
-        for x in chi.values:
-            g = gcd(g, x)
-        if g != 1:
+        if len(chi.values) != cur.ngens or gcd(*chi.values) != 1:
             return False
         if any(chi.of_word(r) for r in cur.relators):
             return False
         fld = field_by_name(data["field"])
-        wit = _rank_witness(cur, chi, fld)
+        wit = rank_witness(cur, chi, fld)
         return (wit is not None and wit["rank"] == data["rank"]
                 and wit["rows"] == data["rows"]
                 and wit["pivot_cols"] == list(data["pivot_cols"]))
@@ -700,8 +684,6 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
         if inv.is_z_squared():
             return False
         return inv.betti == data["betti"] and list(inv.torsion) == data["torsion"]
-    if cert.kind == "cited_nonlarge":
-        return _verify_citation(cur, data)
     return False
 
 

@@ -16,7 +16,7 @@ from .alexander import RationalField, alexander_polynomial, field_by_name
 from .certify import (CertifyConfig, certificate_from_json, certify, dumps,
                       presentation_to_json, verdict_to_json,
                       verify_certificate)
-from .subgroups import (BoundExceeded, low_index_subgroups,
+from .subgroups import (BoundExceeded, cover_presentation, low_index_subgroups,
                         reidemeister_schreier, tietze_simplify)
 from .torus import (Endomorphism, PeriodicWitness, mapping_torus,
                     torus_bs_pipeline, torus_zz_pipeline, witness_verify)
@@ -40,8 +40,6 @@ def _config_from_args(args) -> CertifyConfig:
         kwargs["primes"] = tuple(int(x) for x in args.primes.split(","))
     if getattr(args, "budget", None) is not None:
         kwargs["budget"] = args.budget
-    if getattr(args, "threads", None) is not None:
-        kwargs["threads"] = args.threads
     return CertifyConfig(**kwargs)
 
 
@@ -103,9 +101,7 @@ def cmd_subgroups(args) -> int:
     p = _read_presentation(args.presentation)
     out = []
     for table in low_index_subgroups(p, args.max_index):
-        sub, _ = reidemeister_schreier(p, table)
-        simp, _, _ = tietze_simplify(sub)
-        inv = abelianization(simp)
+        inv = abelianization(cover_presentation(p, table)[0])
         out.append({"index": table.degree, "table": table.to_json(),
                     "abelianization": {"betti": inv.betti,
                                        "torsion": list(inv.torsion),

@@ -47,6 +47,14 @@ class StallingsGraph:
                                 for lt, w in d.items() if lt > 0)}
 
 
+def _find(parent: list, v: int) -> int:
+    """Union-find root of ``v``, halving the path on the way."""
+    while parent[v] != v:
+        parent[v] = parent[parent[v]]
+        v = parent[v]
+    return v
+
+
 def _fold(nvertices, edges, base):
     """Quotient until no vertex carries duplicate signed labels.
 
@@ -55,15 +63,7 @@ def _fold(nvertices, edges, base):
     parent = list(range(nvertices))
 
     def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
-    def union(a, b):
-        a, b = find(a), find(b)
-        if a != b:
-            parent[max(a, b)] = min(a, b)
+        return _find(parent, v)
 
     work = list(edges)
     while True:
@@ -82,7 +82,9 @@ def _fold(nvertices, edges, base):
         if not merged:
             break
         for a, b in pending:
-            union(a, b)
+            a, b = find(a), find(b)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
         work = [(find(v), lt, find(w)) for v, lt, w in work]
         work = list(dict.fromkeys(work))
     # dedupe edges after the final relabeling
@@ -248,9 +250,7 @@ def sg_index_and_basis(g: StallingsGraph, ambient_rank: int):
     The graph has finite index exactly when it is a covering of the rank-n
     bouquet: every vertex carries all 2n labels.
     """
-    covering = all(len(g.adj[v]) == 2 * ambient_rank for v in range(g.nvertices))
-    basis = graph_basis(g)
-    return (g.nvertices if covering else None), basis
+    return (g.nvertices if is_covering(g, ambient_rank) else None), graph_basis(g)
 
 
 def is_covering(g: StallingsGraph, ambient_rank: int) -> bool:
@@ -323,15 +323,8 @@ def hall_overgroup(w: Word, ambient_rank: int) -> tuple:
 
 def _is_forest(edges, nvertices) -> bool:
     parent = list(range(nvertices))
-
-    def find(v):
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        return v
-
     for v, _, w in dict.fromkeys(edges):
-        a, b = find(v), find(w)
+        a, b = _find(parent, v), _find(parent, w)
         if a == b:
             return False
         parent[max(a, b)] = min(a, b)

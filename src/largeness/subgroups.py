@@ -10,8 +10,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional, Sequence
 
-from .words import (Presentation, Word, concat, free_reduce, gen_of, inverse,
-                    letter)
+from .words import (Presentation, Word, concat, cyclic_reduce, free_reduce,
+                    gen_of, inverse, letter)
 
 
 class BoundExceeded(RuntimeError):
@@ -302,8 +302,6 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
     tracks per-generator ambient words when the presentation came from
     rewriting.  Returns ``(presentation, carry, ambient)``.
     """
-    from .words import cyclic_reduce
-
     gens = list(p.generators)
     rels = [r for r in p.relators]
     carry = [tuple(w) for w in carry]
@@ -374,6 +372,20 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
     return Presentation(tuple(gens), tuple(rels)), carry, amb
 
 
+def cover_presentation(p: Presentation, table: CosetTable,
+                       carry: Sequence[Word] = ()):
+    """The simplified presentation of the subgroup with coset table
+    ``table``: Reidemeister-Schreier, then Tietze.
+
+    ``carry`` words must lie in the subgroup; they come back re-expressed in
+    the simplified generators.  Returns ``(presentation, carried words)``.
+    """
+    raw, data = reidemeister_schreier(p, table)
+    carried = [rewrite_word(table, data.edge_index, w) for w in carry]
+    simp, carried, _ = tietze_simplify(raw, carried)
+    return simp, carried
+
+
 # ---------------------------------------------------------------------------
 # low-index subgroup enumeration
 
@@ -385,9 +397,11 @@ def _part_to_table(part, ngens, degree):
     return CosetTable(degree, tuple(action))
 
 
-def low_index_subgroups(p: Presentation, max_index: int) -> list:
+def subgroup_classes(p: Presentation, max_index: int,
+                     node_budget: Optional[int] = None):
     """One canonical coset table per conjugacy class of subgroups of index
-    at most ``max_index``, in deterministic order.
+    at most ``max_index``, in deterministic order, and whether the search
+    stopped at ``node_budget`` DFS nodes (None: unbounded).
 
     Backtracking over partial tables; partial assignments are propagated
     through relator scans, and new cosets are introduced in scan order so
@@ -396,14 +410,20 @@ def low_index_subgroups(p: Presentation, max_index: int) -> list:
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    tables, _ = _search_tables(p, max_index)
+    cell = None if node_budget is None else [node_budget]
+    tables, truncated = _search_tables(p, max_index, cell)
     found = {}
     for table in tables:
         rep = min(canonical_rebase(table, b).flat() for b in range(table.degree))
         key = (table.degree, rep)
         if key not in found:
             found[key] = CosetTable(table.degree, _unflatten(rep, p.ngens, table.degree))
-    return [found[k] for k in sorted(found)]
+    return [found[k] for k in sorted(found)], truncated
+
+
+def low_index_subgroups(p: Presentation, max_index: int) -> list:
+    """The classes of ``subgroup_classes`` from an unbounded search."""
+    return subgroup_classes(p, max_index)[0]
 
 
 def subgroup_count_by_index(p: Presentation, max_index: int) -> dict:

@@ -10,18 +10,18 @@ certify largeness there, or report a cited non-large family or UNKNOWN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from itertools import combinations, product
+from typing import Optional
 
-from .alexander import PrimeField, QQ
+from .alexander import PrimeField, QQ, prime_factors, rank_witness
 from .certify import (Certificate, CertifyConfig, ChainLink, LARGE,
-                      NOT_LARGE_KNOWN, UNKNOWN, Verdict, _prime_factors,
-                      _rank_witness, certify, solve_chi_killing,
-                      verify_certificate)
+                      NOT_LARGE_KNOWN, UNKNOWN, Verdict, decide, replayed,
+                      solve_chi_killing)
 from .stallings import (StallingsGraph, fold, graph_basis, hall_overgroup,
                         is_covering, pin_loop_basis, rank, sg_express,
                         sg_membership)
-from .subgroups import (BoundExceeded, coset_enumerate, low_index_subgroups,
-                        reidemeister_schreier, rewrite_word, tietze_simplify)
+from .subgroups import (BoundExceeded, canonical_rebase, coset_enumerate,
+                        cover_presentation, low_index_subgroups)
 from .words import (Presentation, Word, concat, conjugator_between,
                     default_names, free_reduce, inverse, is_proper_power,
                     letter, power, substitute)
@@ -222,8 +222,6 @@ def witness_verify(e: Endomorphism, wit: PeriodicWitness) -> bool:
 
 def _whitehead_autos(r: int):
     """Type II Whitehead automorphisms of F_r as image tuples, lazily."""
-    from itertools import combinations
-
     letters = [x for g in range(1, r + 1) for x in (g, -g)]
     for a in letters:
         others = [x for x in letters if x != a and x != -a]
@@ -246,8 +244,6 @@ def _auto_inverse(imgs: tuple, r: int) -> Optional[tuple]:
     """Invert an automorphism given by images; the inverse of a Whitehead
     move has images of length <= 3, so a short brute-force search finds it.
     None when nothing short works (caller treats as failure)."""
-    from itertools import product
-
     letters = [x for h in range(1, r + 1) for x in (h, -h)]
     inv = []
     for g in range(1, r + 1):
@@ -372,20 +368,9 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, config: CertifyConfig
     return p0, s1, basis, w, exponent, j, diags
 
 
-def _rs_with_elements(p0: Presentation, subgens: Sequence[Word],
-                      elements: Sequence[Word], max_cosets: int):
-    """Enumerate the subgroup, rewrite, simplify; returns (table, simplified
-    presentation, the elements re-expressed in its generators)."""
-    table = coset_enumerate(p0, list(subgens), max_cosets)
-    raw, data = reidemeister_schreier(p0, table)
-    carried = [rewrite_word(table, data.edge_index, el) for el in elements]
-    simp, carried, _ = tietze_simplify(raw, carried, list(data.ambient_words))
-    return table, simp, carried
-
-
 def _alexander_cert_on(p0, chain, pres, chi, fields) -> Optional[Certificate]:
     for fld in fields:
-        witness = _rank_witness(pres, chi, fld)
+        witness = rank_witness(pres, chi, fld)
         if witness is not None:
             return Certificate("alexander_zero", p0, chain,
                                {"chi": list(chi.values), "field": fld.name,
@@ -398,12 +383,6 @@ def _targeted_chi_cert(p0, chain, pres, kill, fields) -> Optional[Certificate]:
     if chi is None:
         return None
     return _alexander_cert_on(p0, chain, pres, chi, fields)
-
-
-def _finish(p0, status, cert, citation, diags) -> Verdict:
-    if cert is not None and not verify_certificate(p0, cert):
-        raise RuntimeError("internal error: pipeline certificate failed replay")
-    return Verdict(status, cert, citation, tuple(diags))
 
 
 def _rank_one_citation(e: Endomorphism, k: int):
@@ -462,20 +441,19 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         if e_eff == 1:
             fields = [QQ]
         else:
-            ps = _prime_factors(1 - e_eff)
+            ps = prime_factors(1 - e_eff)
             if not ps:
                 tried.append(f"d={d}: |1-e| = {abs(1 - e_eff)} has no prime divisor")
                 continue
             fields = [PrimeField(q) for q in ps]
         s_d = power(s1, j * d)
         try:
-            table, pres, carried = _rs_with_elements(
-                p0, list(basis) + [s_d], [w, s_d], config.max_cosets)
+            table = coset_enumerate(p0, list(basis) + [s_d], config.max_cosets)
         except BoundExceeded as exc:
             tried.append(f"d={d}: coset enumeration bound ({exc})")
             continue
+        pres, (w_expr, s_expr) = cover_presentation(p0, table, [w, s_d])
         chain = (ChainLink(table, pres),)
-        w_expr, s_expr = carried
         if d == 1:
             first_link = (table, pres, w_expr, s_expr)
         kill = [w_expr, s_expr] if e_eff == 1 else [s_expr]
@@ -484,17 +462,15 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
             diags.append(
                 f"cover d={d}: character killing the pinned elements gives a "
                 f"vanishing Alexander invariant over {cert.data['field']}")
-            return _finish(p0, LARGE, cert, None, diags)
+            return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
         names = ",".join(f.name for f in fields)
         tried.append(f"d={d}: no vanishing over {names}")
         if d == 1:
-            child = certify(pres, config)
+            child = decide(pres, config)
             if child.is_large:
-                cert = Certificate(child.certificate.kind, p0,
-                                   chain + child.certificate.chain,
-                                   child.certificate.data)
                 diags.extend(child.diagnostics[-1:])
-                return _finish(p0, LARGE, cert, None, diags)
+                cert = child.certificate.lift(p0, chain)
+                return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
         if e_eff == 1:
             break  # larger cyclic covers cannot help the unit case
     # covers of the rewritten subgroup containing both pinned elements
@@ -502,10 +478,8 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         table, pres, w_expr, s_expr = first_link
         e_eff = exponent
         fields = ([QQ] if e_eff == 1 else
-                  [PrimeField(q) for q in _prime_factors(1 - e_eff)])
+                  [PrimeField(q) for q in prime_factors(1 - e_eff)])
         if fields:
-            from .subgroups import canonical_rebase
-
             for sub_table in low_index_subgroups(pres, config.max_index):
                 if sub_table.degree < 2:
                     continue
@@ -516,11 +490,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
                 if base_ok is None:
                     continue
                 tab2 = canonical_rebase(sub_table, base_ok)
-                raw2, data2 = reidemeister_schreier(pres, tab2)
-                carried2 = [rewrite_word(tab2, data2.edge_index, w_expr),
-                            rewrite_word(tab2, data2.edge_index, s_expr)]
-                pres2, carried2, _ = tietze_simplify(raw2, carried2,
-                                                     list(data2.ambient_words))
+                pres2, carried2 = cover_presentation(pres, tab2, [w_expr, s_expr])
                 kill = carried2 if e_eff == 1 else [carried2[1]]
                 chain = (ChainLink(table, pres), ChainLink(tab2, pres2))
                 cert = _targeted_chi_cert(p0, chain, pres2, kill, fields)
@@ -529,7 +499,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
                         f"cover of index {tab2.degree} of the pinned subgroup "
                         f"gives a vanishing Alexander invariant over "
                         f"{cert.data['field']}")
-                    return _finish(p0, LARGE, cert, None, diags)
+                    return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
             diags.append(
                 "no finite-index subgroup with first Betti number >= 2 "
                 f"admitting the vanishing test found up to index {config.max_index}")

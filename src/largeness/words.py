@@ -396,10 +396,6 @@ def parse_presentation(text: str) -> Presentation:
     return Presentation(tuple(names), tuple(relators))
 
 
-def parse_words(text: str, names: Sequence[str]) -> Word:
-    return parse_word(text, names)
-
-
 DEFAULT_NAMES = ("x", "y", "z")
 
 

@@ -9,7 +9,8 @@ from largeness.alexander import (LaurentPoly, PrimeField, QQ,
                                  alexander_polynomial, chi_specialize,
                                  coordinate_change, field_by_name,
                                  fox_derivative, gr_add, gr_mul, gr_neg,
-                                 gr_one, lp_gcd, lp_mul)
+                                 gr_one, is_prime, lp_gcd, lp_mul,
+                                 prime_factors)
 from largeness.words import (Presentation, free_reduce, parse_presentation,
                              parse_word)
 
@@ -203,6 +204,20 @@ class TestFieldNames:
             field_by_name("F4")
         with pytest.raises(ValueError):
             field_by_name("R")
+
+
+class TestPrimes:
+    def test_is_prime_against_trial_division(self):
+        for n in range(-3, 200):
+            expected = n >= 2 and not any(n % d == 0 for d in range(2, n))
+            assert is_prime(n) == expected, n
+
+    def test_prime_factors(self):
+        assert prime_factors(0) == () and prime_factors(1) == ()
+        assert prime_factors(-1) == ()
+        assert prime_factors(-12) == (2, 3)
+        assert prime_factors(97) == (97,)
+        assert prime_factors(2 * 3 * 3 * 101) == (2, 3, 101)
 
 
 class TestTorusKnotFormula:

@@ -1,4 +1,5 @@
 import json
+import sys
 
 import pytest
 
@@ -9,6 +10,9 @@ from largeness.certify import (Certificate, CertifyConfig, certificate_from_json
                                automatic_primes, dumps, solve_chi_killing,
                                sweep_vectors, verdict_to_json,
                                verify_certificate, verify_citation)
+from largeness.cli import main
+from largeness.torus import (Endomorphism, PeriodicWitness, mapping_torus,
+                             torus_zz_pipeline)
 from largeness.words import parse_presentation, parse_word
 
 FAST = CertifyConfig(max_index=5, budget=1)
@@ -283,3 +287,58 @@ class TestCitations:
         z = parse_presentation("< a | a^5 >")
         assert verify_citation(z, {"reason": "cyclic"})
         assert not verify_citation(bs, {"reason": "cyclic"})
+
+
+class TestReplayOnce:
+    """Every LARGE verdict is replayed exactly once, against the root
+    presentation, however deep its cover chain."""
+
+    @staticmethod
+    def _replays(monkeypatch):
+        # the package re-exports the function certify, which hides the
+        # submodule: reach it through sys.modules and patch every binding
+        orig = sys.modules["largeness.certify"].verify_certificate
+        seen = []
+
+        def counting(p, cert):
+            seen.append(p)
+            return orig(p, cert)
+
+        for name, mod in list(sys.modules.items()):
+            if mod is None or not (name == "largeness"
+                                   or name.startswith("largeness.")):
+                continue
+            for key, val in list(vars(mod).items()):
+                if val is orig:
+                    monkeypatch.setattr(mod, key, counting)
+        return seen
+
+    def test_certify_through_a_cover(self, monkeypatch):
+        seen = self._replays(monkeypatch)
+        p = parse_presentation("< x, y | x y x y^-1 x^-1 y^-1 >")  # trefoil
+        v = certify(p)
+        assert v.status == "LARGE" and v.certificate.chain[0].table.degree == 2
+        assert seen == [p]
+
+    def test_torus_pipeline_through_certify(self, monkeypatch):
+        seen = self._replays(monkeypatch)
+        e = Endomorphism(((1,), (-2,)))  # x -> x, y -> y^-1
+        v = torus_zz_pipeline(e, PeriodicWitness((1,), 1, (), 1))
+        assert v.status == "LARGE" and v.certificate.chain
+        assert seen == [mapping_torus(e)]
+
+
+class TestDeadKinds:
+    CITED_NONLARGE = {"kind": "cited_nonlarge",
+                      "presentation": {"generators": ["a"], "relators": []},
+                      "chain": [], "data": {"reason": "cyclic"}}
+
+    def test_cited_nonlarge_is_not_a_certificate(self, capsys, tmp_path):
+        # Z is not large: a non-largeness citation must never verify as a
+        # largeness certificate
+        cert = certificate_from_json(self.CITED_NONLARGE)
+        assert not verify_certificate(cert.presentation, cert)
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(self.CITED_NONLARGE))
+        assert main(["verify", "--cert", str(path)]) == 0
+        assert json.loads(capsys.readouterr().out) == {"valid": False}

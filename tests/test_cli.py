@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 from largeness.cli import main
 
 
@@ -190,3 +192,17 @@ class TestVerify:
             assert code == 0 and vdoc == {"valid": True}
             checked += 1
         assert checked >= 6
+
+    @pytest.mark.parametrize("text", [
+        "[]",
+        '{"kind": "deficiency", "chain": 5, "data": {},'
+        ' "presentation": {"generators": ["a", "b"], "relators": []}}',
+        '{"kind": "deficiency", "chain": [], "data": {},'
+        ' "presentation": {"generators": [1, 2], "relators": []}}',
+    ])
+    def test_wrong_shape_is_input_error(self, capsys, tmp_path, text):
+        path = tmp_path / "cert.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1

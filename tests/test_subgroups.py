@@ -4,8 +4,9 @@ import pytest
 
 from largeness.abelian import abelianization
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
-                                 coset_enumerate, low_index_subgroups,
-                                 reidemeister_schreier, rewrite_word,
+                                 coset_enumerate, cover_presentation,
+                                 low_index_subgroups, reidemeister_schreier,
+                                 rewrite_word, subgroup_classes,
                                  subgroup_count_by_index, tietze_simplify)
 from largeness.words import parse_presentation, parse_word
 
@@ -168,6 +169,27 @@ class TestLowIndex:
         simp, _, _ = tietze_simplify(sub)
         inv = abelianization(simp)
         assert inv.betti == 0 and inv.torsion == (3,)
+
+
+    def test_classes_with_node_budget(self):
+        p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
+        classes, truncated = subgroup_classes(p, 4)
+        assert classes == low_index_subgroups(p, 4) and not truncated
+        assert subgroup_classes(p, 4, node_budget=10 ** 6) == (classes, False)
+        cut, truncated = subgroup_classes(p, 4, node_budget=3)
+        assert truncated and len(cut) < len(classes)
+
+
+class TestCoverPresentation:
+    def test_matches_rewrite_then_simplify(self):
+        p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
+        subgens = words_of(p, "x^2", "y", "x y x^-1")
+        table = coset_enumerate(p, subgens, 50)
+        raw, data = reidemeister_schreier(p, table)
+        exprs = [rewrite_word(table, data.edge_index, w) for w in subgens]
+        expected, carried, _ = tietze_simplify(raw, exprs)
+        assert cover_presentation(p, table, subgens) == (expected, carried)
+        assert cover_presentation(p, table) == (expected, [])
 
 
 class TestRewritingRoundTrip:
