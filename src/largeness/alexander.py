@@ -5,14 +5,18 @@ computed in coordinate form: a free-group automorphism first moves chi to
 a basis where one pivot generator has value 1 and the rest 0, the pivot
 row is dropped, and the remaining (n-1) x m matrix of specialized Fox
 derivatives presents the relevant module.  The zero test is a rank
-computation over the rational function field, not a gcd.
+computation over the rational function field, not a gcd.  The matrix is
+built once over Z[t, t^-1] for each character and reduced to each field;
+its rank at a few points, which cannot exceed the rank over the field of
+rational functions, settles the common full-rank case before any
+elimination over F(t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations
+from itertools import chain, combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -24,8 +28,32 @@ from .words import (Presentation, Word, concat, gen_of, inverse, letter,
 # coefficient fields
 
 
+PRIME_BOUND = 2 ** 64
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+
+
 def is_prime(n: int) -> bool:
-    return n >= 2 and all(n % d for d in range(2, int(n ** 0.5) + 1))
+    """Exact for n < PRIME_BOUND, in time polynomial in its digits:
+    Miller-Rabin on the prime bases up to 41, which no composite below
+    3.3 * 10**24 passes (Sorenson and Webster 2017).  ValueError above."""
+    if n >= PRIME_BOUND:
+        raise ValueError(f"{n} is not below the primality bound 2**64")
+    if n < 2 or any(n % a == 0 for a in _MR_BASES):
+        return n in _MR_BASES
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d, s = d // 2, s + 1
+    for a in _MR_BASES:  # n passes base a: a^d = 1, or a^(d 2^i) = -1, i < s
+        x = pow(a, d, n)
+        if x == 1:
+            continue
+        for _ in range(s):
+            if x == n - 1:
+                break
+            x = x * x % n
+        else:
+            return False
+    return True
 
 
 def prime_factors(n: int) -> tuple:
@@ -63,7 +91,7 @@ class PrimeField:
     p: int
 
     def __post_init__(self):
-        if not is_prime(self.p):
+        if not is_prime(self.p):  # ValueError also at PRIME_BOUND and above
             raise ValueError(f"{self.p} is not prime")
 
     @property
@@ -89,6 +117,7 @@ QQ = RationalField()
 
 
 def field_by_name(name: str):
+    """Q, or F_p for "Fp" with p a prime below PRIME_BOUND; ValueError else."""
     if name == "Q":
         return QQ
     if name.startswith("F") and name[1:].isdigit():
@@ -404,7 +433,8 @@ def coordinate_change(p: Presentation, chi: Chi, strategy: str = "min"):
     beta, beta_inv, pivot = chi_normalizing_automorphism(chi.values, strategy)
     new_rels = tuple(substitute(r, beta_inv) for r in p.relators)
     check = [chi.of_word(img) for img in beta]
-    assert check == [1 if i == pivot else 0 for i in range(p.ngens)]
+    if check != [1 if i == pivot else 0 for i in range(p.ngens)]:
+        raise RuntimeError(f"coordinate change gives chi values {check}")
     return Presentation(p.generators, new_rels), pivot
 
 
@@ -430,36 +460,62 @@ class AlexMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def alexander_matrix(p: Presentation, chi: Chi, field, strategy: str = "min") -> AlexMatrix:
+def _fox_rows(relators, pivot: int, ngens: int) -> list:
+    """The Fox Jacobian of ``relators`` under the character that is 1 on
+    generator ``pivot`` and 0 on the others, without the pivot's row: entry
+    [i][j] is chi(d r_j / d x_g), g the i-th other generator, as an integer
+    Laurent polynomial (dict exponent -> nonzero int).
+
+    One pass per relator carries chi of the prefix read so far (the
+    exponent sum of the pivot) instead of building the prefix words.
+    Reduced to any field, entry [i][j] equals
+    ``chi_specialize(fox_derivative(r_j, g), chi, field)``.
+    """
+    rows = [[{} for _ in relators] for _ in range(ngens - 1)]
+    for j, r in enumerate(relators):
+        e = 0
+        for lt in r:
+            g = gen_of(lt)
+            if g == pivot:
+                e += 1 if lt > 0 else -1
+                continue
+            entry = rows[g - (g > pivot)][j]
+            c = entry.get(e, 0) + (1 if lt > 0 else -1)
+            if c:
+                entry[e] = c
+            else:
+                del entry[e]
+    return rows
+
+
+def _integer_matrix(p: Presentation, chi: Chi, strategy: str = "min"):
+    """The coordinate-form Alexander matrix over Z[t, t^-1], before a field
+    is chosen: ``(rows, row_gens, pivot)``."""
     if len(chi.values) != p.ngens:
         raise ValueError("chi needs one value per generator")
     bad = [i for i, r in enumerate(p.relators) if chi.of_word(r)]
     if bad:
         raise ValueError(f"chi does not vanish on relator {bad[0]}")
     p2, pivot = coordinate_change(p, chi, strategy)
-    chi2 = Chi(tuple(1 if i == pivot else 0 for i in range(p.ngens)))
     row_gens = tuple(i for i in range(p.ngens) if i != pivot)
-    rows = []
-    for g in row_gens:
-        row = tuple(chi_specialize(fox_derivative(r, g), chi2, field)
-                    for r in p2.relators)
-        rows.append(row)
-    return AlexMatrix(tuple(rows), field, row_gens, pivot)
+    return _fox_rows(p2.relators, pivot, p.ngens), row_gens, pivot
 
 
-def _poly_rows(mat: AlexMatrix):
-    """Rows shifted to ordinary polynomials (a unit per row; rank-safe)."""
-    rows = []
-    for row in mat.entries:
-        lows = [p.coeffs[0][0] for p in row if not p.is_zero]
-        shift = -min(lows) if lows else 0
-        rows.append([lp_shift(p, shift) if not p.is_zero else p for p in row])
-    return rows
+def _reduce(rows, field) -> tuple:
+    """Integer rows as rows of Laurent polynomials over ``field``."""
+    return tuple(tuple(LaurentPoly.make(field, {e: field.of(c) for e, c in entry.items()})
+                       for entry in row) for row in rows)
 
 
-def lp_matrix_rank(rows, field) -> tuple:
-    """Rank over field(t) by fraction-free elimination; also returns the
-    pivot column list as a replayable witness."""
+def alexander_matrix(p: Presentation, chi: Chi, field, strategy: str = "min") -> AlexMatrix:
+    rows, row_gens, pivot = _integer_matrix(p, chi, strategy)
+    return AlexMatrix(_reduce(rows, field), field, row_gens, pivot)
+
+
+def _eliminate(rows, field) -> tuple:
+    """Fraction-free elimination over field[t, t^-1]: the rank, the pivot
+    columns, and the last pivot, which for a square matrix of full rank is
+    its determinant up to sign."""
     m = [list(r) for r in rows]
     nrows = len(m)
     ncols = len(m[0]) if m else 0
@@ -481,53 +537,99 @@ def lp_matrix_rank(rows, field) -> tuple:
         rank += 1
         if rank == nrows:
             break
-    return rank, tuple(pivot_cols)
+    return rank, tuple(pivot_cols), prev
+
+
+def lp_matrix_rank(rows, field) -> tuple:
+    """Rank over field(t) by fraction-free elimination; also returns the
+    pivot column list as a replayable witness."""
+    rank, pivot_cols, _ = _eliminate(rows, field)
+    return rank, pivot_cols
+
+
+# The full-rank test reads the integer matrix mod a prime q at a few points:
+# over F_p, q = p and those of t = -1, -2, -3 that are units; over Q,
+# q = 2**61 - 1 and three fixed units far from the small roots that
+# Alexander polynomials have.
+_Q_MODULUS = 2 ** 61 - 1
+_Q_UNITS = (0x1F83D9ABFB41BD6B, 0x1E3779B97F4A7C15, 0x0A09E667F3BCC909)
+
+
+def _rank_mod(mat, q: int) -> int:
+    """Rank of an integer matrix mod the prime ``q``; consumes ``mat``."""
+    rank = 0
+    for j in range(len(mat[0])):
+        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+        if piv is None:
+            continue
+        mat[rank], mat[piv] = mat[piv], mat[rank]
+        top = mat[rank]
+        inv = pow(top[j], -1, q)
+        for i in range(rank + 1, len(mat)):
+            f = mat[i][j] * inv % q
+            if f:
+                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], top)]
+        rank += 1
+        if rank == len(mat):
+            break
+    return rank
+
+
+def _full_rank_at_a_point(rows, field) -> bool:
+    """True when the integer rows have full row rank at one of a few points
+    over a prime field: t = 0 and t = oo, after scaling each row by the
+    power of t that makes its lowest (highest) term constant, and units
+    t = a.  Each point is a ring map that sends every vanishing minor to
+    zero, so the rank at a point never exceeds the rank over field(t):
+    True proves full rank; False proves nothing.  A nonzero minor of degree
+    d vanishes at no more than d points (Schwartz 1980, Zippel 1979), so
+    over Q, with its large modulus, False is rare at full rank.
+    """
+    if isinstance(field, RationalField):
+        q, units = _Q_MODULUS, _Q_UNITS
+    else:
+        q, units = field.p, range(field.p - 1, max(field.p - 4, 0), -1)
+    exps = [[e for entry in row for e in entry] for row in rows]
+    if not all(exps):
+        return False  # a zero row
+    ends = [(min(ex), max(ex)) for ex in exps]
+    mats = chain(
+        ([[entry.get(end[k], 0) % q for entry in row]
+          for row, end in zip(rows, ends)] for k in (0, 1)),
+        ([[sum(c * pow(a, e, q) for e, c in entry.items()) % q
+           for entry in row] for row in rows] for a in units))
+    return any(_rank_mod(mat, q) == len(rows) for mat in mats)
 
 
 def alexander_is_zero(p: Presentation, chi: Chi, field, strategy: str = "min") -> bool:
     """True when the coordinate-form matrix has rank < n-1 over field(t)."""
-    return rank_witness(p, chi, field, strategy) is not None
+    return rank_witness(p, chi, [field], strategy) is not None
 
 
-def rank_witness(p: Presentation, chi: Chi, field, strategy: str = "min"):
-    """The replayable evidence that the Alexander invariant of ``chi``
-    vanishes over ``field``: {"rank", "rows", "pivot_cols"} (plus "reason"
-    when the matrix is too narrow), or None when it does not vanish."""
-    mat = alexander_matrix(p, chi, field, strategy)
-    if mat.nrows == 0:
+def rank_witness(p: Presentation, chi: Chi, fields, strategy: str = "min"):
+    """The first field in ``fields`` over which the Alexander invariant of
+    ``chi`` vanishes, with the replayable evidence: ``(field, witness)``,
+    the witness {"rank", "rows", "pivot_cols"} (plus "reason" when the
+    matrix is too narrow); None when it vanishes over none of them.
+
+    The integer matrix is built once and reduced per field.  A field where
+    an evaluation proves full rank is passed over; for the others the rank
+    and the pivot columns come from ``lp_matrix_rank`` over field(t).
+    """
+    rows, _, _ = _integer_matrix(p, chi, strategy)
+    if not rows or not fields:
         return None
-    if mat.ncols < mat.nrows:
-        return {"rank": 0, "rows": mat.nrows, "pivot_cols": [],
-                "reason": "fewer relators than module generators"}
-    rank, pivots = lp_matrix_rank(_poly_rows(mat), field)
-    if rank < mat.nrows:
-        return {"rank": rank, "rows": mat.nrows, "pivot_cols": list(pivots)}
+    nrows = len(rows)
+    if len(rows[0]) < nrows:
+        return fields[0], {"rank": 0, "rows": nrows, "pivot_cols": [],
+                           "reason": "fewer relators than module generators"}
+    for field in fields:
+        if _full_rank_at_a_point(rows, field):
+            continue
+        rank, pivots = lp_matrix_rank(_reduce(rows, field), field)
+        if rank < nrows:
+            return field, {"rank": rank, "rows": nrows, "pivot_cols": list(pivots)}
     return None
-
-
-def lp_det(rows, field) -> LaurentPoly:
-    """Fraction-free determinant of a square matrix of polynomials."""
-    n = len(rows)
-    if n == 0:
-        return lp_const(field, 1)
-    m = [list(r) for r in rows]
-    sign = 1
-    prev = lp_const(field, 1)
-    for k in range(n - 1):
-        if m[k][k].is_zero:
-            piv = next((i for i in range(k + 1, n) if not m[i][k].is_zero), None)
-            if piv is None:
-                return lp_zero(field)
-            m[k], m[piv] = m[piv], m[k]
-            sign = -sign
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                num = lp_sub(lp_mul(m[i][j], m[k][k]), lp_mul(m[i][k], m[k][j]))
-                m[i][j] = lp_exact_div(num, prev)
-            m[i][k] = lp_zero(field)
-        prev = m[k][k]
-    det = m[n - 1][n - 1]
-    return lp_neg(det) if sign < 0 else det
 
 
 def alexander_polynomial(p: Presentation, chi: Chi, field, strategy: str = "min") -> LaurentPoly:
@@ -540,12 +642,10 @@ def alexander_polynomial(p: Presentation, chi: Chi, field, strategy: str = "min"
         return lp_const(field, 1).normalize()
     if mat.ncols < mat.nrows:
         return lp_zero(field)
-    rows = _poly_rows(mat)
     g = lp_zero(field)
     for cols in combinations(range(mat.ncols), mat.nrows):
-        sub = [[row[j] for j in cols] for row in rows]
-        d = lp_det(sub, field)
-        if d.is_zero:
+        rank, _, d = _eliminate([[row[j] for j in cols] for row in mat.entries], field)
+        if rank < mat.nrows:
             continue
         g = d if g.is_zero else lp_gcd(g, d)
         if not g.is_zero and g.normalize().degree_span() == 0:

@@ -501,15 +501,15 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     vectors = sweep_vectors(len(basis), config.chi_height)
     for coords in vectors:
         chi = chi_from_coords(basis, coords)
-        for fld in fields:
-            wit = rank_witness(p, chi, fld)
-            if wit is not None:
-                cert = Certificate("alexander_zero", p, (), {
-                    "chi": list(chi.values), "field": fld.name, **wit})
-                diags.append(
-                    f"character {list(chi.values)} over {fld.name}: matrix rank "
-                    f"{wit['rank']} < {wit['rows']}, Alexander invariant vanishes")
-                return Verdict(LARGE, cert, None, tuple(diags))
+        hit = rank_witness(p, chi, fields)
+        if hit is not None:
+            fld, wit = hit
+            cert = Certificate("alexander_zero", p, (), {
+                "chi": list(chi.values), "field": fld.name, **wit})
+            diags.append(
+                f"character {list(chi.values)} over {fld.name}: matrix rank "
+                f"{wit['rank']} < {wit['rows']}, Alexander invariant vanishes")
+            return Verdict(LARGE, cert, None, tuple(diags))
     extra = f" (auto primes {list(auto)})" if auto else ""
     diags.append(
         f"character sweep: {len(vectors)} characters of height <= "
@@ -642,9 +642,11 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
             return False
         if any(chi.of_word(r) for r in cur.relators):
             return False
-        fld = field_by_name(data["field"])
-        wit = rank_witness(cur, chi, fld)
-        return (wit is not None and wit["rank"] == data["rank"]
+        hit = rank_witness(cur, chi, [field_by_name(data["field"])])
+        if hit is None:
+            return False
+        wit = hit[1]
+        return (wit["rank"] == data["rank"]
                 and wit["rows"] == data["rows"]
                 and wit["pivot_cols"] == list(data["pivot_cols"]))
     if cert.kind == "commutator_betti":

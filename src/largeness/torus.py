@@ -164,7 +164,8 @@ def preimage_subgroup(e: Endomorphism, cover: StallingsGraph) -> StallingsGraph:
             adj[index[tgt]][-letter(g)] = pos
         pos += 1
     out = StallingsGraph(len(order), tuple(adj), 0)
-    assert out.nvertices <= cover.nvertices, "preimage index must not grow"
+    if out.nvertices > cover.nvertices:
+        raise RuntimeError("preimage index must not grow")
     return out
 
 
@@ -359,7 +360,8 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, config: CertifyConfig
                 "primitivity of the witness word in the pulled-back subgroup "
                 "not established within budget")
             return None, None, None, None, None, None, diags
-    assert w in basis
+    if w not in basis:
+        raise RuntimeError("the witness word is not in the subgroup basis")
     s1 = concat(inverse(v), power((letter(e.rank),), i))
     exponent = k ** j
     diags.append(
@@ -368,21 +370,22 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, config: CertifyConfig
     return p0, s1, basis, w, exponent, j, diags
 
 
-def _alexander_cert_on(p0, chain, pres, chi, fields) -> Optional[Certificate]:
-    for fld in fields:
-        witness = rank_witness(pres, chi, fld)
-        if witness is not None:
-            return Certificate("alexander_zero", p0, chain,
-                               {"chi": list(chi.values), "field": fld.name,
-                                **witness})
-    return None
+def _fields_for(e_eff: int) -> list:
+    """Q when the conjugation exponent is 1, else F_q for each prime q
+    dividing 1 - e."""
+    return [QQ] if e_eff == 1 else [PrimeField(q) for q in prime_factors(1 - e_eff)]
 
 
 def _targeted_chi_cert(p0, chain, pres, kill, fields) -> Optional[Certificate]:
     chi = solve_chi_killing(pres, kill)
     if chi is None:
         return None
-    return _alexander_cert_on(p0, chain, pres, chi, fields)
+    hit = rank_witness(pres, chi, fields)
+    if hit is None:
+        return None
+    fld, witness = hit
+    return Certificate("alexander_zero", p0, chain,
+                       {"chi": list(chi.values), "field": fld.name, **witness})
 
 
 def _rank_one_citation(e: Endomorphism, k: int):
@@ -438,14 +441,10 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
     # d = 2 cover repairs the exponent-2 case, where 1 - e has no prime
     for d in range(1, max(2, config.max_index) + 1):
         e_eff = exponent ** d
-        if e_eff == 1:
-            fields = [QQ]
-        else:
-            ps = prime_factors(1 - e_eff)
-            if not ps:
-                tried.append(f"d={d}: |1-e| = {abs(1 - e_eff)} has no prime divisor")
-                continue
-            fields = [PrimeField(q) for q in ps]
+        fields = _fields_for(e_eff)
+        if not fields:
+            tried.append(f"d={d}: |1-e| = {abs(1 - e_eff)} has no prime divisor")
+            continue
         s_d = power(s1, j * d)
         try:
             table = coset_enumerate(p0, list(basis) + [s_d], config.max_cosets)
@@ -477,8 +476,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
     if first_link is not None:
         table, pres, w_expr, s_expr = first_link
         e_eff = exponent
-        fields = ([QQ] if e_eff == 1 else
-                  [PrimeField(q) for q in prime_factors(1 - e_eff)])
+        fields = _fields_for(e_eff)
         if fields:
             for sub_table in low_index_subgroups(pres, config.max_index):
                 if sub_table.degree < 2:

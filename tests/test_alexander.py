@@ -4,13 +4,13 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from largeness.abelian import Chi
-from largeness.alexander import (LaurentPoly, PrimeField, QQ,
+from largeness.alexander import (PRIME_BOUND, LaurentPoly, PrimeField, QQ,
                                  alexander_is_zero, alexander_matrix,
                                  alexander_polynomial, chi_specialize,
                                  coordinate_change, field_by_name,
                                  fox_derivative, gr_add, gr_mul, gr_neg,
-                                 gr_one, is_prime, lp_gcd, lp_mul,
-                                 prime_factors)
+                                 gr_one, is_prime, lp_gcd, lp_matrix_rank,
+                                 lp_mul, prime_factors, rank_witness)
 from largeness.words import (Presentation, free_reduce, parse_presentation,
                              parse_word)
 
@@ -212,6 +212,24 @@ class TestPrimes:
             expected = n >= 2 and not any(n % d == 0 for d in range(2, n))
             assert is_prime(n) == expected, n
 
+    def test_is_prime_on_large_numbers(self):
+        # R19 is prime; 3825123056546413051 is a strong pseudoprime to
+        # every prime base up to 23
+        assert is_prime(1111111111111111111) and is_prime(2 ** 61 - 1)
+        assert not is_prime(3825123056546413051)
+        assert not is_prime(3215031751) and not is_prime(561)
+        assert is_prime(PRIME_BOUND - 59)  # the largest prime below 2**64
+        with pytest.raises(ValueError):
+            is_prime(PRIME_BOUND)
+
+    def test_fields_above_the_bound_are_refused(self):
+        assert field_by_name("F1111111111111111111").p == 1111111111111111111
+        for p in (PRIME_BOUND + 13, 10 ** 40 + 1):
+            with pytest.raises(ValueError):
+                PrimeField(p)
+            with pytest.raises(ValueError):
+                field_by_name(f"F{p}")
+
     def test_prime_factors(self):
         assert prime_factors(0) == () and prime_factors(1) == ()
         assert prime_factors(-1) == ()
@@ -245,3 +263,100 @@ class TestTorusKnotFormula:
             alexander_polynomial(pres, Chi((1, 0)), QQ)
         with pytest.raises(ValueError):
             alexander_polynomial(pres, Chi((5,)), QQ)
+
+
+FIELDS = [QQ, F2, F3, PrimeField(5)]
+
+
+@st.composite
+def presentation_and_character(draw):
+    """A 2-4 generator presentation with a surjective character that
+    vanishes on every relator: each random word is closed up with a power
+    of a generator on which chi is +-1."""
+    n = draw(st.integers(2, 4))
+    unit = draw(st.integers(0, n - 1))
+    values = [draw(st.integers(-2, 2)) for _ in range(n)]
+    values[unit] = draw(st.sampled_from([1, -1]))
+    chi = Chi(tuple(values))
+    letters = [x for g in range(1, n + 1) for x in (g, -g)]
+    rels = []
+    for _ in range(draw(st.integers(0, n))):
+        w = free_reduce(draw(st.lists(st.sampled_from(letters), max_size=10)))
+        k = chi.of_word(w) * values[unit]
+        rels.append(free_reduce(w + (-(unit + 1) if k > 0 else unit + 1,) * abs(k)))
+    p = Presentation(tuple(f"x{i}" for i in range(n)), tuple(rels))
+    return p, chi
+
+
+def full_elimination_witness(p, chi, fields):
+    """rank_witness without the evaluation exit: lp_matrix_rank over each
+    field in turn."""
+    for fld in fields:
+        mat = alexander_matrix(p, chi, fld)
+        if mat.nrows == 0:
+            return None
+        if mat.ncols < mat.nrows:
+            return fld, {"rank": 0, "rows": mat.nrows, "pivot_cols": [],
+                         "reason": "fewer relators than module generators"}
+        rank, pivots = lp_matrix_rank(mat.entries, fld)
+        if rank < mat.nrows:
+            return fld, {"rank": rank, "rows": mat.nrows, "pivot_cols": list(pivots)}
+    return None
+
+
+class TestIntegerPath:
+    @given(presentation_and_character())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_match_fox_then_specialize(self, case):
+        p, chi = case
+        p2, pivot = coordinate_change(p, chi)
+        chi2 = Chi(tuple(int(i == pivot) for i in range(p.ngens)))
+        for fld in FIELDS:
+            mat = alexander_matrix(p, chi, fld)
+            want = tuple(tuple(chi_specialize(fox_derivative(r, g), chi2, fld)
+                               for r in p2.relators)
+                         for g in range(p.ngens) if g != pivot)
+            assert mat.entries == want
+
+    @given(presentation_and_character())
+    @settings(max_examples=150, deadline=None)
+    def test_rank_witness_matches_full_elimination(self, case):
+        p, chi = case
+        assert rank_witness(p, chi, FIELDS) == full_elimination_witness(p, chi, FIELDS)
+        for fld in FIELDS:
+            assert (rank_witness(p, chi, [fld])
+                    == full_elimination_witness(p, chi, [fld]))
+
+    def test_vanishing_field_is_the_first_one(self):
+        p = parse_presentation("< x, y | x y^2 x^-1 y^-4 >")
+        fld, wit = rank_witness(p, Chi((1, 0)), FIELDS)
+        assert fld == F2 and wit == {"rank": 0, "rows": 1, "pivot_cols": []}
+        assert rank_witness(p, Chi((1, 0)), [QQ, F3]) is None
+        assert rank_witness(p, Chi((1, 0)), []) is None
+
+    def test_roots_of_the_polynomial_are_not_enough(self):
+        # t - 2 vanishes at t = 2 and 2t - 1 at t = 1/2, but not over Q(t)
+        for text in ("< x, y | x y x^-1 y^-2 >", "< x, y | x y^2 x^-1 y^-1 >"):
+            assert rank_witness(parse_presentation(text), Chi((1, 0)), [QQ]) is None
+
+
+laurent_entries = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
+                                  max_size=3)
+
+
+class TestRankOracle:
+    @given(st.integers(1, 3).flatmap(lambda n: st.integers(1, 3).flatmap(
+        lambda m: st.lists(st.lists(laurent_entries, min_size=m, max_size=m),
+                           min_size=n, max_size=n))))
+    @settings(max_examples=100, deadline=None)
+    def test_rank_over_q_of_t_matches_sympy(self, rows):
+        from sympy import Rational, symbols
+        from sympy.polys.matrices import DomainMatrix
+        t = symbols("t")
+        # each row shifted by t^2, a unit, so that sympy sees polynomials
+        sym = [[sum(Rational(c) * t ** (e + 2) for e, c in entry.items())
+                for entry in row] for row in rows]
+        want = DomainMatrix.from_list_sympy(len(rows), len(rows[0]), sym).to_field().rank()
+        polys = [[LaurentPoly.make(QQ, {e: Fraction(c) for e, c in entry.items()})
+                  for entry in row] for row in rows]
+        assert lp_matrix_rank(polys, QQ)[0] == want

@@ -1,4 +1,5 @@
 import json
+import time
 
 import pytest
 
@@ -192,6 +193,27 @@ class TestVerify:
             assert code == 0 and vdoc == {"valid": True}
             checked += 1
         assert checked >= 6
+
+    @pytest.mark.parametrize("field", ["F1111111111111111111",
+                                       "F18446744073709551629", "F" + "7" * 400])
+    def test_huge_field_is_refuted_quickly(self, capsys, tmp_path, field):
+        # the invariant of x y^2 x^-1 y^-4 vanishes over F2 only; R19 is
+        # prime, the other two are above the bound on field sizes
+        cert = {"kind": "alexander_zero", "chain": [],
+                "presentation": {"generators": ["x", "y"],
+                                 "relators": ["x y^2 x^-1 y^-4"]},
+                "data": {"chi": [1, 0], "field": field, "rank": 0, "rows": 1,
+                         "pivot_cols": []}}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "verify", "--cert", str(path))
+        assert code == 0 and doc == {"valid": False}
+        assert time.perf_counter() - start < 1.0
+        cert["data"]["field"] = "F2"
+        path.write_text(json.dumps(cert))
+        code, doc, _ = run_json(capsys, "verify", "--cert", str(path))
+        assert code == 0 and doc == {"valid": True}
 
     @pytest.mark.parametrize("text", [
         "[]",

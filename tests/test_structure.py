@@ -17,3 +17,12 @@ def test_no_private_names_imported_between_modules():
                               for alias in node.names
                               if alias.name.startswith("_")]
     assert offenders == []
+
+
+def test_no_assert_statements_in_the_package():
+    # python -O strips assert statements, so no check may rest on one
+    offenders = [f"{path.name}:{node.lineno}"
+                 for path in sorted(SRC.glob("*.py"))
+                 for node in ast.walk(ast.parse(path.read_text(), str(path)))
+                 if isinstance(node, ast.Assert)]
+    assert offenders == []
