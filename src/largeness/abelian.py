@@ -261,6 +261,18 @@ def hermite_rows(basis):
     return out
 
 
+def integer_kernel(a, n: int) -> list:
+    """Hermite-reduced basis of the integer vectors x with a.x = 0, where
+    ``a`` has n columns (or no rows): the columns of V in the Smith
+    decomposition that meet a zero of the diagonal."""
+    if not a:
+        return hermite_rows(identity_matrix(n))
+    snf = smith_normal_form(a)
+    diag = snf.diagonal
+    return hermite_rows([[snf.V[i][j] for i in range(n)]
+                         for j in range(n) if j >= len(diag) or diag[j] == 0])
+
+
 @dataclass(frozen=True)
 class Chi:
     """Integer vector defining a surjection G -> Z, one value per generator."""
@@ -279,19 +291,8 @@ def hom_to_Z_basis(p: Presentation):
 
     Raises ValueError when the first Betti number is zero.
     """
-    n = p.ngens
-    mat = exponent_matrix(p)  # n x m; chi must satisfy chi . column = 0
-    a = transpose(mat)  # m x n, kernel wanted
-    if not a:
-        kernel = identity_matrix(n)
-    else:
-        snf = smith_normal_form(a)
-        diag = snf.diagonal
-        kernel = []
-        for j in range(n):
-            if j >= len(diag) or diag[j] == 0:
-                kernel.append([snf.V[i][j] for i in range(n)])
-    basis = hermite_rows(kernel)
+    # chi must satisfy chi . column = 0 for each relator column
+    basis = integer_kernel(transpose(exponent_matrix(p)), p.ngens)
     if not basis:
         raise ValueError("first Betti number is zero; no homomorphism onto Z")
     return [Chi(tuple(row)) for row in basis]

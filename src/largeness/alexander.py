@@ -21,7 +21,7 @@ from math import gcd, lcm
 from typing import Sequence
 
 from .abelian import Chi
-from .words import (Presentation, Word, concat, gen_of, inverse, letter,
+from .words import (Presentation, Word, concat, gen_of, inverse, letter, power,
                     substitute)
 
 # ---------------------------------------------------------------------------
@@ -82,6 +82,10 @@ class RationalField:
     def inv(self, a):
         return 1 / Fraction(a)
 
+    def reduce(self, c):
+        """The canonical form of a field element: Q needs no reduction."""
+        return c
+
     zero = Fraction(0)
     one = Fraction(1)
 
@@ -100,6 +104,8 @@ class PrimeField:
 
     def of(self, n):
         return n % self.p
+
+    reduce = of
 
     def inv(self, a):
         return pow(a % self.p, self.p - 2, self.p)
@@ -252,21 +258,15 @@ def lp_const(field, n):
 
 def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = a.as_dict()
+    red = a.field.reduce
     for e, c in b.coeffs:
-        c2 = out.get(e, a.field.zero) + c
-        if isinstance(a.field, PrimeField):
-            c2 %= a.field.p
-        if c2 != a.field.zero:
-            out[e] = c2
-        else:
-            out.pop(e, None)
+        out[e] = red(out.get(e, 0) + c)
     return LaurentPoly.make(a.field, out)
 
 
 def lp_neg(a: LaurentPoly) -> LaurentPoly:
-    if isinstance(a.field, PrimeField):
-        return LaurentPoly.make(a.field, {e: (-c) % a.field.p for e, c in a.coeffs})
-    return LaurentPoly.make(a.field, {e: -c for e, c in a.coeffs})
+    red = a.field.reduce
+    return LaurentPoly.make(a.field, {e: red(-c) for e, c in a.coeffs})
 
 
 def lp_sub(a, b):
@@ -275,15 +275,12 @@ def lp_sub(a, b):
 
 def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
     out = {}
-    modp = a.field.p if isinstance(a.field, PrimeField) else None
     for e1, c1 in a.coeffs:
         for e2, c2 in b.coeffs:
             e = e1 + e2
-            c = out.get(e, a.field.zero) + c1 * c2
-            if modp:
-                c %= modp
-            out[e] = c
-    return LaurentPoly.make(a.field, {e: c for e, c in out.items() if c != a.field.zero})
+            out[e] = out.get(e, 0) + c1 * c2
+    red = a.field.reduce
+    return LaurentPoly.make(a.field, {e: red(c) for e, c in out.items()})
 
 
 def lp_shift(a: LaurentPoly, k: int) -> LaurentPoly:
@@ -295,7 +292,7 @@ def lp_divmod(a: LaurentPoly, b: LaurentPoly):
     if b.is_zero:
         raise ZeroDivisionError("division by zero polynomial")
     field = a.field
-    modp = field.p if isinstance(field, PrimeField) else None
+    red = field.reduce
     rem = a.as_dict()
     quot = {}
     db = b.coeffs[-1][0]
@@ -304,16 +301,12 @@ def lp_divmod(a: LaurentPoly, b: LaurentPoly):
         da = max(rem)
         if da < db:
             break
-        factor = rem[da] * lead_inv
-        if modp:
-            factor %= modp
+        factor = red(rem[da] * lead_inv)
         quot[da - db] = factor
         for e, c in b.coeffs:
             e2 = e + da - db
-            c2 = rem.get(e2, field.zero) - factor * c
-            if modp:
-                c2 %= modp
-            if c2 != field.zero:
+            c2 = red(rem.get(e2, 0) - factor * c)
+            if c2:
                 rem[e2] = c2
             else:
                 rem.pop(e2, None)
@@ -349,24 +342,21 @@ def chi_specialize(e: dict, chi: Chi, field) -> LaurentPoly:
     out = {}
     for w, c in e.items():
         k = chi.of_word(w)
-        out[k] = out.get(k, field.zero) + field.of(c)
-        if isinstance(field, PrimeField):
-            out[k] %= field.p
-    return LaurentPoly.make(field, {k: c for k, c in out.items() if c != field.zero})
+        out[k] = out.get(k, 0) + c
+    return LaurentPoly.make(field, {k: field.of(c) for k, c in out.items()})
 
 
 # ---------------------------------------------------------------------------
 # coordinate change
 
 
-def chi_normalizing_automorphism(chi_values: Sequence[int], strategy: str = "min"):
+def chi_normalizing_automorphism(chi_values: Sequence[int]):
     """Images of an automorphism beta of F_n with chi(beta(x_pivot)) = 1 and
     chi(beta(x_j)) = 0 elsewhere, together with the images of beta^-1.
 
     Realized as a product of elementary Nielsen moves running a Euclidean
-    reduction on the value vector.  ``strategy`` breaks ties between
-    equal-magnitude pivot candidates ("min": lowest index, "last": highest),
-    giving two genuinely different decompositions on tied vectors.
+    reduction on the value vector; ties between equal-magnitude pivot
+    candidates go to the lowest index.
     """
     c = list(chi_values)
     n = len(c)
@@ -382,10 +372,7 @@ def chi_normalizing_automorphism(chi_values: Sequence[int], strategy: str = "min
         if len(live) == 1:
             break
         # the minimum-magnitude pivot reduces every other entry strictly
-        if strategy == "min":
-            piv = min(live, key=lambda i: (abs(c[i]), i))
-        else:
-            piv = min(live, key=lambda i: (abs(c[i]), -i))
+        piv = min(live, key=lambda i: (abs(c[i]), i))
         for j in live:
             if j == piv:
                 continue
@@ -404,11 +391,7 @@ def chi_normalizing_automorphism(chi_values: Sequence[int], strategy: str = "min
         for mv in move_list:
             if mv[0] == "mul":
                 _, i, j, k = mv
-                piece = imgs[j] if k > 0 else inverse(imgs[j])
-                acc = imgs[i]
-                for _ in range(abs(k)):
-                    acc = concat(acc, piece)
-                imgs[i] = acc
+                imgs[i] = concat(imgs[i], power(imgs[j], k))
             else:
                 imgs[mv[1]] = inverse(imgs[mv[1]])
         return imgs
@@ -424,13 +407,13 @@ def chi_normalizing_automorphism(chi_values: Sequence[int], strategy: str = "min
     return beta, beta_inv, pivot
 
 
-def coordinate_change(p: Presentation, chi: Chi, strategy: str = "min"):
+def coordinate_change(p: Presentation, chi: Chi):
     """Rewrite ``p`` through a free-group automorphism so the induced chi
     is 1 on one pivot generator and 0 on the others.
 
     Returns ``(p', pivot)``; the group presented is unchanged.
     """
-    beta, beta_inv, pivot = chi_normalizing_automorphism(chi.values, strategy)
+    beta, beta_inv, pivot = chi_normalizing_automorphism(chi.values)
     new_rels = tuple(substitute(r, beta_inv) for r in p.relators)
     check = [chi.of_word(img) for img in beta]
     if check != [1 if i == pivot else 0 for i in range(p.ngens)]:
@@ -488,15 +471,23 @@ def _fox_rows(relators, pivot: int, ngens: int) -> list:
     return rows
 
 
-def _integer_matrix(p: Presentation, chi: Chi, strategy: str = "min"):
+# Characters with a larger value are refused: the coordinate change builds
+# words whose length grows with the values, so the bound keeps the work,
+# and the replay of a hostile certificate, small.  Sweeps stay far below it.
+CHI_BOUND = 2 ** 10
+
+
+def _integer_matrix(p: Presentation, chi: Chi):
     """The coordinate-form Alexander matrix over Z[t, t^-1], before a field
     is chosen: ``(rows, row_gens, pivot)``."""
     if len(chi.values) != p.ngens:
         raise ValueError("chi needs one value per generator")
+    if any(abs(v) > CHI_BOUND for v in chi.values):
+        raise ValueError(f"chi has a value above the bound {CHI_BOUND}")
     bad = [i for i, r in enumerate(p.relators) if chi.of_word(r)]
     if bad:
         raise ValueError(f"chi does not vanish on relator {bad[0]}")
-    p2, pivot = coordinate_change(p, chi, strategy)
+    p2, pivot = coordinate_change(p, chi)
     row_gens = tuple(i for i in range(p.ngens) if i != pivot)
     return _fox_rows(p2.relators, pivot, p.ngens), row_gens, pivot
 
@@ -507,8 +498,8 @@ def _reduce(rows, field) -> tuple:
                        for entry in row) for row in rows)
 
 
-def alexander_matrix(p: Presentation, chi: Chi, field, strategy: str = "min") -> AlexMatrix:
-    rows, row_gens, pivot = _integer_matrix(p, chi, strategy)
+def alexander_matrix(p: Presentation, chi: Chi, field) -> AlexMatrix:
+    rows, row_gens, pivot = _integer_matrix(p, chi)
     return AlexMatrix(_reduce(rows, field), field, row_gens, pivot)
 
 
@@ -601,22 +592,20 @@ def _full_rank_at_a_point(rows, field) -> bool:
     return any(_rank_mod(mat, q) == len(rows) for mat in mats)
 
 
-def alexander_is_zero(p: Presentation, chi: Chi, field, strategy: str = "min") -> bool:
-    """True when the coordinate-form matrix has rank < n-1 over field(t)."""
-    return rank_witness(p, chi, [field], strategy) is not None
-
-
-def rank_witness(p: Presentation, chi: Chi, fields, strategy: str = "min"):
+def rank_witness(p: Presentation, chi: Chi, fields):
     """The first field in ``fields`` over which the Alexander invariant of
     ``chi`` vanishes, with the replayable evidence: ``(field, witness)``,
     the witness {"rank", "rows", "pivot_cols"} (plus "reason" when the
-    matrix is too narrow); None when it vanishes over none of them.
+    matrix is too narrow); None when it vanishes over none of them, or
+    when some value of ``chi`` exceeds CHI_BOUND in absolute value.
 
     The integer matrix is built once and reduced per field.  A field where
     an evaluation proves full rank is passed over; for the others the rank
     and the pivot columns come from ``lp_matrix_rank`` over field(t).
     """
-    rows, _, _ = _integer_matrix(p, chi, strategy)
+    if any(abs(v) > CHI_BOUND for v in chi.values):
+        return None
+    rows, _, _ = _integer_matrix(p, chi)
     if not rows or not fields:
         return None
     nrows = len(rows)
@@ -632,12 +621,12 @@ def rank_witness(p: Presentation, chi: Chi, fields, strategy: str = "min"):
     return None
 
 
-def alexander_polynomial(p: Presentation, chi: Chi, field, strategy: str = "min") -> LaurentPoly:
+def alexander_polynomial(p: Presentation, chi: Chi, field) -> LaurentPoly:
     """Normalized gcd of the maximal minors of the coordinate-form matrix.
 
     Zero when there are fewer relators than rows or all minors vanish.
     """
-    mat = alexander_matrix(p, chi, field, strategy)
+    mat = alexander_matrix(p, chi, field)
     if mat.nrows == 0:
         return lp_const(field, 1).normalize()
     if mat.ncols < mat.nrows:

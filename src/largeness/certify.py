@@ -20,7 +20,7 @@ from typing import Optional, Sequence
 from . import abelian
 from .alexander import (PrimeField, QQ, field_by_name, is_prime,
                         prime_factors, rank_witness)
-from .abelian import Chi, abelianization, hermite_rows, image_span_rank
+from .abelian import Chi, abelianization, image_span_rank
 from .subgroups import CosetTable, cover_presentation, subgroup_classes
 from .words import (Presentation, SearchCapExceeded, Word, commutator,
                     conjugator_between, cyclic_reduce, gen_of, inverse,
@@ -31,6 +31,10 @@ LARGE = "LARGE"
 NOT_LARGE_KNOWN = "NOT_LARGE_KNOWN"
 UNKNOWN = "UNKNOWN"
 
+# the character sweep skips presentations whose Alexander matrix would
+# have more rows than this
+MAX_ALEX_ROWS = 40
+
 
 @dataclass(frozen=True)
 class CertifyConfig:
@@ -38,11 +42,6 @@ class CertifyConfig:
     chi_height: int = 3
     primes: tuple = (2, 3, 5, 7)
     budget: int = 2
-    max_cosets: int = 20000
-    commutator_cap: int = 64
-    pull_iters: int = 64
-    whitehead_budget: int = 10000
-    max_alex_rows: int = 40
     li_nodes: int = 120000
 
     def __post_init__(self):
@@ -310,19 +309,7 @@ def solve_chi_killing(p: Presentation, words: Sequence[Word]) -> Optional[Chi]:
     except ValueError:
         return None
     rows = [[b.of_word(w) for b in basis] for w in words]
-    rows = [r for r in rows if any(r)]
-    if not rows:
-        return chi_from_coords(basis, [1] + [0] * (len(basis) - 1))
-    # integer kernel of the constraint matrix
-    a = rows
-    snf = abelian.smith_normal_form(a)
-    diag = snf.diagonal
-    dim = len(basis)
-    kernel = []
-    for j in range(dim):
-        if j >= len(diag) or diag[j] == 0:
-            kernel.append([snf.V[i][j] for i in range(dim)])
-    kernel = hermite_rows(kernel)
+    kernel = abelian.integer_kernel(rows, len(basis))
     if not kernel:
         return None
     return chi_from_coords(basis, kernel[0])
@@ -357,7 +344,7 @@ def decide(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict:
         verdict = _route_proper_power(p, diags)
     wits = {}
     if verdict is None:
-        verdict = _route_commutator(p, config, diags, wits)
+        verdict = _route_commutator(p, diags, wits)
     if verdict is None:
         verdict = _route_chi_sweep(p, config, diags)
     if verdict is None:
@@ -435,13 +422,13 @@ def _route_proper_power(p: Presentation, diags) -> Optional[Verdict]:
     return None
 
 
-def _route_commutator(p: Presentation, config, diags, wits) -> Optional[Verdict]:
+def _route_commutator(p: Presentation, diags, wits) -> Optional[Verdict]:
     if p.deficiency != 1:
         diags.append("commutator route: needs a deficiency 1 presentation")
         return None
     for i, r in enumerate(p.relators):
         try:
-            wit = is_commutator(r, config.commutator_cap)
+            wit = is_commutator(r)
         except SearchCapExceeded:
             diags.append(f"commutator search cap reached on relator {i}; undetermined")
             continue
@@ -485,10 +472,10 @@ def _route_commutator(p: Presentation, config, diags, wits) -> Optional[Verdict]
 
 
 def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
-    if p.ngens - 1 > config.max_alex_rows:
+    if p.ngens - 1 > MAX_ALEX_ROWS:
         diags.append(
             f"character sweep: skipped, {p.ngens} generators exceeds the "
-            f"{config.max_alex_rows}-row bound")
+            f"{MAX_ALEX_ROWS}-row bound")
         return None
     try:
         basis = abelian.hom_to_Z_basis(p)

@@ -12,7 +12,7 @@ import sys
 from pathlib import Path
 
 from .abelian import Chi, abelianization
-from .alexander import RationalField, alexander_polynomial, field_by_name
+from .alexander import alexander_polynomial, field_by_name
 from .certify import (CertifyConfig, certificate_from_json, certify, dumps,
                       presentation_to_json, verdict_to_json,
                       verify_certificate)
@@ -68,13 +68,8 @@ def _textualize(obj, indent=0) -> str:
 
 
 def lp_to_json(poly):
-    coeffs = []
-    for e, c in poly.coeffs:
-        if isinstance(poly.field, RationalField):
-            coeffs.append([e, c.numerator, c.denominator])
-        else:
-            coeffs.append([e, int(c), 1])
-    return {"field": poly.field.name, "coeffs": coeffs}
+    return {"field": poly.field.name,
+            "coeffs": [[e, *c.as_integer_ratio()] for e, c in poly.coeffs]}
 
 
 def cmd_ab(args) -> int:

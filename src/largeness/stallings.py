@@ -8,6 +8,7 @@ means no vertex has two edges with the same signed label.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Optional, Sequence
 
 from .words import Word, free_reduce, inverse, letter
@@ -47,7 +48,7 @@ class StallingsGraph:
                                 for lt, w in d.items() if lt > 0)}
 
 
-def _find(parent: list, v: int) -> int:
+def uf_find(parent: list, v: int) -> int:
     """Union-find root of ``v``, halving the path on the way."""
     while parent[v] != v:
         parent[v] = parent[parent[v]]
@@ -61,9 +62,7 @@ def _fold(nvertices, edges, base):
     ``edges`` is a list of (v, lt, w) with lt > 0.
     """
     parent = list(range(nvertices))
-
-    def find(v):
-        return _find(parent, v)
+    find = partial(uf_find, parent)
 
     work = list(edges)
     while True:
@@ -244,16 +243,10 @@ def sg_express(g: StallingsGraph, w: Word, forced_edges: Sequence[tuple] = (),
     return free_reduce(out)
 
 
-def sg_index_and_basis(g: StallingsGraph, ambient_rank: int):
-    """Index (or None when infinite) and a free basis.
-
-    The graph has finite index exactly when it is a covering of the rank-n
-    bouquet: every vertex carries all 2n labels.
-    """
-    return (g.nvertices if is_covering(g, ambient_rank) else None), graph_basis(g)
-
-
 def is_covering(g: StallingsGraph, ambient_rank: int) -> bool:
+    """True when the subgroup has finite index, which is then the number
+    of vertices: the graph covers the rank-n bouquet, every vertex
+    carrying all 2n labels."""
     return all(len(g.adj[v]) == 2 * ambient_rank for v in range(g.nvertices))
 
 
@@ -324,7 +317,7 @@ def hall_overgroup(w: Word, ambient_rank: int) -> tuple:
 def _is_forest(edges, nvertices) -> bool:
     parent = list(range(nvertices))
     for v, _, w in dict.fromkeys(edges):
-        a, b = _find(parent, v), _find(parent, w)
+        a, b = uf_find(parent, v), uf_find(parent, w)
         if a == b:
             return False
         parent[max(a, b)] = min(a, b)

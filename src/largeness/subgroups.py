@@ -8,8 +8,10 @@ subgroup itself as coset 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import Iterable, Optional, Sequence
 
+from .stallings import uf_find
 from .words import (Presentation, Word, concat, cyclic_reduce, free_reduce,
                     gen_of, inverse, letter)
 
@@ -90,7 +92,12 @@ def canonical_rebase(table: CosetTable, base: int) -> CosetTable:
     return CosetTable(table.degree, tuple(new_action))
 
 
-def coset_enumerate(p: Presentation, subgens: Sequence[Word], max_cosets: int) -> CosetTable:
+# the default bound on the cosets live at once in an enumeration
+MAX_COSETS = 20000
+
+
+def coset_enumerate(p: Presentation, subgens: Sequence[Word],
+                    max_cosets: int = MAX_COSETS) -> CosetTable:
     """Todd-Coxeter enumeration of the subgroup generated by ``subgens``.
 
     ``max_cosets`` bounds the working set of cosets defined at any time;
@@ -110,12 +117,7 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word], max_cosets: int) -
     neighbors = []  # per coset, list of ndirs targets (or None)
     reps = []  # union-find
     live_count = [0]
-
-    def find(c):
-        while reps[c] != c:
-            reps[c] = reps[reps[c]]
-            c = reps[c]
-        return c
+    find = partial(uf_find, reps)
 
     def new_coset():
         if live_count[0] >= max_cosets or len(reps) >= 16 * max_cosets + 64:
@@ -208,10 +210,9 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word], max_cosets: int) -
 
 @dataclass(frozen=True)
 class SchreierData:
-    """Byproducts of rewriting: transversal words and ambient words for the
-    subgroup generators (one per non-tree edge)."""
+    """Byproducts of rewriting: ambient words for the subgroup generators
+    (one per non-tree edge) and the edge numbering."""
 
-    transversal: tuple
     ambient_words: tuple
     edge_index: dict  # (coset, gen) -> generator index in the new presentation
 
@@ -289,7 +290,7 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
         for c in range(table.degree):
             relators.append(rewrite_word(table, edge_index, r, c))
     sub = Presentation(tuple(names), tuple(relators))
-    return sub, SchreierData(tuple(transversal), tuple(ambient), edge_index)
+    return sub, SchreierData(tuple(ambient), edge_index)
 
 
 def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),

@@ -10,7 +10,7 @@ certify largeness there, or report a cited non-large family or UNKNOWN.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from typing import Optional
 
 from .alexander import PrimeField, QQ, prime_factors, rank_witness
@@ -222,45 +222,33 @@ def witness_verify(e: Endomorphism, wit: PeriodicWitness) -> bool:
 
 
 def _whitehead_autos(r: int):
-    """Type II Whitehead automorphisms of F_r as image tuples, lazily."""
+    """Type II Whitehead automorphisms of F_r, lazily, each as a pair of
+    image tuples: the move and its inverse.
+
+    The move given by the letter a and the letter set S sends x_g to
+    a^-1 x_g a, with the left factor only when x_g^-1 is in S and the right
+    one only when x_g is in S; the move given by a^-1 and S undoes it.
+    """
     letters = [x for g in range(1, r + 1) for x in (g, -g)]
+
+    def move(a, s):
+        imgs = []
+        for g in range(1, r + 1):
+            if g == abs(a):
+                imgs.append((g,))
+                continue
+            left = (-a,) if -g in s else ()
+            right = (a,) if g in s else ()
+            imgs.append(free_reduce(left + (g,) + right))
+        return tuple(imgs)
+
     for a in letters:
         others = [x for x in letters if x != a and x != -a]
         for size in range(1, len(others) + 1):
             for extra in combinations(others, size):
-                s = set(extra)
-                imgs = []
-                for g in range(1, r + 1):
-                    if g == abs(a):
-                        imgs.append((g,))
-                        continue
-                    left = (-a,) if -g in s else ()
-                    right = (a,) if g in s else ()
-                    imgs.append(free_reduce(left + (g,) + right))
+                imgs = move(a, set(extra))
                 if any(img != (g + 1,) for g, img in enumerate(imgs)):
-                    yield tuple(imgs)
-
-
-def _auto_inverse(imgs: tuple, r: int) -> Optional[tuple]:
-    """Invert an automorphism given by images; the inverse of a Whitehead
-    move has images of length <= 3, so a short brute-force search finds it.
-    None when nothing short works (caller treats as failure)."""
-    letters = [x for h in range(1, r + 1) for x in (h, -h)]
-    inv = []
-    for g in range(1, r + 1):
-        found = None
-        for cand_len in (1, 2, 3):
-            for cand in product(letters, repeat=cand_len):
-                w = free_reduce(cand)
-                if substitute(w, imgs) == (g,):
-                    found = w
-                    break
-            if found:
-                break
-        if found is None:
-            return None
-        inv.append(found)
-    return tuple(inv)
+                    yield imgs, move(-a, set(extra))
 
 
 def whitehead_primitive_basis(graph: StallingsGraph, w: Word,
@@ -281,24 +269,21 @@ def whitehead_primitive_basis(graph: StallingsGraph, w: Word,
     improved = True
     while len(cur) > 1 and improved and spent < budget:
         improved = False
-        for imgs in _whitehead_autos(r):
+        for imgs, inv in _whitehead_autos(r):
             spent += 1
             if spent >= budget:
                 break
             cand = substitute(cur, imgs)
             if len(cand) < len(cur):
                 cur = cand
-                applied.append(imgs)
+                applied.append(inv)
                 improved = True
                 break
     if len(cur) != 1:
         return None
     # undo the moves on the standard basis to get a basis containing w
     basis_coords = [(letter(i),) for i in range(r)]
-    for imgs in reversed(applied):
-        inv = _auto_inverse(imgs, r)
-        if inv is None:
-            return None
+    for inv in reversed(applied):
         basis_coords = [substitute(b, inv) for b in basis_coords]
     j = abs(cur[0]) - 1
     if cur[0] < 0:
@@ -317,15 +302,13 @@ def whitehead_primitive_basis(graph: StallingsGraph, w: Word,
 # pipelines
 
 
-def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, config: CertifyConfig):
+def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, diags: list):
     """Shared construction: conjugate the witness away, reduce to the root,
     build the stable pullback, and pin w into a basis of Delta.
 
-    Returns (p0, s1, delta_basis_words, w, exponent, j, diags) or an
-    UNKNOWN verdict when a bound is hit.
+    Returns (s1, delta_basis_words, w, exponent, j), or None when a bound
+    is hit; either way the steps taken are appended to ``diags``.
     """
-    diags = []
-    p0 = mapping_torus(e)
     w, i, v, k = wit.w, wit.i, wit.v, wit.k
     if k == -1:
         # square the witness: theta^2i(w) = theta^i(v) v w v^-1 theta^i(v)^-1
@@ -345,21 +328,21 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, config: CertifyConfig
         raise ValueError("conjugated witness fails verification")
     hall, _, _ = hall_overgroup(w, e.rank)
     try:
-        delta, j = stable_pullback(phi, hall, config.pull_iters)
+        delta, j = stable_pullback(phi, hall)
     except BoundExceeded as exc:
         diags.append(f"stable pullback bound: {exc}")
-        return None, None, None, None, None, None, diags
+        return None
     pinned = pin_loop_basis(delta, w)
     if pinned is not None:
         d_forced, d_flips = pinned
         basis = graph_basis(delta, d_forced, d_flips)
     else:
-        basis = whitehead_primitive_basis(delta, w, config.whitehead_budget)
+        basis = whitehead_primitive_basis(delta, w)
         if basis is None:
             diags.append(
                 "primitivity of the witness word in the pulled-back subgroup "
                 "not established within budget")
-            return None, None, None, None, None, None, diags
+            return None
     if w not in basis:
         raise RuntimeError("the witness word is not in the subgroup basis")
     s1 = concat(inverse(v), power((letter(e.rank),), i))
@@ -367,7 +350,7 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, config: CertifyConfig
     diags.append(
         f"pullback stabilized after period {j}; subgroup of rank {len(basis)} "
         f"with conjugation exponent {exponent}")
-    return p0, s1, basis, w, exponent, j, diags
+    return s1, basis, w, exponent, j
 
 
 def _fields_for(e_eff: int) -> list:
@@ -431,9 +414,11 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         return Verdict(NOT_LARGE_KNOWN, None, citation,
                        (f"rank-1 base: the mapping torus is {name}",))
 
-    _, s1, basis, w, exponent, j, diags = _subgroup_setup(e, wit, config)
-    if basis is None:
+    diags = []
+    setup = _subgroup_setup(e, wit, diags)
+    if setup is None:
         return Verdict(UNKNOWN, None, None, tuple(diags))
+    s1, basis, w, exponent, j = setup
 
     tried = []
     first_link = None
@@ -447,7 +432,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
             continue
         s_d = power(s1, j * d)
         try:
-            table = coset_enumerate(p0, list(basis) + [s_d], config.max_cosets)
+            table = coset_enumerate(p0, list(basis) + [s_d])
         except BoundExceeded as exc:
             tried.append(f"d={d}: coset enumeration bound ({exc})")
             continue

@@ -1,16 +1,18 @@
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from largeness.abelian import Chi
-from largeness.alexander import (PRIME_BOUND, LaurentPoly, PrimeField, QQ,
-                                 alexander_is_zero, alexander_matrix,
+from largeness.alexander import (CHI_BOUND, PRIME_BOUND, LaurentPoly,
+                                 PrimeField, QQ, alexander_matrix,
                                  alexander_polynomial, chi_specialize,
                                  coordinate_change, field_by_name,
                                  fox_derivative, gr_add, gr_mul, gr_neg,
-                                 gr_one, is_prime, lp_gcd, lp_matrix_rank,
-                                 lp_mul, prime_factors, rank_witness)
+                                 gr_one, is_prime, lp_add, lp_divmod, lp_gcd,
+                                 lp_matrix_rank, lp_mul, lp_neg, lp_sub,
+                                 prime_factors, rank_witness)
 from largeness.words import (Presentation, free_reduce, parse_presentation,
                              parse_word)
 
@@ -65,6 +67,17 @@ class TestNormalize:
         unit = LaurentPoly.make(QQ, {shift: Fraction(sign)})
         assert lp_mul(poly, unit).normalize() == poly.normalize()
 
+    def test_arithmetic_mod_p_stays_reduced(self):
+        f5 = PrimeField(5)
+        a = LaurentPoly.make(f5, {0: 3, 1: 4})
+        b = LaurentPoly.make(f5, {0: 2, 1: 4})
+        assert lp_add(a, b).coeffs == ((1, 3),)
+        assert lp_neg(a).coeffs == ((0, 2), (1, 1))
+        assert lp_sub(a, a).is_zero
+        ab = lp_mul(a, b)  # 6 + 20t + 16t^2
+        assert ab.coeffs == ((0, 1), (2, 1))
+        assert lp_divmod(ab, b) == (a, LaurentPoly(f5, ()))
+
     def test_monic_mod_p(self):
         poly = LaurentPoly.make(F3, {2: 2, 5: 1})
         norm = poly.normalize()
@@ -82,6 +95,20 @@ TREFOIL = parse_presentation("< x, y | x y x y^-1 x^-1 y^-1 >")
 BS12 = parse_presentation("< x, y | x y x^-1 y^-2 >")
 ZXZ = parse_presentation("< a, b | a b A B >")
 ZERO_COL = parse_presentation("< x, y, t | t x T X, t y T x^-1 y^-1 >")
+
+
+def vanishes(p, chi, field):
+    return rank_witness(p, chi, [field]) is not None
+
+
+def relabelled(p, chi, perm):
+    """``p`` and ``chi`` with new generator i standing for old generator
+    perm[i]."""
+    new_of = {old: new for new, old in enumerate(perm)}
+    rels = tuple(tuple((new_of[abs(lt) - 1] + 1) * (1 if lt > 0 else -1) for lt in r)
+                 for r in p.relators)
+    return (Presentation(tuple(p.generators[g] for g in perm), rels),
+            Chi(tuple(chi.values[g] for g in perm)))
 
 
 def norm_equal(poly, expected_coeffs, field=QQ):
@@ -144,21 +171,24 @@ class TestAlexanderPolynomial:
 
     def test_zero_column_gives_zero(self):
         assert alexander_polynomial(ZERO_COL, Chi((0, 1, 0)), QQ).is_zero
-        assert alexander_is_zero(ZERO_COL, Chi((0, 1, 0)), QQ)
+        assert vanishes(ZERO_COL, Chi((0, 1, 0)), QQ)
 
     def test_trefoil_not_zero(self):
-        assert not alexander_is_zero(TREFOIL, Chi((1, 1)), QQ)
+        assert not vanishes(TREFOIL, Chi((1, 1)), QQ)
 
     def test_degree(self):
         poly = alexander_polynomial(TREFOIL, Chi((1, 1)), QQ).normalize()
         assert poly.degree_span() == 2
 
-    def test_strategies_agree(self):
+    def test_relabelling_invariance(self):
+        # permuting the generators changes which generator wins the ties in
+        # the Nielsen reduction, so the coordinate change differs
         for p, chi in [(TREFOIL, (1, 1)), (ZXZ, (2, 3)), (ZXZ, (1, 1)),
                        (BS12, (1, 0)), (ZERO_COL, (0, 1, 0))]:
-            a = alexander_polynomial(p, Chi(chi), QQ, "min").normalize()
-            b = alexander_polynomial(p, Chi(chi), QQ, "last").normalize()
-            assert a == b
+            a = alexander_polynomial(p, Chi(chi), QQ).normalize()
+            for perm in permutations(range(p.ngens)):
+                b = alexander_polynomial(*relabelled(p, Chi(chi), perm), QQ)
+                assert b.normalize() == a
 
     def test_tietze_invariance(self):
         # add a generator z with defining relator z w^-1; chi extends by
@@ -177,23 +207,23 @@ class TestAlexanderPolynomial:
         cases = [(ZERO_COL, (0, 1, 0)), (TREFOIL, (1, 1)), (BS12, (1, 0)),
                  (ZXZ, (1, 0))]
         for p, chi in cases:
-            if alexander_is_zero(p, Chi(chi), QQ):
+            if vanishes(p, Chi(chi), QQ):
                 for q in (2, 3, 5, 7):
-                    assert alexander_is_zero(p, Chi(chi), PrimeField(q))
+                    assert vanishes(p, Chi(chi), PrimeField(q))
 
     def test_bs24_mod_2(self):
         p = parse_presentation("< x, y | x y^2 x^-1 y^-4 >")
-        assert not alexander_is_zero(p, Chi((1, 0)), QQ)
-        assert alexander_is_zero(p, Chi((1, 0)), F2)
-        assert not alexander_is_zero(p, Chi((1, 0)), F3)
+        assert not vanishes(p, Chi((1, 0)), QQ)
+        assert vanishes(p, Chi((1, 0)), F2)
+        assert not vanishes(p, Chi((1, 0)), F3)
 
     def test_free_group_is_zero(self):
         free2 = parse_presentation("< a, b | >")
-        assert alexander_is_zero(free2, Chi((1, 0)), QQ)
+        assert vanishes(free2, Chi((1, 0)), QQ)
 
     def test_single_generator(self):
         z = parse_presentation("< a | >")
-        assert not alexander_is_zero(z, Chi((1,)), QQ)
+        assert not vanishes(z, Chi((1,)), QQ)
 
 
 class TestFieldNames:
@@ -326,6 +356,29 @@ class TestIntegerPath:
         for fld in FIELDS:
             assert (rank_witness(p, chi, [fld])
                     == full_elimination_witness(p, chi, [fld]))
+
+    @given(presentation_and_character(), st.data())
+    @settings(max_examples=80, deadline=None)
+    def test_relabelling_invariance(self, case, data):
+        p, chi = case
+        perm = data.draw(st.permutations(range(p.ngens)))
+        q, psi = relabelled(p, chi, perm)
+        for fld in (QQ, F2):
+            assert (alexander_polynomial(q, psi, fld).normalize()
+                    == alexander_polynomial(p, chi, fld).normalize())
+
+        def outcome(pres, c):
+            hit = rank_witness(pres, c, FIELDS)
+            return hit and (hit[0], hit[1]["rank"])
+        assert outcome(q, psi) == outcome(p, chi)
+
+    def test_character_bound(self):
+        free2 = parse_presentation("< a, b | >")
+        assert CHI_BOUND == 2 ** 10
+        assert rank_witness(free2, Chi((1, CHI_BOUND)), [QQ]) is not None
+        assert rank_witness(free2, Chi((-CHI_BOUND, 1)), [QQ]) is not None
+        assert rank_witness(free2, Chi((1, CHI_BOUND + 1)), [QQ]) is None
+        assert rank_witness(free2, Chi((-CHI_BOUND - 1, 1)), [QQ]) is None
 
     def test_vanishing_field_is_the_first_one(self):
         p = parse_presentation("< x, y | x y^2 x^-1 y^-4 >")

@@ -3,7 +3,7 @@ import sys
 
 import pytest
 
-from largeness.alexander import QQ, alexander_is_zero
+from largeness.alexander import QQ, rank_witness
 from largeness.certify import (Certificate, CertifyConfig, certificate_from_json,
                                certificate_to_json, certify,
                                classify_bs_shape, classify_conjugated_power,
@@ -13,7 +13,7 @@ from largeness.certify import (Certificate, CertifyConfig, certificate_from_json
 from largeness.cli import main
 from largeness.torus import (Endomorphism, PeriodicWitness, mapping_torus,
                              torus_zz_pipeline)
-from largeness.words import parse_presentation, parse_word
+from largeness.words import Presentation, parse_presentation, parse_word
 
 FAST = CertifyConfig(max_index=5, budget=1)
 
@@ -107,11 +107,35 @@ class TestRoutes:
         assert v.certificate is None
 
     def test_empty_relator_f2(self):
-        from largeness.words import Presentation
         p = Presentation(("a", "b"), ((),))
         v = certify(p)
         assert v.status == "LARGE"
         assert verify_certificate(p, v.certificate)
+
+
+class TestBoundDiagnostics:
+    NO_COVERS = CertifyConfig(budget=0)
+
+    def test_character_sweep_row_bound(self):
+        # < x0..x(n-1) | x1, ..., x(n-1) > has an Alexander matrix of n-1 rows
+        def diags(n):
+            gens = tuple(f"x{i}" for i in range(n))
+            p = Presentation(gens, tuple((i + 1,) for i in range(1, n)))
+            return certify(p, self.NO_COVERS).diagnostics
+
+        skip = "character sweep: skipped, 42 generators exceeds the 40-row bound"
+        assert skip in diags(42)
+        assert not any(d.startswith("character sweep: skipped") for d in diags(41))
+
+    def test_commutator_search_cap(self):
+        # [x^k, y] has 2k + 2 letters; the search stops above 64
+        def diags(k):
+            p = parse_presentation(f"< x, y, z | z, x^{k} y x^-{k} y^-1 >")
+            return certify(p, self.NO_COVERS).diagnostics
+
+        cap = "commutator search cap reached on relator 1; undetermined"
+        assert cap in diags(32)
+        assert cap not in diags(31)
 
 
 class TestSoundness:
@@ -148,7 +172,7 @@ class TestSoundness:
         w = parse_word(v.certificate.data["v"], p.generators)
         chi = solve_chi_killing(p, [u, w])
         assert chi is not None
-        assert alexander_is_zero(p, chi, QQ)
+        assert rank_witness(p, chi, [QQ]) is not None
 
 
 class TestVerifier:

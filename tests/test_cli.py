@@ -50,6 +50,20 @@ class TestAlex:
                                 "--chi", "1,0", "--field", "F2")
         assert code == 0 and doc["zero"]
 
+    def test_mod_p_coefficients(self, capsys):
+        # 2 - 3t over F7 is 2(1 + 2t): integer coefficients, denominator 1
+        code, doc, _ = run_json(capsys, "alex", "< x, y | x y^3 x^-1 y^-2 >",
+                                "--chi", "1,0", "--field", "F7")
+        assert code == 0
+        assert doc["polynomial"] == {"field": "F7", "coeffs": [[0, 1, 1], [1, 2, 1]]}
+        assert doc["display"] == "2*t + 1"
+
+    def test_character_above_the_bound(self, capsys):
+        code, doc, _ = run_json(capsys, "alex", "< a, b | >", "--chi", "1,1024")
+        assert code == 0 and doc["zero"]
+        code, _, err = run(capsys, "alex", "< a, b | >", "--chi", "1,1025")
+        assert code == 1 and err == "error: chi has a value above the bound 1024\n"
+
     def test_bad_chi_length(self, capsys):
         code, _, err = run(capsys, "alex", "< a, b | >", "--chi", "1")
         assert code == 1 and "error" in err
@@ -214,6 +228,22 @@ class TestVerify:
         path.write_text(json.dumps(cert))
         code, doc, _ = run_json(capsys, "verify", "--cert", str(path))
         assert code == 0 and doc == {"valid": True}
+
+    @pytest.mark.parametrize("chi,valid", [([1, 10**6], False), ([1, 8000], False),
+                                           ([1, 1025], False), ([1, 1024], True)])
+    def test_huge_character_is_refuted_quickly(self, capsys, tmp_path, chi, valid):
+        # the invariant of a free group vanishes for every character; values
+        # above the bound of 2**10 are refused before the coordinate change
+        cert = {"kind": "alexander_zero", "chain": [],
+                "presentation": {"generators": ["a", "b"], "relators": []},
+                "data": {"chi": chi, "field": "Q", "rank": 0, "rows": 1,
+                         "pivot_cols": []}}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "verify", "--cert", str(path))
+        assert code == 0 and doc == {"valid": valid}
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("text", [
         "[]",

@@ -4,8 +4,7 @@ import pytest
 
 from largeness.stallings import (fold, graph_basis, hall_overgroup,
                                  is_covering, pin_loop_basis, rank,
-                                 sg_express, sg_index_and_basis,
-                                 sg_membership)
+                                 sg_express, sg_membership)
 from largeness.words import free_reduce
 
 
@@ -28,12 +27,13 @@ class TestFold:
 
     def test_bouquet(self):
         g = fold([(1,), (2,)])
-        assert sg_index_and_basis(g, 2) == (1, [(1,), (2,)])
+        assert is_covering(g, 2) and g.nvertices == 1
+        assert graph_basis(g) == [(1,), (2,)]
 
     def test_index_two(self):
         g = fold([(1, 1), (2,), (1, 2, -1)])
-        idx, basis = sg_index_and_basis(g, 2)
-        assert idx == 2 and len(basis) == 3
+        assert is_covering(g, 2) and g.nvertices == 2
+        assert len(graph_basis(g)) == 3
 
     def test_membership(self):
         g = fold([(1,)])
@@ -48,8 +48,8 @@ class TestFold:
 
     def test_infinite_index(self):
         g = fold([(1,)])
-        idx, basis = sg_index_and_basis(g, 2)
-        assert idx is None and basis == [(1,)]
+        assert not is_covering(g, 2)
+        assert graph_basis(g) == [(1,)]
 
     def test_insertion_order_irrelevant(self):
         rnd = random.Random(2)
@@ -107,14 +107,13 @@ class TestBasis:
 class TestHallOvergroup:
     def test_basis_generator(self):
         g, forced, flips = hall_overgroup((1,), 2)
-        assert sg_index_and_basis(g, 2)[0] == 1
+        assert is_covering(g, 2) and g.nvertices == 1
         assert (1,) in graph_basis(g, forced, flips)
 
     def test_square(self):
         g, forced, flips = hall_overgroup((1, 1), 2)
-        idx, _ = sg_index_and_basis(g, 2)
         basis = graph_basis(g, forced, flips)
-        assert idx == 2
+        assert is_covering(g, 2) and g.nvertices == 2
         assert sorted(basis) == sorted([(1, 1), (2,), (1, 2, -1)])
 
     def test_commutator(self):

@@ -1,7 +1,10 @@
 """Module boundaries of the package, checked on its source text."""
 
 import ast
+from dataclasses import fields
 from pathlib import Path
+
+from largeness.certify import CertifyConfig
 
 SRC = Path(__file__).resolve().parents[1] / "src" / "largeness"
 
@@ -26,3 +29,26 @@ def test_no_assert_statements_in_the_package():
                  for node in ast.walk(ast.parse(path.read_text(), str(path)))
                  if isinstance(node, ast.Assert)]
     assert offenders == []
+
+
+def test_every_config_field_is_set_outside_tests():
+    # a CertifyConfig field that neither the CLI, the scripts nor the
+    # benchmark sets is a setting that does nothing; they set fields as
+    # CertifyConfig keywords or as kwargs keys
+    root = SRC.parents[1]
+    callers = [SRC / "cli.py", *sorted((root / "scripts").glob("*.py")),
+               *sorted((root / "perfbench").glob("*.py"))]
+    set_names = set()
+    for path in callers:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Call):
+                func = node.func
+                name = func.attr if isinstance(func, ast.Attribute) else getattr(func, "id", None)
+                if name == "CertifyConfig":
+                    set_names.update(k.arg for k in node.keywords)
+            elif (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Store)
+                  and isinstance(node.value, ast.Name) and node.value.id == "kwargs"
+                  and isinstance(node.slice, ast.Constant)):
+                set_names.add(node.slice.value)
+    unset = [f.name for f in fields(CertifyConfig) if f.name not in set_names]
+    assert unset == []

@@ -9,8 +9,8 @@ from largeness.torus import (Endomorphism, PeriodicWitness, cyclic_cover,
                              mapping_torus, normal_form, preimage_subgroup,
                              stable_pullback, torus_bs_pipeline,
                              torus_zz_pipeline, whitehead_primitive_basis,
-                             witness_verify)
-from largeness.words import free_reduce, inverse
+                             witness_verify, _whitehead_autos)
+from largeness.words import free_reduce, inverse, substitute
 
 IDENTITY2 = Endomorphism(((1,), (2,)))
 SHEAR = Endomorphism(((1,), (2, 1)))        # x -> x, y -> y x
@@ -192,6 +192,21 @@ class TestWhitehead:
         bouquet = fold([(1,), (2,)])
         basis = whitehead_primitive_basis(bouquet, (1, 2))
         assert basis is not None and (1, 2) in basis
+
+    def test_moves_come_with_their_inverses(self):
+        for r in (1, 2, 3):
+            gens = [(g,) for g in range(1, r + 1)]
+            for imgs, inv in _whitehead_autos(r):
+                assert [substitute(substitute(x, imgs), inv) for x in gens] == gens
+                assert [substitute(substitute(x, inv), imgs) for x in gens] == gens
+
+    def test_several_moves_in_rank_three(self):
+        # undoing the moves changes the other basis elements too
+        bouquet = fold([(1,), (2,), (3,)])
+        for w, other in [((2, 3, 1, 3, 1), (2, 3, 1)), ((1, 2, 3, 2, 1), (1, 2, 1))]:
+            basis = whitehead_primitive_basis(bouquet, w)
+            assert basis == [(1,), other, w]
+            assert fold(basis).canonical_key() == bouquet.canonical_key()
 
     def test_non_primitive(self):
         bouquet = fold([(1,), (2,)])
