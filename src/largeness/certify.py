@@ -66,10 +66,6 @@ class Certificate:
     chain: tuple  # of ChainLink
     data: dict
 
-    @property
-    def final_presentation(self) -> Presentation:
-        return self.chain[-1].presentation if self.chain else self.presentation
-
     def lift(self, p: Presentation, links: tuple) -> "Certificate":
         """This certificate, made for the last cover in ``links``, restated
         over ``p``, the presentation the links start from."""
@@ -250,30 +246,22 @@ def automatic_primes(p: Presentation) -> tuple:
 # character sweep enumeration
 
 
-def sweep_vectors(dim: int, height: int, max_support: int = 2):
+def sweep_vectors(dim: int, height: int):
     """Primitive integer vectors with entries in [-height, height], up to
     sign, ordered by (max abs entry, support size, lexicographic).
 
-    For dim > 4 only vectors supported on at most ``max_support``
-    coordinates are produced, to keep the sweep finite in practice.
+    For dim > 4 only vectors supported on at most 2 coordinates are
+    produced, to keep the sweep finite in practice.
     """
+    nonzero = [x for x in range(-height, height + 1) if x]
     vecs = []
-    if dim <= 4:
-        for v in product(range(-height, height + 1), repeat=dim):
-            if any(v):
-                vecs.append(v)
-    else:
-        seen = set()
-        for supp in range(1, max_support + 1):
-            for idxs in combinations(range(dim), supp):
-                for vals in product([x for x in range(-height, height + 1) if x], repeat=supp):
-                    v = [0] * dim
-                    for i, x in zip(idxs, vals):
-                        v[i] = x
-                    v = tuple(v)
-                    if v not in seen:
-                        seen.add(v)
-                        vecs.append(v)
+    for supp in range(1, (dim if dim <= 4 else 2) + 1):
+        for idxs in combinations(range(dim), supp):
+            for vals in product(nonzero, repeat=supp):
+                v = [0] * dim
+                for i, x in zip(idxs, vals):
+                    v[i] = x
+                vecs.append(tuple(v))
     out = []
     seen = set()
     for v in vecs:
@@ -362,10 +350,15 @@ def _route_deficiency(p: Presentation, diags) -> Optional[Verdict]:
     return None
 
 
+def _cyclic_order(p: Presentation) -> str:
+    """The order of a cyclic group, as a citation states it."""
+    inv = abelianization(p)
+    return "infinite" if inv.betti else str(inv.torsion[0] if inv.torsion else 1)
+
+
 def _route_one_relator(p: Presentation, diags) -> Optional[Verdict]:
     if p.ngens == 1:
-        inv = abelianization(p)
-        order = "infinite" if inv.betti else str(inv.torsion[0] if inv.torsion else 1)
+        order = _cyclic_order(p)
         diags.append(f"one-generator presentation: cyclic group, order {order}")
         return Verdict(NOT_LARGE_KNOWN, None,
                        {"reason": "cyclic", "order": order}, tuple(diags))
@@ -622,6 +615,10 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
         e = data["exponent"]
         if e < 2 or not root:
             return False
+        # conjugate words have cyclic cores of equal length; checked before
+        # the power is built, whose length grows with e
+        if len(cyclic_reduce(relator)[0]) != len(cyclic_reduce(root)[0]) * e:
+            return False
         return conjugator_between(relator, power(root, e)) is not None
     if cert.kind == "alexander_zero":
         chi = Chi(tuple(data["chi"]))
@@ -687,8 +684,9 @@ def verify_citation(p: Presentation, citation: dict) -> bool:
 def _verify_citation(p: Presentation, data) -> bool:
     reason = data.get("reason")
     if reason == "cyclic":
-        return p.ngens == 1 or (p.ngens == 2 and p.nrels == 1
-                                and len(cyclic_reduce(p.relators[0])[0]) == 1)
+        cyclic = p.ngens == 1 or (p.ngens == 2 and p.nrels == 1
+                                  and len(cyclic_reduce(p.relators[0])[0]) == 1)
+        return cyclic and ("order" not in data or data["order"] == _cyclic_order(p))
     if reason == "ZxZ":
         if p.ngens != 2 or p.nrels != 1:
             return False

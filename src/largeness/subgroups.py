@@ -54,57 +54,56 @@ class CosetTable:
                           tuple(tuple(int(x) for x in p) for p in obj["action"]))
 
 
-def _inverse_perms(table: CosetTable):
+def _first_visits(table: CosetTable, base: int):
+    """The cosets in first-visit scan order from ``base``, and per coset the
+    step ``(coset, gen, sign)`` that first reached it (None for ``base``).
+
+    The scan order is the one used everywhere in this module: cosets in
+    that order, directions g1, g1^-1, g2, g2^-1, ...
+    """
     inv = []
     for perm in table.action:
         ip = [0] * table.degree
         for i, j in enumerate(perm):
             ip[j] = i
-        inv.append(tuple(ip))
-    return inv
+        inv.append(ip)
+    order = [base]
+    steps = [None] * table.degree
+    for c in order:
+        for g, perm in enumerate(table.action):
+            for sign, tgt in ((1, perm[c]), (-1, inv[g][c])):
+                if steps[tgt] is None and tgt != base:
+                    steps[tgt] = (c, g, sign)
+                    order.append(tgt)
+    return order, steps
 
 
 def canonical_rebase(table: CosetTable, base: int) -> CosetTable:
-    """Renumber cosets by first visit in scan order starting from ``base``.
-
-    The scan order is the one used everywhere in this module: cosets in
-    numbering order, directions g1, g1^-1, g2, g2^-1, ...
-    """
-    ngens = len(table.action)
-    inv = _inverse_perms(table)
-    order = [base]
-    seen = {base: 0}
-    i = 0
-    while i < len(order):
-        c = order[i]
-        for g in range(ngens):
-            for tgt in (table.action[g][c], inv[g][c]):
-                if tgt not in seen:
-                    seen[tgt] = len(order)
-                    order.append(tgt)
-        i += 1
-    new_action = []
-    for g in range(ngens):
-        perm = [0] * table.degree
-        for old, new in seen.items():
-            perm[new] = seen[table.action[g][old]]
-        new_action.append(tuple(perm))
-    return CosetTable(table.degree, tuple(new_action))
+    """Renumber cosets by first visit in scan order starting from ``base``."""
+    order, _ = _first_visits(table, base)
+    new = [0] * table.degree
+    for i, c in enumerate(order):
+        new[c] = i
+    return CosetTable(table.degree, tuple(tuple(new[perm[c]] for c in order)
+                                          for perm in table.action))
 
 
-# the default bound on the cosets live at once in an enumeration
+def _orbit(table: CosetTable) -> set:
+    """The canonical tables of the conjugates of ``table``'s subgroup: its
+    rebasings at every coset."""
+    return {canonical_rebase(table, b) for b in range(table.degree)}
+
+
+# the bound on the cosets live at once in an enumeration
 MAX_COSETS = 20000
 
 
-def coset_enumerate(p: Presentation, subgens: Sequence[Word],
-                    max_cosets: int = MAX_COSETS) -> CosetTable:
+def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
     """Todd-Coxeter enumeration of the subgroup generated by ``subgens``.
 
-    ``max_cosets`` bounds the working set of cosets defined at any time;
+    ``MAX_COSETS`` bounds the working set of cosets defined at any time;
     BoundExceeded means the index may be infinite or just larger.
     """
-    if max_cosets < 1:
-        raise ValueError("max_cosets must be >= 1")
     ngens = p.ngens
     ndirs = 2 * ngens
 
@@ -120,8 +119,8 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word],
     find = partial(uf_find, reps)
 
     def new_coset():
-        if live_count[0] >= max_cosets or len(reps) >= 16 * max_cosets + 64:
-            raise BoundExceeded(f"coset bound {max_cosets} exceeded")
+        if live_count[0] >= MAX_COSETS or len(reps) >= 16 * MAX_COSETS + 64:
+            raise BoundExceeded(f"coset bound {MAX_COSETS} exceeded")
         reps.append(len(reps))
         neighbors.append([None] * ndirs)
         live_count[0] += 1
@@ -217,23 +216,19 @@ class SchreierData:
     edge_index: dict  # (coset, gen) -> generator index in the new presentation
 
 
-def schreier_tree(p: Presentation, table: CosetTable):
-    """BFS spanning tree in scan order; returns transversal words and the
-    set of tree edges (coset, gen)."""
-    inv = _inverse_perms(table)
-    transversal: list = [None] * table.degree
-    transversal[0] = ()
+def schreier_tree(table: CosetTable):
+    """Spanning tree of first visits in scan order from coset 0; returns
+    transversal words and the set of tree edges (coset, gen)."""
+    order, steps = _first_visits(table, 0)
+    if len(order) != table.degree:
+        raise ValueError("coset table is not transitive")
+    transversal: list = [()] * table.degree
     tree_edges = set()
-    queue = [0]
-    while queue:
-        c = queue.pop(0)
-        for g in range(p.ngens):
-            for sign, tgt in ((1, table.action[g][c]), (-1, inv[g][c])):
-                if transversal[tgt] is None:
-                    transversal[tgt] = transversal[c] + (letter(g, sign),)
-                    tree_edges.add((c, g) if sign > 0 else (tgt, g))
-                    queue.append(tgt)
-    return [tuple(t) for t in transversal], tree_edges
+    for tgt in order[1:]:
+        c, g, sign = steps[tgt]
+        transversal[tgt] = transversal[c] + (letter(g, sign),)
+        tree_edges.add((c, g) if sign > 0 else (tgt, g))
+    return transversal, tree_edges
 
 
 def rewrite_word(table: CosetTable, edge_index: dict, w: Word, start: int = 0) -> Word:
@@ -268,7 +263,7 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
     """
     if not table.is_closed_under(p.relators):
         raise ValueError("coset table is not closed under the relators")
-    transversal, tree_edges = schreier_tree(p, table)
+    transversal, tree_edges = schreier_tree(table)
     edge_index = {}
     names = []
     taken = set()
@@ -293,9 +288,12 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
     return sub, SchreierData(tuple(ambient), edge_index)
 
 
+# the longest substitution a Tietze elimination may make
+MAX_SUB_LEN = 64
+
+
 def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
-                    ambient: Optional[Sequence[Word]] = None,
-                    max_sub_len: int = 64):
+                    ambient: Optional[Sequence[Word]] = None):
     """Bounded Tietze simplification: drop empty relators, cyclically reduce,
     and eliminate generators that occur exactly once in some relator.
 
@@ -323,7 +321,7 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
         target = None
         for r_i in sorted(range(len(rels)), key=lambda i: (len(rels[i]), i)):
             rel = rels[r_i]
-            if len(rel) - 1 > max_sub_len:
+            if len(rel) - 1 > MAX_SUB_LEN:
                 continue
             counts = {}
             for lt in rel:
@@ -406,20 +404,23 @@ def subgroup_classes(p: Presentation, max_index: int,
 
     Backtracking over partial tables; partial assignments are propagated
     through relator scans, and new cosets are introduced in scan order so
-    each subgroup is generated exactly once.  Conjugacy classes are then
-    reduced to the lexicographically least rebasing.
+    each subgroup is generated exactly once, as a canonical table.  So the
+    orbit of a table found is the set of tables of its class, and the class
+    is represented by the least table of that orbit.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     cell = None if node_budget is None else [node_budget]
     tables, truncated = _search_tables(p, max_index, cell)
-    found = {}
+    unplaced = set(tables)
+    classes = []
     for table in tables:
-        rep = min(canonical_rebase(table, b).flat() for b in range(table.degree))
-        key = (table.degree, rep)
-        if key not in found:
-            found[key] = CosetTable(table.degree, _unflatten(rep, p.ngens, table.degree))
-    return [found[k] for k in sorted(found)], truncated
+        if table in unplaced:
+            orbit = _orbit(table)
+            unplaced -= orbit
+            classes.append(min(orbit, key=CosetTable.flat))
+    classes.sort(key=lambda t: (t.degree, t.flat()))
+    return classes, truncated
 
 
 def low_index_subgroups(p: Presentation, max_index: int) -> list:
@@ -428,17 +429,12 @@ def low_index_subgroups(p: Presentation, max_index: int) -> list:
 
 
 def subgroup_count_by_index(p: Presentation, max_index: int) -> dict:
-    """Total number of subgroups (not classes) per index, obtained by
-    counting the distinct rebasings of each class representative."""
+    """Total number of subgroups (not classes) per index: the sizes of the
+    orbits of the class representatives."""
     counts = {i: 0 for i in range(1, max_index + 1)}
     for table in low_index_subgroups(p, max_index):
-        distinct = {canonical_rebase(table, b).flat() for b in range(table.degree)}
-        counts[table.degree] += len(distinct)
+        counts[table.degree] += len(_orbit(table))
     return counts
-
-
-def _unflatten(flat, ngens, degree):
-    return tuple(tuple(flat[g * degree:(g + 1) * degree]) for g in range(ngens))
 
 
 def _search_tables(p: Presentation, max_index: int, node_budget=None):

@@ -59,6 +59,15 @@ class TestSmith:
         diag = [d for d in smith_normal_form(m).diagonal if d]
         assert diag == invariant_factors_oracle(m)
 
+    @given(small_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_sympy_oracle(self, m):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+        d = sympy_snf(Matrix(m), domain=ZZ)
+        want = [abs(d[i, i]) for i in range(min(d.shape))]
+        assert smith_normal_form(m).diagonal == want
+
     def test_unimodular_invariance(self):
         rnd = random.Random(5)
         m = [[rnd.randint(-5, 5) for _ in range(3)] for _ in range(3)]

@@ -312,6 +312,18 @@ class TestCitations:
         assert verify_citation(z, {"reason": "cyclic"})
         assert not verify_citation(bs, {"reason": "cyclic"})
 
+    @pytest.mark.parametrize("text,order", [
+        ("< a | a^3 >", "3"), ("< a | >", "infinite"),
+        ("< a | a^2, a^3 >", "1"), ("< a, b | b >", "infinite")])
+    def test_cyclic_order_is_replayed(self, text, order):
+        p = parse_presentation(text)
+        assert verify_citation(p, {"reason": "cyclic", "order": order})
+        for wrong in ("7", "infinite", "1", 3):
+            if wrong != order:
+                assert not verify_citation(p, {"reason": "cyclic", "order": wrong})
+        citation = certify(p).citation
+        assert citation["reason"] == "cyclic" and verify_citation(p, citation)
+
 
 class TestReplayOnce:
     """Every LARGE verdict is replayed exactly once, against the root

@@ -245,6 +245,24 @@ class TestVerify:
         assert code == 0 and doc == {"valid": valid}
         assert time.perf_counter() - start < 1.0
 
+    @pytest.mark.parametrize("root,exponent,valid", [
+        ("a b", 10**7, False), ("a b", 4, False), ("b a", 3, True)])
+    def test_huge_exponent_is_refuted_quickly(self, capsys, tmp_path, root,
+                                              exponent, valid):
+        # the relator's cyclic core must be exponent times as long as the
+        # root's before the power is built
+        cert = {"kind": "proper_power", "chain": [],
+                "presentation": {"generators": ["a", "b"],
+                                 "relators": ["a b a b a b"]},
+                "data": {"relator_index": 0, "root": root,
+                         "exponent": exponent}}
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        start = time.perf_counter()
+        code, doc, _ = run_json(capsys, "verify", "--cert", str(path))
+        assert code == 0 and doc == {"valid": valid}
+        assert time.perf_counter() - start < 0.5
+
     @pytest.mark.parametrize("text", [
         "[]",
         '{"kind": "deficiency", "chain": 5, "data": {},'

@@ -1,65 +1,102 @@
 import random
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from largeness import subgroups
 from largeness.abelian import abelianization
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  coset_enumerate, cover_presentation,
                                  low_index_subgroups, reidemeister_schreier,
-                                 rewrite_word, subgroup_classes,
+                                 rewrite_word, schreier_tree, subgroup_classes,
                                  subgroup_count_by_index, tietze_simplify)
-from largeness.words import parse_presentation, parse_word
+from largeness.words import (Presentation, default_names, free_reduce,
+                             parse_presentation, parse_word)
+
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())
+                        for f in sorted(CORPUS.glob("*.pres"))]
+
+two_generator_presentations = st.lists(
+    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
+    min_size=0, max_size=2).map(
+        lambda rels: Presentation(default_names(2),
+                                  tuple(free_reduce(tuple(r)) for r in rels)))
 
 
 def words_of(p, *texts):
     return [parse_word(t, p.generators) for t in texts]
 
 
+def per_table_minimum_classes(p, max_index, node_budget=None):
+    """Reference dedup: key every table the search finds by the least
+    flattened rebasing, one class per key, in key order."""
+    cell = None if node_budget is None else [node_budget]
+    tables, truncated = subgroups._search_tables(p, max_index, cell)
+    keys = {(t.degree, min(canonical_rebase(t, b).flat() for b in range(t.degree)))
+            for t in tables}
+    classes = [CosetTable(d, tuple(flat[g * d:(g + 1) * d] for g in range(p.ngens)))
+               for d, flat in sorted(keys)]
+    return classes, truncated
+
+
+def relabelled(table, sigma):
+    """``table`` with coset c renamed sigma[c]."""
+    action = []
+    for perm in table.action:
+        new = [0] * table.degree
+        for c, t in enumerate(perm):
+            new[sigma[c]] = sigma[t]
+        action.append(tuple(new))
+    return CosetTable(table.degree, tuple(action))
+
+
 class TestCosetEnumerate:
     def test_cyclic_three(self):
         p = parse_presentation("< a | a^3 >")
-        t = coset_enumerate(p, [], 10)
+        t = coset_enumerate(p, [])
         assert t.degree == 3
         assert t.is_closed_under(p.relators)
 
     def test_s3(self):
         p = parse_presentation("< a, b | a^2, b^3, a b a b >")
-        t = coset_enumerate(p, [], 12)
+        t = coset_enumerate(p, [])
         assert t.degree == 6
 
     def test_infinite_index_raises(self):
         p = parse_presentation("< a, b | a b A B >")
         with pytest.raises(BoundExceeded):
-            coset_enumerate(p, words_of(p, "a"), 100)
+            coset_enumerate(p, words_of(p, "a"))
 
     def test_free_group_subgroup(self):
         p = parse_presentation("< x, y | >")
-        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"), 10)
+        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
         assert t.degree == 2
 
     def test_z_subgroup(self):
         p = parse_presentation("< a | >")
-        t = coset_enumerate(p, words_of(p, "a^3"), 10)
+        t = coset_enumerate(p, words_of(p, "a^3"))
         assert t.degree == 3
 
     def test_subgens_fix_base(self):
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         gens = words_of(p, "x^2", "y", "x y x^-1")
-        t = coset_enumerate(p, gens, 50)
+        t = coset_enumerate(p, gens)
         assert t.degree == 2
         for g in gens:
             assert t.trace(0, g) == 0
 
     def test_json_roundtrip(self):
         p = parse_presentation("< a | a^3 >")
-        t = coset_enumerate(p, [], 10)
+        t = coset_enumerate(p, [])
         assert CosetTable.from_json(t.to_json()) == t
 
 
 class TestReidemeisterSchreier:
     def test_counts_square_commutes(self):
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
-        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"), 50)
+        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
         sub, data = reidemeister_schreier(p, t)
         assert sub.ngens == 3 and sub.nrels == 2
         # relators upstairs are commutators of the new generators
@@ -81,19 +118,19 @@ class TestReidemeisterSchreier:
 
     def test_free_rank_one_subgroup(self):
         p = parse_presentation("< a | >")
-        t = coset_enumerate(p, words_of(p, "a^3"), 10)
+        t = coset_enumerate(p, words_of(p, "a^3"))
         sub, _ = reidemeister_schreier(p, t)
         assert sub.ngens == 1 and sub.nrels == 0
 
     def test_parity_kernel_of_f2(self):
         p = parse_presentation("< x, y | >")
-        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"), 10)
+        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
         sub, _ = reidemeister_schreier(p, t)
         assert sub.ngens == 3 and sub.nrels == 0
 
     def test_ambient_words(self):
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
-        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"), 50)
+        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
         _, data = reidemeister_schreier(p, t)
         # every ambient word fixes the base coset
         for w in data.ambient_words:
@@ -101,7 +138,7 @@ class TestReidemeisterSchreier:
 
     def test_rewrite_word(self):
         p = parse_presentation("< x, y | >")
-        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"), 10)
+        t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
         sub, data = reidemeister_schreier(p, t)
         expr = rewrite_word(t, data.edge_index, parse_word("x^2", p.generators))
         assert len(expr) == 1
@@ -180,11 +217,66 @@ class TestLowIndex:
         assert truncated and len(cut) < len(classes)
 
 
+class TestCanonicalSearch:
+    def test_corpus_tables_are_canonical(self):
+        for p in CORPUS_PRESENTATIONS:
+            tables, truncated = subgroups._search_tables(p, 5)
+            assert not truncated
+            for t in tables:
+                assert canonical_rebase(t, 0) == t
+
+    @given(two_generator_presentations)
+    @settings(max_examples=60, deadline=None)
+    def test_random_tables_are_canonical(self, p):
+        tables, _ = subgroups._search_tables(p, 4)
+        for t in tables:
+            assert canonical_rebase(t, 0) == t
+
+    @pytest.mark.parametrize("node_budget", [None, 40, 400])
+    def test_classes_match_per_table_minimum(self, node_budget):
+        cut = False
+        for p in CORPUS_PRESENTATIONS:
+            want = per_table_minimum_classes(p, 5, node_budget)
+            assert subgroup_classes(p, 5, node_budget) == want
+            cut = cut or want[1]
+        assert cut == (node_budget is not None)
+
+
+class TestSchreierTree:
+    def test_non_canonical_numbering(self):
+        # a verifier reads tables from JSON, numbered any way that keeps
+        # the subgroup at coset 0
+        rnd = random.Random(11)
+        p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
+        checked = 0
+        for table in low_index_subgroups(p, 5):
+            if table.degree < 3:
+                continue
+            rest = list(range(1, table.degree))
+            rnd.shuffle(rest)
+            t = relabelled(table, [0] + rest)
+            if canonical_rebase(t, 0) == t:
+                continue
+            assert t.is_closed_under(p.relators)
+            transversal, tree_edges = schreier_tree(t)
+            for c, w in enumerate(transversal):
+                assert t.trace(0, w) == c
+            assert len(tree_edges) == t.degree - 1
+            sub, _ = reidemeister_schreier(p, t)
+            assert sub.ngens == (p.ngens - 1) * t.degree + 1
+            checked += 1
+        assert checked > 0
+
+    def test_non_transitive_table_is_refused(self):
+        with pytest.raises(ValueError):
+            schreier_tree(CosetTable(2, ((0, 1),)))
+
+
 class TestCoverPresentation:
     def test_matches_rewrite_then_simplify(self):
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         subgens = words_of(p, "x^2", "y", "x y x^-1")
-        table = coset_enumerate(p, subgens, 50)
+        table = coset_enumerate(p, subgens)
         raw, data = reidemeister_schreier(p, table)
         exprs = [rewrite_word(table, data.edge_index, w) for w in subgens]
         expected, carried, _ = tietze_simplify(raw, exprs)
@@ -203,7 +295,7 @@ class TestRewritingRoundTrip:
         for k in (2, 3, 4):
             subgens = [parse_word(f"x^{k}", p.generators)]
             subgens += [parse_word(f"x^{i} y x^-{i}", p.generators) for i in range(k)]
-            table = coset_enumerate(p, subgens, 50)
+            table = coset_enumerate(p, subgens)
             assert table.degree == k
             sub, data = reidemeister_schreier(p, table)
             for _ in range(25):
@@ -219,7 +311,7 @@ class TestRewritingRoundTrip:
         rnd = random.Random(23)
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         subgens = [parse_word(t, p.generators) for t in ("x^2", "y", "x y x^-1")]
-        table = coset_enumerate(p, subgens, 50)
+        table = coset_enumerate(p, subgens)
         sub, data = reidemeister_schreier(p, table)
         elements = []
         for _ in range(15):
