@@ -22,10 +22,10 @@ from .alexander import (PrimeField, QQ, field_by_name, is_prime,
                         prime_factors, rank_witness)
 from .abelian import Chi, abelianization, image_span_rank
 from .subgroups import CosetTable, cover_presentation, subgroup_classes
-from .words import (Presentation, SearchCapExceeded, Word, commutator,
-                    conjugator_between, cyclic_reduce, gen_of, inverse,
-                    is_commutator, is_proper_power, parse_word, power, rotate,
-                    word_to_text, zxz_relator_check)
+from .words import (MAX_WORD_LEN, Presentation, SearchCapExceeded, Word,
+                    commutator, conjugator_between, cyclic_reduce, gen_of,
+                    inverse, is_commutator, is_proper_power, parse_word, power,
+                    rotate, word_to_text, zxz_relator_check)
 
 LARGE = "LARGE"
 NOT_LARGE_KNOWN = "NOT_LARGE_KNOWN"
@@ -315,8 +315,16 @@ def certify(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict
 
 def replayed(p: Presentation, verdict: Verdict) -> Verdict:
     """``verdict`` itself, once its certificate (if LARGE) replays against
-    ``p``; RuntimeError otherwise."""
-    if verdict.is_large and not verify_certificate(p, verdict.certificate):
+    ``p``; RuntimeError otherwise.  ValueError when the certificate has a
+    relator that ``verify`` would refuse to parse back."""
+    if not verdict.is_large:
+        return verdict
+    cert = verdict.certificate
+    # the words in ``data`` are shorter than the relators they come from
+    for q in (cert.presentation, *(link.presentation for link in cert.chain)):
+        if any(len(r) > MAX_WORD_LEN for r in q.relators):
+            raise ValueError(f"certificate relator longer than {MAX_WORD_LEN} letters")
+    if not verify_certificate(p, cert):
         raise RuntimeError("internal error: emitted certificate failed replay")
     return verdict
 

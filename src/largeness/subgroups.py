@@ -8,7 +8,7 @@ subgroup itself as coset 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import partial
+from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from .stallings import uf_find
@@ -27,11 +27,21 @@ class CosetTable:
     degree: int
     action: tuple  # per generator, a tuple of length degree
 
+    @cached_property
+    def inverse(self) -> tuple:
+        """Per generator, the inverse permutation."""
+        inv = []
+        for perm in self.action:
+            ip = [0] * self.degree
+            for i, j in enumerate(perm):
+                ip[j] = i
+            inv.append(tuple(ip))
+        return tuple(inv)
+
     def apply(self, coset: int, lt: int) -> int:
-        perm = self.action[abs(lt) - 1]
         if lt > 0:
-            return perm[coset]
-        return perm.index(coset)
+            return self.action[lt - 1][coset]
+        return self.inverse[-lt - 1][coset]
 
     def trace(self, coset: int, w: Word) -> int:
         for lt in w:
@@ -61,12 +71,7 @@ def _first_visits(table: CosetTable, base: int):
     The scan order is the one used everywhere in this module: cosets in
     that order, directions g1, g1^-1, g2, g2^-1, ...
     """
-    inv = []
-    for perm in table.action:
-        ip = [0] * table.degree
-        for i, j in enumerate(perm):
-            ip[j] = i
-        inv.append(ip)
+    inv = table.inverse
     order = [base]
     steps = [None] * table.degree
     for c in order:
@@ -91,6 +96,9 @@ def canonical_rebase(table: CosetTable, base: int) -> CosetTable:
 def _orbit(table: CosetTable) -> set:
     """The canonical tables of the conjugates of ``table``'s subgroup: its
     rebasings at every coset."""
+    # rebase a copy, so that the inverse cached on it goes with the orbit
+    # and does not stay on a table the caller keeps
+    table = CosetTable(table.degree, table.action)
     return {canonical_rebase(table, b) for b in range(table.degree)}
 
 
@@ -389,13 +397,6 @@ def cover_presentation(p: Presentation, table: CosetTable,
 # low-index subgroup enumeration
 
 
-def _part_to_table(part, ngens, degree):
-    action = []
-    for g in range(ngens):
-        action.append(tuple(part[c][2 * g] for c in range(degree)))
-    return CosetTable(degree, tuple(action))
-
-
 def subgroup_classes(p: Presentation, max_index: int,
                      node_budget: Optional[int] = None):
     """One canonical coset table per conjugacy class of subgroups of index
@@ -443,85 +444,77 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
 
     ``node_budget`` is an optional single-element list of remaining DFS
     nodes, decremented in place; returns (tables, truncated).
-    """
-    ngens = p.ngens
-    ndirs = 2 * ngens
-    rel_dirs = []
-    for r in p.relators:
-        if r:
-            rel_dirs.append(tuple(2 * (abs(lt) - 1) + (lt < 0) for lt in r))
-    rel_dirs = list(dict.fromkeys(rel_dirs))
-    # rotations of every relator filed under their first direction, so a new
-    # edge only triggers scans of cycles that actually cross it
-    rot_by_dir = [[] for _ in range(ndirs)]
-    seen_rot = set()
-    for dirs in rel_dirs:
-        for k in range(len(dirs)):
-            rot = dirs[k:] + dirs[:k]
-            if rot not in seen_rot:
-                seen_rot.add(rot)
-                rot_by_dir[rot[0]].append(rot)
 
-    part = [[None] * ndirs]
+    The partial table is one flat list: with ``nd = 2 * ngens`` directions
+    (g1, g1^-1, g2, ...), cell ``c*nd + d`` holds the row offset ``e*nd``
+    of the coset that direction d leads to from coset c, or None.  Each node
+    fills its hole, the first empty cell, and propagation can only fill
+    empty cells, which all lie after it; so along a DFS path every cell
+    before the hole stays filled, and a child searches from the next cell.
+    """
+    nd = 2 * p.ngens
+    rel_dirs = list(dict.fromkeys(tuple(2 * (abs(lt) - 1) + (lt < 0) for lt in r)
+                                  for r in p.relators if r))
+    # per direction, one scan per distinct relator rotation that starts with
+    # it, so a new edge only triggers scans of cycles that actually cross it:
+    # the rest of the rotation, read on from the edge's target, as pairs
+    # (direction, m) with m the letters after that direction; and the rest
+    # reversed and inverted, read back from the edge's source for the m
+    # letters after the gap where the forward read stopped
+    scans = [{} for _ in range(nd)]
+    pairs = {}  # one tuple per distinct pair, shared by all rotations
+    for dirs in rel_dirs:
+        n = len(dirs)
+        for k in range(n):
+            rot = dirs[k:] + dirs[:k]
+            fwd = tuple(pairs.setdefault(x, x)
+                        for x in zip(rot[1:], range(n - 2, -1, -1)))
+            if fwd not in scans[rot[0]]:
+                scans[rot[0]][fwd] = tuple(d ^ 1 for d in reversed(rot[1:]))
+    scans = [list(s.items()) for s in scans]
+    # the cell past the last row stays empty, so a hole is always found
+    tab = [None] * (max_index * nd + 1)
 
     def propagate(queue, undo):
-        """Scan relator cycles crossing newly set edges; False on
-        contradiction.  Deductions are queued for further propagation."""
+        """Scan relator cycles crossing newly set half-edges (source, dir,
+        target); False on contradiction.  Deductions are queued too."""
         while queue:
-            c0, d0, e0 = queue.pop()
-            for anchor, dd in ((c0, d0), (e0, d0 ^ 1)):
-                for dirs in rot_by_dir[dd]:
-                    n = len(dirs)
-                    f, i = anchor, 0
-                    while i < n:
-                        t = part[f][dirs[i]]
-                        if t is None:
-                            break
-                        f, i = t, i + 1
-                    else:
-                        if f != anchor:
-                            return False
-                        continue
-                    b, j = anchor, n
-                    while j > i:
-                        t = part[b][dirs[j - 1] ^ 1]
-                        if t is None:
-                            break
-                        b, j = t, j - 1
-                    if j == i:
-                        # both traces fully defined up to position i; the
-                        # partial action is injective: the cosets must agree
-                        if f != b:
-                            return False
-                        continue
-                    if j == i + 1:
-                        d = dirs[i]
-                        row_f = part[f]
-                        if row_f[d] is None:
-                            if part[b][d ^ 1] is None:
-                                row_f[d] = b
-                                part[b][d ^ 1] = f
-                                undo.append((f, d, b))
-                                queue.append((f, d, b))
-                            else:
-                                return False
-                        elif row_f[d] != b:
-                            return False
+            a, d0, f0 = queue.pop()
+            for fwd, back in scans[d0]:
+                f = f0
+                for d, m in fwd:
+                    t = tab[f + d]
+                    if t is None:
+                        break
+                    f = t
+                else:
+                    if f != a:
+                        return False
+                    continue
+                b = a
+                for e in back[:m]:
+                    t = tab[b + e]
+                    if t is None:
+                        break
+                    b = t
+                else:
+                    # the traces meet at one missing edge f --d--> b; if b
+                    # has a d^-1 edge already, two cosets would coincide
+                    e = d ^ 1
+                    if tab[b + e] is not None:
+                        return False
+                    tab[f + d] = b
+                    tab[b + e] = f
+                    undo += (f + d, b + e)
+                    queue += ((f, d, b), (b, e, f))
         return True
 
-    def first_hole():
-        for c, row in enumerate(part):
-            for d in range(ndirs):
-                if row[d] is None:
-                    return c, d
-        return None
-
-    def complete_closed():
+    def complete_closed(size):
         for dirs in rel_dirs:
-            for c in range(len(part)):
+            for c in range(0, size, nd):
                 f = c
                 for d in dirs:
-                    f = part[f][d]
+                    f = tab[f + d]
                 if f != c:
                     return False
         return True
@@ -529,36 +522,33 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     results = []
     truncated = [False]
 
-    def dfs():
+    def dfs(pos, degree):
         if node_budget is not None:
             if node_budget[0] <= 0:
                 truncated[0] = True
                 return
             node_budget[0] -= 1
-        hole = first_hole()
-        if hole is None:
-            if complete_closed():
-                results.append(_part_to_table(part, ngens, len(part)))
+        size = degree * nd
+        h = tab.index(None, pos)
+        if h >= size:
+            if complete_closed(size):
+                results.append(CosetTable(degree, tuple(
+                    tuple(e // nd for e in tab[d:size:nd]) for d in range(0, nd, 2))))
             return
-        c, d = hole
-        candidates = [e for e in range(len(part)) if part[e][d ^ 1] is None]
-        if len(part) < max_index:
-            candidates.append(len(part))
-        for e in candidates:
-            undo = []
-            size_mark = len(part)
-            if e == len(part):
-                part.append([None] * ndirs)
-            part[c][d] = e
-            part[e][d ^ 1] = c
-            undo.append((c, d, e))
-            if propagate([(c, d, e)], undo):
-                dfs()
-            while undo:
-                cc, dd, ee = undo.pop()
-                part[cc][dd] = None
-                part[ee][dd ^ 1] = None
-            del part[size_mark:]
+        d = h % nd
+        c, di = h - d, d ^ 1
+        # candidates: each coset with no di edge yet, then a new coset (its
+        # row is empty) while there is room for one
+        for e in range(0, size + nd if degree < max_index else size, nd):
+            if tab[e + di] is not None:
+                continue
+            tab[h] = e
+            tab[e + di] = c
+            undo = [h, e + di]
+            if propagate([(c, d, e), (e, di, c)], undo):
+                dfs(h + 1, degree + (e == size))
+            for x in undo:
+                tab[x] = None
 
-    dfs()
+    dfs(0, 1)
     return results, truncated[0]

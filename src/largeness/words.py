@@ -274,7 +274,8 @@ _INT_RE = re.compile(r"-?\d+")
 
 
 def word_to_text(w: Word, names: Sequence[str]) -> str:
-    """Readable text form; round-trips through parse_word."""
+    """Readable text form; round-trips through parse_word for a word of at
+    most MAX_WORD_LEN letters."""
     if not w:
         return ""
     parts = []
@@ -319,6 +320,11 @@ class _Scanner:
         self.pos += 1
 
 
+# the most letters a parsed word may have before free reduction, and a
+# relator u v^-1 joined from ``u = v`` after it
+MAX_WORD_LEN = 10000
+
+
 def parse_word(text: str, names: Sequence[str], scanner: Optional[_Scanner] = None,
                offset: int = 0) -> Word:
     """Parse whitespace-separated factors over ``names``.
@@ -344,6 +350,8 @@ def parse_word(text: str, names: Sequence[str], scanner: Optional[_Scanner] = No
             g, sign = lower_single[name], -1
         else:
             sc.error(f"unknown generator {name!r}", offset + pos)
+        if len(out) + abs(exp) > MAX_WORD_LEN:
+            sc.error(f"word longer than {MAX_WORD_LEN} letters", offset + pos)
         out.extend([letter(g, sign if exp > 0 else -sign)] * abs(exp))
         pos += len(tok)
     return free_reduce(out)
@@ -390,7 +398,10 @@ def parse_presentation(text: str) -> Presentation:
                 lhs, _, rhs = chunk.partition("=")
                 u = parse_word(lhs, names, sc, start)
                 v = parse_word(rhs, names, sc, start + len(lhs) + 1)
-                relators.append(concat(u, inverse(v)))
+                r = concat(u, inverse(v))
+                if len(r) > MAX_WORD_LEN:
+                    sc.error(f"relator longer than {MAX_WORD_LEN} letters", start)
+                relators.append(r)
             else:
                 relators.append(parse_word(chunk, names, sc, start))
     return Presentation(tuple(names), tuple(relators))

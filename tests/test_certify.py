@@ -1,5 +1,6 @@
 import json
 import sys
+from dataclasses import replace
 
 import pytest
 
@@ -7,13 +8,14 @@ from largeness.alexander import QQ, rank_witness
 from largeness.certify import (Certificate, CertifyConfig, certificate_from_json,
                                certificate_to_json, certify,
                                classify_bs_shape, classify_conjugated_power,
-                               automatic_primes, dumps, solve_chi_killing,
+                               automatic_primes, dumps, replayed, solve_chi_killing,
                                sweep_vectors, verdict_to_json,
                                verify_certificate, verify_citation)
 from largeness.cli import main
 from largeness.torus import (Endomorphism, PeriodicWitness, mapping_torus,
                              torus_zz_pipeline)
-from largeness.words import Presentation, parse_presentation, parse_word
+from largeness.words import (MAX_WORD_LEN, Presentation, parse_presentation,
+                             parse_word)
 
 FAST = CertifyConfig(max_index=5, budget=1)
 
@@ -362,6 +364,29 @@ class TestReplayOnce:
         v = torus_zz_pipeline(e, PeriodicWitness((1,), 1, (), 1))
         assert v.status == "LARGE" and v.certificate.chain
         assert seen == [mapping_torus(e)]
+
+
+class TestWordBound:
+    """No certificate holds a relator that verify would refuse to parse."""
+
+    def test_long_relator_in_the_presentation(self):
+        p = Presentation(("a", "b", "c"), ((1,) * MAX_WORD_LEN,))
+        v = certify(p)
+        assert v.is_large
+        back = certificate_from_json(json.loads(dumps(certificate_to_json(v.certificate))))
+        assert verify_certificate(p, back)
+        with pytest.raises(ValueError, match="certificate relator longer than"):
+            certify(Presentation(("a", "b", "c"), ((1,) * (MAX_WORD_LEN + 1),)))
+
+    def test_long_relator_in_a_cover(self):
+        p, v = check("< x, y | x y x y^-1 x^-1 y^-1 >", "LARGE")  # trefoil
+        link = v.certificate.chain[0]
+        sub = link.presentation
+        long_sub = Presentation(sub.generators, sub.relators + (
+            (1, 2) * (MAX_WORD_LEN // 2) + (1,),))
+        cert = replace(v.certificate, chain=(replace(link, presentation=long_sub),))
+        with pytest.raises(ValueError, match="certificate relator longer than"):
+            replayed(p, replace(v, certificate=cert))
 
 
 class TestDeadKinds:

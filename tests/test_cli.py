@@ -119,6 +119,40 @@ class TestCertify:
         code, _, err = run(capsys, "certify", "< a | >", "--threads", "0")
         assert code == 1
 
+    @pytest.mark.parametrize("relator,argv", [
+        ("a", ("certify", "< a, b | a^10000000 >")),
+        ("a^10000000", ("verify", "--cert", "{cert}")),
+        ("a", ("verify", "--cert", "{cert}", "< a, b | b a^10000000 >")),
+    ])
+    def test_long_word_is_input_error(self, capsys, tmp_path, relator, argv):
+        # the word-length bound refuses the text before any letters are built
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(
+            {"kind": "deficiency", "chain": [], "data": {},
+             "presentation": {"generators": ["a", "b"], "relators": [relator]}}))
+        start = time.perf_counter()
+        code, out, err = run(capsys, *(a.format(cert=cert) for a in argv))
+        assert time.perf_counter() - start < 0.5
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "longer than" in err
+
+    @pytest.mark.parametrize("relator,ok", [
+        ("a^5000 = b^5000", True), ("a^5001 = b^5000", False),
+        ("a^10000", True), ("a^10001", False),
+    ])
+    def test_word_bound_round_trip(self, capsys, tmp_path, relator, ok):
+        # certify refuses what verify would refuse to read back
+        pres = f"< a, b, c | {relator} >"
+        code, out, err = run(capsys, "certify", pres)
+        if not ok:
+            assert code == 1 and out == "" and "longer than" in err
+            return
+        cert = tmp_path / "cert.json"
+        cert.write_text(json.dumps(json.loads(out)["certificate"]))
+        code, doc, _ = run_json(capsys, "verify", "--cert", str(cert), pres)
+        assert code == 0 and doc == {"valid": True}
+
     def test_parse_error_exit_one(self, capsys):
         code, _, err = run(capsys, "certify", "< a | b >")
         assert code == 1 and "error" in err

@@ -1,4 +1,6 @@
+import itertools
 import random
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -18,11 +20,28 @@ CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())
                         for f in sorted(CORPUS.glob("*.pres"))]
 
-two_generator_presentations = st.lists(
-    st.lists(st.sampled_from([1, -1, 2, -2]), min_size=1, max_size=6),
-    min_size=0, max_size=2).map(
-        lambda rels: Presentation(default_names(2),
-                                  tuple(free_reduce(tuple(r)) for r in rels)))
+
+
+def presentations(ngens):
+    letters = [s * g for g in range(1, ngens + 1) for s in (1, -1)]
+    return st.lists(
+        st.lists(st.sampled_from(letters), min_size=1, max_size=6),
+        min_size=0, max_size=2).map(
+            lambda rels: Presentation(default_names(ngens),
+                                      tuple(free_reduce(tuple(r)) for r in rels)))
+
+
+two_generator_presentations = presentations(2)
+
+# DFS nodes consumed and tables found by the search at index 5, per corpus file
+SEARCH_NODES = {
+    "bs_1_2": (60, 13), "bs_2_3": (144, 10), "bs_2_4": (486, 113),
+    "conjugate_square_commutes": (388, 121), "cyclic_quotients_only": (265, 5),
+    "deep_conjugator_family": (234, 15), "f2_times_z": (2400, 627),
+    "free_rank2_and_z": (14663, 3833), "hexagonal_balanced_1": (198, 40),
+    "hexagonal_balanced_2": (307, 65), "trefoil": (109, 21), "z": (10, 5),
+    "zxz": (53, 21),
+}
 
 
 def words_of(p, *texts):
@@ -39,6 +58,26 @@ def per_table_minimum_classes(p, max_index, node_budget=None):
     classes = [CosetTable(d, tuple(flat[g * d:(g + 1) * d] for g in range(p.ngens)))
                for d, flat in sorted(keys)]
     return classes, truncated
+
+
+def closed_transitive_tables(p, degree):
+    """The canonical tables of every subgroup of index ``degree``, found by
+    trying every tuple of permutations, with no DFS."""
+    found = set()
+    for action in itertools.product(itertools.permutations(range(degree)),
+                                    repeat=p.ngens):
+        reached, todo = {0}, [0]
+        while todo:
+            c = todo.pop()
+            for perm in action:
+                for e in (perm[c], perm.index(c)):
+                    if e not in reached:
+                        reached.add(e)
+                        todo.append(e)
+        table = CosetTable(degree, action)
+        if len(reached) == degree and table.is_closed_under(p.relators):
+            found.add(canonical_rebase(table, 0))
+    return found
 
 
 def relabelled(table, sigma):
@@ -91,6 +130,19 @@ class TestCosetEnumerate:
         p = parse_presentation("< a | a^3 >")
         t = coset_enumerate(p, [])
         assert CosetTable.from_json(t.to_json()) == t
+
+
+class TestCosetTable:
+    @given(st.integers(1, 6).flatmap(lambda n: st.tuples(
+        st.just(n), st.lists(st.permutations(range(n)), min_size=1, max_size=3))))
+    def test_inverse(self, case):
+        degree, perms = case
+        t = CosetTable(degree, tuple(tuple(perm) for perm in perms))
+        for g, perm in enumerate(t.action):
+            for c in range(degree):
+                assert t.inverse[g][perm[c]] == c
+                assert t.apply(c, -(g + 1)) == perm.index(c)
+                assert t.apply(t.apply(c, g + 1), -(g + 1)) == c
 
 
 class TestReidemeisterSchreier:
@@ -240,6 +292,78 @@ class TestCanonicalSearch:
             assert subgroup_classes(p, 5, node_budget) == want
             cut = cut or want[1]
         assert cut == (node_budget is not None)
+
+
+class TestSearchNodes:
+    """The search visits the same nodes in the same order: its node count,
+    where a budget cuts it and the tables found before the cut are pinned."""
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_NODES))
+    def test_corpus_node_counts(self, name):
+        p = parse_presentation((CORPUS / f"{name}.pres").read_text())
+        cell = [10 ** 9]
+        tables, truncated = subgroups._search_tables(p, 5, cell)
+        assert (10 ** 9 - cell[0], len(tables)) == SEARCH_NODES[name]
+        assert not truncated
+
+    @pytest.mark.parametrize("name", sorted(SEARCH_NODES))
+    def test_exact_budget(self, name):
+        nodes = SEARCH_NODES[name][0]
+        p = parse_presentation((CORPUS / f"{name}.pres").read_text())
+        full, _ = subgroups._search_tables(p, 5)
+        cell = [nodes]
+        assert subgroups._search_tables(p, 5, cell) == (full, False)
+        assert cell == [0]
+        cell = [nodes - 1]
+        tables, truncated = subgroups._search_tables(p, 5, cell)
+        assert truncated and cell == [0]
+        assert tables == full[:len(tables)]
+
+    def test_cyclic_quotients_cover(self):
+        # every finite quotient of Baumslag's group is cyclic; certify's
+        # search in its index-2 cover stops at the 120k-node budget
+        p = parse_presentation((CORPUS / "cyclic_quotients_only.pres").read_text())
+        table, = [t for t in low_index_subgroups(p, 2) if t.degree == 2]
+        cover, _ = cover_presentation(p, table)
+        cell = [120000]
+        tables, truncated = subgroups._search_tables(cover, 8, cell)
+        assert [t.degree for t in tables] == list(range(1, 9))
+        assert truncated and cell == [0]
+
+
+class TestSearchOracle:
+    """The search against every closed transitive tuple of permutations."""
+
+    @staticmethod
+    def check(p, max_index):
+        tables, truncated = subgroups._search_tables(p, max_index)
+        assert not truncated and len(set(tables)) == len(tables)
+        want = set().union(*(closed_transitive_tables(p, d)
+                             for d in range(1, max_index + 1)))
+        assert set(tables) == want
+
+    @given(two_generator_presentations)
+    @settings(max_examples=40, deadline=None)
+    def test_two_generators(self, p):
+        self.check(p, 4)
+
+    @given(presentations(3))
+    @settings(max_examples=40, deadline=None)
+    def test_three_generators(self, p):
+        self.check(p, 3)
+
+    def test_long_relator(self):
+        # 300 distinct rotations of 300 letters: the relator scans hold about
+        # 2 * 300^2 entries; a back scan stored per gap would hold 300^3 / 2
+        p = parse_presentation("< a, b | a^150 b^150 >")
+        tracemalloc.start()
+        try:
+            subgroups._search_tables(p, 3)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 8 * 2 ** 20
+        self.check(p, 3)
 
 
 class TestSchreierTree:

@@ -1,9 +1,9 @@
 import pytest
 from hypothesis import given, strategies as st
 
-from largeness.words import (CommutatorWitness, ParseError, SearchCapExceeded,
-                             commutator, conjugator_between, cyclic_reduce,
-                             free_reduce, inverse, is_commutator,
+from largeness.words import (MAX_WORD_LEN, CommutatorWitness, ParseError,
+                             SearchCapExceeded, commutator, conjugator_between,
+                             cyclic_reduce, free_reduce, inverse, is_commutator,
                              is_proper_power, parse_presentation, parse_word,
                              power, substitute, word_to_text,
                              zxz_relator_check)
@@ -193,6 +193,30 @@ class TestParser:
     def test_word_text_roundtrip(self, w):
         names = ("a", "b", "c")
         assert parse_word(word_to_text(w, names), names) == w
+
+    def test_word_length_bound(self):
+        # letters are counted before free reduction, across factors
+        n = MAX_WORD_LEN
+        p = parse_presentation(f"< a, b | a^{n - 1} b^-1 >")
+        assert p.relators == ((1,) * (n - 1) + (-2,),)
+        for text in [f"< a | a^{n + 1} >", f"< a, b | a^{n} b >",
+                     f"< a | a^-{n} a >", f"< a, b | a = b^{n + 1} >",
+                     "< a, b | a^10000000 >"]:
+            with pytest.raises(ParseError, match="longer than"):
+                parse_presentation(text)
+
+    def test_joined_relator_bound(self):
+        # u = v is stored as u v^-1, which parse_word must read back
+        h = MAX_WORD_LEN // 2
+        p = parse_presentation(f"< a, b | a^{h} = b^{h} >")
+        assert len(p.relators[0]) == MAX_WORD_LEN
+        assert parse_word(word_to_text(p.relators[0], p.generators),
+                          p.generators) == p.relators[0]
+        assert parse_presentation(f"< a | a^{MAX_WORD_LEN} = a >").relators == (
+            (1,) * (MAX_WORD_LEN - 1),)
+        with pytest.raises(ParseError, match="relator longer than") as exc:
+            parse_presentation(f"< a, b | a b, a^{h + 1} = b^{h} >")
+        assert (exc.value.line, exc.value.col) == (1, 14)
 
     def test_multichar_names(self):
         p = parse_presentation("< gen1, gen2 | gen1 gen2^-3 >")
