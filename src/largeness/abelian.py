@@ -7,10 +7,9 @@ major).  Everything here is exact; no floating point anywhere.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Sequence
 
-from .words import Presentation, Word, exponent_sum
+from .words import Presentation, Word, exponent_vector
 
 
 def identity_matrix(n):
@@ -208,7 +207,8 @@ class AbelianInvariants:
 
 def exponent_matrix(p: Presentation):
     """n x m matrix of signed generator counts, one column per relator."""
-    return [[exponent_sum(r, g) for r in p.relators] for g in range(p.ngens)]
+    cols = [exponent_vector(r, p.ngens) for r in p.relators]
+    return [[col[g] for col in cols] for g in range(p.ngens)]
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
@@ -317,31 +317,8 @@ def image_span_rank(p: Presentation, words: Sequence[Word]):
         return 0, betti > 0
     vecs = []
     for w in words:
-        e = [exponent_sum(w, g) for g in range(p.ngens)]
+        e = exponent_vector(w, p.ngens)
         vecs.append([sum(row[g] * e[g] for g in range(p.ngens)) for row in proj])
     rank = int_rank(vecs)
     return rank, rank < betti
 
-
-def invariant_factors_oracle(m):
-    """Independent Smith-diagonal oracle: d1...dk = gcd of k x k minors.
-
-    Exponential in size; used by tests on small matrices only.
-    """
-    from itertools import combinations
-
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    out = []
-    prev = 1
-    for k in range(1, min(rows, cols) + 1):
-        g = 0
-        for ri in combinations(range(rows), k):
-            for ci in combinations(range(cols), k):
-                sub = [[m[i][j] for j in ci] for i in ri]
-                g = gcd(g, determinant(sub))
-        if g == 0:
-            break
-        out.append(g // prev)
-        prev = g
-    return out

@@ -25,7 +25,7 @@ from .subgroups import CosetTable, cover_presentation, subgroup_classes
 from .words import (MAX_WORD_LEN, Presentation, SearchCapExceeded, Word,
                     commutator, conjugator_between, cyclic_reduce, gen_of,
                     inverse, is_commutator, is_proper_power, parse_word, power,
-                    rotate, word_to_text, zxz_relator_check)
+                    word_to_text, zxz_relator_check)
 
 LARGE = "LARGE"
 NOT_LARGE_KNOWN = "NOT_LARGE_KNOWN"
@@ -160,26 +160,27 @@ def classify_conjugated_power(w: Word) -> Optional[dict]:
     """Match the cyclic reduction of ``w`` against g A g^-1 A^c for a single
     letter g, giving the relation g A g^-1 = A^e with e = -c.
 
-    Returns {"exponent": e, "amplitude": A} for the first match, else None.
+    Returns {"exponent": e, "amplitude": A} for the first match, in order of
+    rotation and then of |A|, else None.
     """
     core, _ = cyclic_reduce(w)
     n = len(core)
+    # g A g^-1 B with B = A^(+-c) has |A|(c + 1) = n - 2
+    sizes = [m for m in range(1, n - 1) if (n - 2) % m == 0]
+    core2 = core + core  # rotation k is core2[k:k + n]
     for k in range(n):
-        r = rotate(core, k)
-        g = r[0]
-        for j in range(1, n):
-            if r[j] != -g:
+        for m in sizes:
+            if core2[k + m + 1] != -core2[k]:
                 continue
-            a_part = r[1:j]
-            b_part = r[j + 1:]
-            if not a_part:
-                continue
-            if len(b_part) % len(a_part):
-                continue
-            c = len(b_part) // len(a_part)
-            if b_part == power(a_part, c):
+            a_part = core2[k + 1:k + m + 1]
+            b_part = core2[k + m + 2:k + n]
+            c = (n - 2) // m - 1
+            # A^c is the plain repetition A*c unless c >= 2 and A[0] =
+            # A[-1]^-1; then A^c is shorter than B and A*c is not reduced,
+            # so neither equals B
+            if b_part == a_part * c:
                 return {"exponent": -c, "amplitude": a_part}
-            if b_part == power(inverse(a_part), c):
+            if b_part == inverse(a_part) * c:
                 return {"exponent": c, "amplitude": a_part}
     return None
 

@@ -12,8 +12,7 @@ from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from .stallings import uf_find
-from .words import (Presentation, Word, concat, cyclic_reduce, free_reduce,
-                    gen_of, inverse, letter)
+from .words import Presentation, Word, concat, cyclic_reduce, inverse, letter
 
 
 class BoundExceeded(RuntimeError):
@@ -217,11 +216,21 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
 
 @dataclass(frozen=True)
 class SchreierData:
-    """Byproducts of rewriting: ambient words for the subgroup generators
-    (one per non-tree edge) and the edge numbering."""
+    """Byproducts of rewriting: the edge numbering, and ambient words for the
+    subgroup generators (one per non-tree edge), built on first use."""
 
-    ambient_words: tuple
-    edge_index: dict  # (coset, gen) -> generator index in the new presentation
+    table: CosetTable
+    transversal: tuple
+    edge_index: tuple  # per gen, per coset: the edge's letter upstairs, 0 on the tree
+
+    @cached_property
+    def ambient_words(self) -> tuple:
+        """Generator k's ambient word t_c g t_{c.g}^-1 for its edge (c, g)."""
+        edges = sorted((k, c, g) for g, ids in enumerate(self.edge_index)
+                       for c, k in enumerate(ids) if k)
+        t = self.transversal
+        return tuple(concat(t[c], (letter(g),), inverse(t[self.table.action[g][c]]))
+                     for _, c, g in edges)
 
 
 def schreier_tree(table: CosetTable):
@@ -239,61 +248,56 @@ def schreier_tree(table: CosetTable):
     return transversal, tree_edges
 
 
-def rewrite_word(table: CosetTable, edge_index: dict, w: Word, start: int = 0) -> Word:
+def rewrite_word(table: CosetTable, edge_index: tuple, w: Word, start: int = 0) -> Word:
     """Express a subgroup element as a word in the Schreier generators by
     tracing it from ``start``; the trace must close up."""
+    action, inv = table.action, table.inverse
     out = []
     c = start
     for lt in w:
-        g = gen_of(lt)
         if lt > 0:
-            key = (c, g)
-            c2 = table.apply(c, lt)
-            if key in edge_index:
-                out.append(edge_index[key] + 1)
+            x = edge_index[lt - 1][c]
+            c = action[lt - 1][c]
         else:
-            c2 = table.apply(c, lt)
-            key = (c2, g)
-            if key in edge_index:
-                out.append(-(edge_index[key] + 1))
-        c = c2
+            c = inv[-lt - 1][c]
+            x = -edge_index[-lt - 1][c]
+        if x:
+            if out and out[-1] == -x:
+                out.pop()
+            else:
+                out.append(x)
     if c != start:
         raise ValueError("word does not lie in the subgroup")
-    return free_reduce(out)
+    return tuple(out)
 
 
 def reidemeister_schreier(p: Presentation, table: CosetTable):
     """Subgroup presentation on (n-1)i+1 Schreier generators with mi
     relators (before any simplification).
 
-    Returns ``(presentation, SchreierData)``; generator k's ambient word is
-    t_c g t_{c.g}^-1 for its non-tree edge.
+    Returns ``(presentation, SchreierData)``.
     """
-    if not table.is_closed_under(p.relators):
-        raise ValueError("coset table is not closed under the relators")
     transversal, tree_edges = schreier_tree(table)
-    edge_index = {}
+    edge_index = [[0] * table.degree for _ in range(p.ngens)]
     names = []
     taken = set()
-    ambient = []
     for c in range(table.degree):
         for g in range(p.ngens):
             if (c, g) not in tree_edges:
-                edge_index[(c, g)] = len(names)
+                edge_index[g][c] = len(names) + 1
                 name = p.generators[g] if table.degree == 1 else f"{p.generators[g]}_{c}"
                 while name in taken:
                     name += "_"
                 taken.add(name)
                 names.append(name)
-                tgt = table.action[g][c]
-                ambient.append(concat(transversal[c], (letter(g),),
-                                      inverse(transversal[tgt])))
-    relators = []
-    for r in p.relators:
-        for c in range(table.degree):
-            relators.append(rewrite_word(table, edge_index, r, c))
+    edge_index = tuple(map(tuple, edge_index))
+    try:
+        relators = [rewrite_word(table, edge_index, r, c)
+                    for r in p.relators for c in range(table.degree)]
+    except ValueError:
+        raise ValueError("coset table is not closed under the relators") from None
     sub = Presentation(tuple(names), tuple(relators))
-    return sub, SchreierData(tuple(ambient), edge_index)
+    return sub, SchreierData(table, tuple(transversal), edge_index)
 
 
 # the longest substitution a Tietze elimination may make
@@ -305,78 +309,68 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
     """Bounded Tietze simplification: drop empty relators, cyclically reduce,
     and eliminate generators that occur exactly once in some relator.
 
-    ``carry`` words are rewritten through the same substitutions; ``ambient``
-    tracks per-generator ambient words when the presentation came from
-    rewriting.  Returns ``(presentation, carry, ambient)``.
+    The output bytes depend on the choice rule.  Each step takes the first
+    relator, in order of (length, place in the list), that has at most
+    ``MAX_SUB_LEN`` + 1 letters and a generator occurring in it once, and
+    the first position in it of such a generator: rel = u g^e v.  It deletes
+    the relator and puts g^e = (v u)^-1 into every other relator and
+    ``carry`` word that has g; the lists keep their order, relators that
+    reduce to the empty word are dropped, and the generators left are
+    renumbered in their old order at the end.
+
+    ``carry`` words (freely reduced) are rewritten through the same
+    substitutions; ``ambient`` tracks per-generator ambient words when the
+    presentation came from rewriting.  Returns ``(presentation, carry,
+    ambient)``.
     """
-    gens = list(p.generators)
-    rels = [r for r in p.relators]
+    rels = [r for r in (cyclic_reduce(r)[0] for r in p.relators) if r]
     carry = [tuple(w) for w in carry]
-    amb = list(ambient) if ambient is not None else None
-
-    def cyc(w):
-        return cyclic_reduce(w)[0]
-
-    changed = True
-    while changed:
-        changed = False
-        rels = [cyc(r) for r in rels]
-        rels_nonempty = [r for r in rels if r]
-        if len(rels_nonempty) != len(rels):
-            rels = rels_nonempty
-            changed = True
-        # find a generator with a single occurrence in some relator
+    alive = [True] * p.ngens  # generators keep their numbers until the end
+    while True:
         target = None
-        for r_i in sorted(range(len(rels)), key=lambda i: (len(rels[i]), i)):
-            rel = rels[r_i]
+        # a stable sort by length keeps equal lengths in list order
+        for i in sorted(range(len(rels)), key=list(map(len, rels)).__getitem__):
+            rel = rels[i]
             if len(rel) - 1 > MAX_SUB_LEN:
-                continue
-            counts = {}
-            for lt in rel:
-                counts[gen_of(lt)] = counts.get(gen_of(lt), 0) + 1
-            for pos, lt in enumerate(rel):
-                if counts[gen_of(lt)] == 1:
-                    target = (r_i, pos, gen_of(lt))
-                    break
-            if target:
                 break
-        if not target:
+            gens = list(map(abs, rel))
+            pos = next((k for k, x in enumerate(gens) if gens.count(x) == 1), None)
+            if pos is not None:
+                target = i, pos
+                break
+        if target is None:
             break
-        r_idx, pos, g = target
-        rel = rels[r_idx]
-        # rel = u g^e v = 1  =>  g^e = u^-1 v^-1
-        u, lt, v = rel[:pos], rel[pos], rel[pos + 1:]
-        expr = concat(inverse(u), inverse(v))
-        if lt < 0:
-            expr = inverse(expr)
-        old_to_new = {}
-        k = 0
-        for i in range(len(gens)):
-            if i != g:
-                old_to_new[i] = k
-                k += 1
-
-        def renumber(w):
-            return tuple(letter(old_to_new[gen_of(x)], 1 if x > 0 else -1) for x in w)
+        i, pos = target
+        rel = rels.pop(i)
+        # rel = u g^e v = 1 with e = +-1, so g^e = (v u)^-1
+        a = abs(rel[pos])
+        vu = rel[pos + 1:] + rel[:pos]
+        image = {a: inverse(vu), -a: vu} if rel[pos] > 0 else {a: vu, -a: inverse(vu)}
+        alive[a - 1] = False
 
         def eliminate(w):
             out = []
             for x in w:
-                if gen_of(x) == g:
-                    out.extend(expr if x > 0 else inverse(expr))
-                else:
-                    out.append(x)
-            return renumber(free_reduce(tuple(out)))
+                for y in image.get(x, (x,)):
+                    if out and out[-1] == -y:
+                        out.pop()
+                    else:
+                        out.append(y)
+            return tuple(out)
 
-        rels = [eliminate(r2) for r2i, r2 in enumerate(rels) if r2i != r_idx]
-        carry = [eliminate(w) for w in carry]
-        gens = [nm for i, nm in enumerate(gens) if i != g]
-        if amb is not None:
-            amb = [a for i, a in enumerate(amb) if i != g]
-        changed = True
-    rels = [cyc(r) for r in rels]
-    rels = [r for r in rels if r]
-    return Presentation(tuple(gens), tuple(rels)), carry, amb
+        rels = [cyclic_reduce(eliminate(r))[0] if a in r or -a in r else r
+                for r in rels]
+        rels = [r for r in rels if r]
+        carry = [eliminate(w) if a in w or -a in w else w for w in carry]
+    kept = [g for g in range(p.ngens) if alive[g]]
+    if len(kept) < p.ngens:
+        new = {}
+        for k, g in enumerate(kept, 1):
+            new[g + 1], new[-g - 1] = k, -k
+        rels = [tuple(map(new.__getitem__, r)) for r in rels]
+        carry = [tuple(map(new.__getitem__, w)) for w in carry]
+    amb = None if ambient is None else [ambient[g] for g in kept]
+    return Presentation(tuple(p.generators[g] for g in kept), tuple(rels)), carry, amb
 
 
 def cover_presentation(p: Presentation, table: CosetTable,

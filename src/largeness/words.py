@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import re
 from dataclasses import dataclass
+from operator import eq, neg
 from typing import Iterable, Optional, Sequence
 
 Word = tuple  # tuple[int, ...], freely reduced
@@ -110,13 +111,16 @@ def rotate(w: Word, k: int) -> Word:
     return w[k:] + w[:k]
 
 
-def exponent_sum(w: Word, gen: int) -> int:
-    return sum(1 if lt == gen + 1 else -1 if lt == -(gen + 1) else 0 for lt in w)
-
-
-def max_gen(w: Word) -> int:
-    """Largest 0-based generator index used, or -1 for the empty word."""
-    return max((abs(lt) for lt in w), default=0) - 1
+def exponent_vector(w: Word, n: int) -> list:
+    """Per generator 0..n-1, the exponent sum of ``w``, in one pass; letters
+    must be generators below n."""
+    v = [0] * n
+    for lt in w:
+        if lt > 0:
+            v[lt - 1] += 1
+        else:
+            v[-lt - 1] -= 1
+    return v
 
 
 def substitute(w: Word, images: Sequence[Word]) -> Word:
@@ -191,7 +195,7 @@ def is_commutator(w: Word, max_len: int = 64) -> Optional[CommutatorWitness]:
     n = len(core)
     if n == 0:
         return CommutatorWitness(EMPTY, EMPTY)
-    if n % 2 or any(exponent_sum(core, g) for g in range(max_gen(core) + 1)):
+    if n % 2 or any(exponent_vector(core, max(map(abs, core)))):
         return None
     if n > max_len:
         raise SearchCapExceeded(f"commutator search cap {max_len} exceeded ({n} letters)")
@@ -242,10 +246,13 @@ class Presentation:
     def __post_init__(self):
         if len(set(self.generators)) != len(self.generators):
             raise ValueError("duplicate generator name")
+        n = len(self.generators)
         for r in self.relators:
-            if r != free_reduce(r):
+            if 0 in r:
+                raise ValueError("letter 0 is not a generator")
+            if not isinstance(r, tuple) or any(map(eq, r, map(neg, r[1:]))):
                 raise ValueError("relator not freely reduced")
-            if r and max_gen(r) >= len(self.generators):
+            if r and (max(r) > n or -min(r) > n):
                 raise ValueError("relator letter out of range")
 
     @property
@@ -343,16 +350,19 @@ def parse_word(text: str, names: Sequence[str], scanner: Optional[_Scanner] = No
         m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)(\^(-?\d+))?", tok)
         if not m:
             sc.error(f"bad factor {tok!r}", offset + pos)
-        name, exp = m.group(1), int(m.group(3)) if m.group(3) else 1
+        name, exp = m.group(1), m.group(3) or "1"
         if name in index:
             g, sign = index[name], 1
         elif name in lower_single:
             g, sign = lower_single[name], -1
         else:
             sc.error(f"unknown generator {name!r}", offset + pos)
-        if len(out) + abs(exp) > MAX_WORD_LEN:
+        # leading zeros aside, an exponent with more digits than the bound
+        # is over it: refused before int(), which caps the digits it reads
+        size = exp.lstrip("-0") or "0"
+        if len(size) > len(str(MAX_WORD_LEN)) or len(out) + int(size) > MAX_WORD_LEN:
             sc.error(f"word longer than {MAX_WORD_LEN} letters", offset + pos)
-        out.extend([letter(g, sign if exp > 0 else -sign)] * abs(exp))
+        out.extend([letter(g, -sign if exp[0] == "-" else sign)] * int(size))
         pos += len(tok)
     return free_reduce(out)
 

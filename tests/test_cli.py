@@ -4,6 +4,7 @@ import time
 import pytest
 
 from largeness.cli import main
+from largeness.words import MAX_WORD_LEN
 
 
 def run(capsys, *argv):
@@ -136,6 +137,19 @@ class TestCertify:
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "longer than" in err
+
+    @pytest.mark.parametrize("argv", [
+        ("certify", "< a | a^" + "9" * 5000 + " >"),
+        ("ab", "< a, b |\n a b^-" + "9" * 5000 + " >"),
+    ])
+    def test_huge_exponent_is_input_error(self, capsys, argv):
+        # an exponent past int()'s 4300-digit limit is a located parse error
+        code, out, err = run(capsys, *argv)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"word longer than {MAX_WORD_LEN} letters" in err
+        assert ("(line 1, column 7)" if argv[0] == "certify"
+                else "(line 2, column 4)") in err
 
     @pytest.mark.parametrize("relator,ok", [
         ("a^5000 = b^5000", True), ("a^5001 = b^5000", False),

@@ -2,8 +2,9 @@ import pytest
 from hypothesis import given, strategies as st
 
 from largeness.words import (MAX_WORD_LEN, CommutatorWitness, ParseError,
-                             SearchCapExceeded, commutator, conjugator_between,
-                             cyclic_reduce, free_reduce, inverse, is_commutator,
+                             Presentation, SearchCapExceeded, commutator,
+                             conjugator_between, cyclic_reduce, exponent_vector,
+                             free_reduce, inverse, is_commutator,
                              is_proper_power, parse_presentation, parse_word,
                              power, substitute, word_to_text,
                              zxz_relator_check)
@@ -32,6 +33,57 @@ class TestFreeReduce:
     def test_rejects_zero(self):
         with pytest.raises(ValueError):
             free_reduce((0,))
+
+
+class TestExponentVector:
+    def test_examples(self):
+        assert exponent_vector((1, 1, -2, 3, -1), 3) == [1, -1, 1]
+        assert exponent_vector((), 2) == [0, 0]
+        assert exponent_vector((2,), 4) == [0, 1, 0, 0]
+
+    @given(raw_words)
+    def test_counts_each_generator(self, ls):
+        assert exponent_vector(ls, 3) == [ls.count(g) - ls.count(-g)
+                                          for g in (1, 2, 3)]
+
+    def test_letter_out_of_range(self):
+        with pytest.raises(IndexError):
+            exponent_vector((3,), 2)
+
+
+class TestPresentationChecks:
+    def test_the_four_refusals(self):
+        cases = [
+            (("a", "a"), (), "duplicate generator name"),
+            (("a", "b"), ((1, 0, 2),), "letter 0 is not a generator"),
+            (("a", "b"), ((2, 1, -1),), "relator not freely reduced"),
+            (("a", "b"), ([2, 1],), "relator not freely reduced"),  # not a word
+            (("a", "b"), ([2, 0],), "letter 0 is not a generator"),
+            (("a", "b"), ((1, 3),), "relator letter out of range"),
+            (("a", "b"), ((-3, 1),), "relator letter out of range"),
+        ]
+        for gens, rels, message in cases:
+            with pytest.raises(ValueError) as exc:
+                Presentation(gens, rels)
+            assert str(exc.value) == message
+
+    def test_order_of_the_checks(self):
+        # per relator, in order: letter 0, then cancellation, then range;
+        # the first relator that fails decides
+        with pytest.raises(ValueError, match="^letter 0"):
+            Presentation(("a",), ((1, -1, 0),))
+        with pytest.raises(ValueError, match="^relator not freely"):
+            Presentation(("a",), ((1, -1, 5),))
+        with pytest.raises(ValueError, match="out of range"):
+            Presentation(("a",), ((2,), (1, -1)))
+        with pytest.raises(ValueError, match="^relator not freely"):
+            Presentation(("a",), ((1, -1), (2,)))
+
+    def test_accepts(self):
+        # cancellation is only between neighbours: a word may be cyclically
+        # unreduced, and every generator up to the last is in range
+        p = Presentation(("a", "b"), ((), (1, 2, -1), (-2, -2), (2, 1, -2, -1)))
+        assert p.nrels == 4
 
 
 class TestCyclicReduce:
@@ -217,6 +269,25 @@ class TestParser:
         with pytest.raises(ParseError, match="relator longer than") as exc:
             parse_presentation(f"< a, b | a b, a^{h + 1} = b^{h} >")
         assert (exc.value.line, exc.value.col) == (1, 14)
+
+    def test_huge_exponent(self):
+        # an exponent with more digits than the bound is refused at its
+        # factor without building the number; int() alone refuses strings
+        # over 4300 digits with no position
+        digits = "9" * 5000
+        for text, pos in [(f"< a | a^{digits} >", (1, 7)),
+                          (f"< a, b |\n b a^-{digits} >", (2, 4)),
+                          (f"< a | a^{'1' + '0' * 6} >", (1, 7))]:
+            with pytest.raises(ParseError, match=f"word longer than {MAX_WORD_LEN}") as exc:
+                parse_presentation(text)
+            assert (exc.value.line, exc.value.col) == pos
+        # leading zeros do not count, and an unknown name is reported first
+        zeros = "0" * 5000
+        assert parse_presentation(f"< a | a^{zeros}3 >").relators == ((1, 1, 1),)
+        assert parse_presentation(f"< a | a^-{zeros}{MAX_WORD_LEN} >").relators == (
+            (-1,) * MAX_WORD_LEN,)
+        with pytest.raises(ParseError, match="unknown generator"):
+            parse_presentation(f"< a | q^{digits} >")
 
     def test_multichar_names(self):
         p = parse_presentation("< gen1, gen2 | gen1 gen2^-3 >")
