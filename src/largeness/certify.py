@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
-from itertools import combinations, product
+from itertools import combinations, islice, product
 from math import gcd
 from typing import Optional, Sequence
 
@@ -21,7 +21,8 @@ from . import abelian
 from .alexander import (PrimeField, QQ, field_by_name, is_prime,
                         prime_factors, rank_witness)
 from .abelian import Chi, abelianization, image_span_rank
-from .subgroups import CosetTable, cover_presentation, subgroup_classes
+from .subgroups import (CosetTable, cover_presentation, index_two_classes,
+                        subgroup_classes)
 from .words import (MAX_WORD_LEN, Presentation, SearchCapExceeded, Word,
                     commutator, conjugator_between, cyclic_reduce, gen_of,
                     inverse, is_commutator, is_proper_power, parse_word, power,
@@ -48,6 +49,8 @@ class CertifyConfig:
         for p in self.primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
+        if self.li_nodes < 0:
+            raise ValueError("li_nodes must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -507,6 +510,25 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     return None
 
 
+def _cover_tables(p: Presentation, config, truncated):
+    """The tables the low-index route tries, in (degree, flat) order and
+    lazily: the index-2 covers, from the maps onto Z/2, then the classes of
+    degree 3 to ``max_index`` from a search run only once they are needed.
+
+    Each stage takes at most ``li_nodes`` tables or DFS nodes and sets
+    ``truncated[0]`` when it stops short; the index-2 covers are all there
+    even when the search stops short.
+    """
+    twos = index_two_classes(p)
+    yield from islice(twos, config.li_nodes)
+    if next(twos, None) is not None:
+        truncated[0] = True
+    if config.max_index > 2:
+        classes, cut = subgroup_classes(p, config.max_index, config.li_nodes)
+        truncated[0] |= cut
+        yield from (t for t in classes if t.degree > 2)
+
+
 def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
     if config.budget < 1:
         diags.append("low-index route: recursion budget exhausted")
@@ -514,16 +536,17 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
     if config.max_index < 2:
         diags.append("low-index route: max index < 2")
         return None
-    classes, truncated = subgroup_classes(p, config.max_index, config.li_nodes)
-    covers = []
-    for table in classes:
-        if table.degree < 2:
-            continue
-        sub, _ = cover_presentation(p, table)
-        covers.append((table, sub))
+    truncated = [False]
+    # each cover presentation is built just before it is used
+    covers = ((table, cover_presentation(p, table)[0])
+              for table in _cover_tables(p, config, truncated))
+    if wits and p.deficiency == 1:
         # a commutator relator upstairs plus a cover whose abelianization
-        # is not Z x Z gives largeness outright
-        if wits and p.deficiency == 1:
+        # is not Z x Z gives largeness outright: every cover is checked
+        # for that before any child is decided
+        built = []
+        for table, sub in covers:
+            built.append((table, sub))
             inv = abelianization(sub)
             if not inv.is_z_squared():
                 i, wit = sorted(wits.items())[0]
@@ -537,8 +560,11 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
                     f"cover of index {table.degree} has abelianization {inv} "
                     "!= Z x Z below a commutator relator")
                 return Verdict(LARGE, cert, None, tuple(diags))
+        covers = built
     child_cfg = replace(config, budget=config.budget - 1)
+    tried = 0
     for table, sub in covers:
+        tried += 1
         child = decide(sub, child_cfg)
         if child.is_large:
             cert = child.certificate.lift(p, (ChainLink(table, sub),))
@@ -546,9 +572,9 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
                 f"cover of index {table.degree} certified large "
                 f"({child.certificate.kind})")
             return Verdict(LARGE, cert, None, tuple(diags))
-    note = "; search truncated at the node budget" if truncated else ""
+    note = "; search truncated at the node budget" if truncated[0] else ""
     diags.append(
-        f"low-index route: {len(covers)} proper covers up to index "
+        f"low-index route: {tried} proper covers up to index "
         f"{config.max_index} tried (budget {config.budget}){note}; none certified")
     return None
 

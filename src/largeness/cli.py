@@ -193,8 +193,6 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("presentation",
                             help="inline '< gens | relators >' or a file path")
         sp.add_argument("--format", choices=["json", "text"], default="json")
-        sp.add_argument("--threads", type=int, default=None,
-                        help="worker threads (output is identical for any value)")
 
     sp = sub.add_parser("ab", help="abelianization invariants")
     common(sp)
@@ -242,16 +240,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("presentation", nargs="?", default=None,
                     help="optional presentation to verify against")
     sp.add_argument("--format", choices=["json", "text"], default="json")
-    sp.add_argument("--threads", type=int, default=None)
     sp.set_defaults(func=cmd_verify)
     return ap
 
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if getattr(args, "threads", None) is not None and args.threads < 1:
-        print("error: threads must be >= 1", file=sys.stderr)
-        return 1
     try:
         return args.func(args)
     except (ParseError, FileNotFoundError, ValueError, KeyError) as exc:

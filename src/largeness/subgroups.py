@@ -12,7 +12,8 @@ from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
 from .stallings import uf_find
-from .words import Presentation, Word, concat, cyclic_reduce, inverse, letter
+from .words import (Presentation, Word, concat, cyclic_reduce, exponent_vector,
+                    inverse, letter)
 
 
 class BoundExceeded(RuntimeError):
@@ -421,6 +422,39 @@ def subgroup_classes(p: Presentation, max_index: int,
 def low_index_subgroups(p: Presentation, max_index: int) -> list:
     """The classes of ``subgroup_classes`` from an unbounded search."""
     return subgroup_classes(p, max_index)[0]
+
+
+def index_two_classes(p: Presentation):
+    """The canonical tables of the index-2 subgroups, lazily, in flat order:
+    the kernels of the nonzero maps onto Z/2, with no coset search.
+
+    A map is a bit vector, generator g at bit n-1-g, so integer order is
+    flat order; its table acts by (1, 0) on the generators sent to 1 and by
+    (0, 1) on the rest.  The maps that kill every relator mod 2 form a
+    space kept as a reduced echelon basis: each vector's leading bit is set
+    in no other.  So a sum of basis vectors has the chosen vectors' leading
+    bits, and counting through the choices in binary, the vector with the
+    highest lead as the top bit, yields the maps in increasing order.
+    """
+    n = p.ngens
+    basis = [1 << g for g in range(n)]
+    for r in p.relators:
+        odd = sum(1 << n - 1 - g for g, x in enumerate(exponent_vector(r, n)) if x % 2)
+        hits = [b for b in basis if (b & odd).bit_count() % 2]
+        if hits:
+            # add the hit with the lowest lead to the other hits, so they
+            # kill r too: it has no bit above its lead and none of their
+            # leads, so each keeps its lead and the basis stays reduced
+            pivot = min(hits)
+            basis = [b ^ pivot if b in hits else b for b in basis if b != pivot]
+    basis.sort()
+    for c in range(1, 1 << len(basis)):
+        v = 0
+        for i, b in enumerate(basis):
+            if c >> i & 1:
+                v ^= b
+        yield CosetTable(2, tuple((1, 0) if v >> n - 1 - g & 1 else (0, 1)
+                                  for g in range(n)))
 
 
 def subgroup_count_by_index(p: Presentation, max_index: int) -> dict:

@@ -215,19 +215,3 @@ def test_criterion_8_soundness_sweep():
     report(8, True, f"no unverifiable LARGE and byte-identical reruns over "
            f"{checked} presentations", time.time() - t0, 300.0)
 
-
-def test_criterion_8b_thread_counts_identical(capsys=None):
-    # --threads is accepted and cannot change output bytes
-    from largeness.cli import main
-    import io, contextlib
-
-    outs = []
-    for threads in ("1", "4"):
-        buf = io.StringIO()
-        with contextlib.redirect_stdout(buf):
-            code = main(["certify", "< x, y | x y x y^-1 x^-1 y^-1 >",
-                         "--threads", threads])
-        assert code == 0
-        outs.append(buf.getvalue())
-    assert outs[0] == outs[1]
-    print("PASS criterion 8b: thread counts produce byte-identical output")

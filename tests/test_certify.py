@@ -1,9 +1,17 @@
+import contextlib
+import functools
+import io
 import json
+import random
 import sys
+import tempfile
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from largeness import subgroups
 from largeness.alexander import QQ, rank_witness
 from largeness.certify import (Certificate, CertifyConfig, certificate_from_json,
                                certificate_to_json, certify,
@@ -12,10 +20,12 @@ from largeness.certify import (Certificate, CertifyConfig, certificate_from_json
                                sweep_vectors, verdict_to_json,
                                verify_certificate, verify_citation)
 from largeness.cli import main
-from largeness.torus import (Endomorphism, PeriodicWitness, mapping_torus,
-                             torus_zz_pipeline)
-from largeness.words import (MAX_WORD_LEN, Presentation, parse_presentation,
-                             parse_word)
+from largeness.subgroups import (cover_presentation, index_two_classes,
+                                 low_index_subgroups)
+from largeness.torus import (Endomorphism, PeriodicWitness, endo_is_injective,
+                             mapping_torus, torus_bs_pipeline, torus_zz_pipeline)
+from largeness.words import (MAX_WORD_LEN, Presentation, free_reduce,
+                             parse_presentation, parse_word)
 
 FAST = CertifyConfig(max_index=5, budget=1)
 
@@ -138,6 +148,16 @@ class TestBoundDiagnostics:
         cap = "commutator search cap reached on relator 1; undetermined"
         assert cap in diags(32)
         assert cap not in diags(31)
+
+    def test_zero_low_index_budget(self):
+        # no index-2 cover and no DFS node: both stages stop short at once
+        p = parse_presentation("< x, y | x y x y^-1 x^-1 y^-1 >")  # trefoil
+        v = certify(p, replace(FAST, li_nodes=0))
+        assert v.diagnostics[-1] == (
+            "low-index route: 0 proper covers up to index 5 tried (budget 1); "
+            "search truncated at the node budget; none certified")
+        with pytest.raises(ValueError, match="li_nodes"):
+            CertifyConfig(li_nodes=-1)
 
 
 class TestSoundness:
@@ -403,3 +423,287 @@ class TestDeadKinds:
         path.write_text(json.dumps(self.CITED_NONLARGE))
         assert main(["verify", "--cert", str(path)]) == 0
         assert json.loads(capsys.readouterr().out) == {"valid": False}
+
+
+# ---------------------------------------------------------------------------
+# the low-index route against its reference form
+
+# the package re-exports the function certify, which hides the submodule
+C = sys.modules["largeness.certify"]
+LI_FAST = CertifyConfig(max_index=4, budget=1)
+# the first of its three index-2 covers certifies
+INDEX_TWO_LARGE = "< x, y | x y^3 x y^-1 >"
+CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+
+
+def ref_route_low_index(p, config, diags, wits):
+    """The low-index route in its earlier form: one search to ``max_index``,
+    and every cover presentation built before the first one is tried."""
+    if config.budget < 1:
+        diags.append("low-index route: recursion budget exhausted")
+        return None
+    if config.max_index < 2:
+        diags.append("low-index route: max index < 2")
+        return None
+    classes, truncated = C.subgroup_classes(p, config.max_index, config.li_nodes)
+    covers = []
+    for table in classes:
+        if table.degree < 2:
+            continue
+        sub, _ = C.cover_presentation(p, table)
+        covers.append((table, sub))
+        if wits and p.deficiency == 1:
+            inv = C.abelianization(sub)
+            if not inv.is_z_squared():
+                i, wit = sorted(wits.items())[0]
+                cert = Certificate("big_cover_abelianization", p,
+                                   (C.ChainLink(table, sub),), {
+                    "parent_relator_index": i,
+                    "u": C.word_to_text(wit.u, p.generators),
+                    "v": C.word_to_text(wit.v, p.generators),
+                    "betti": inv.betti, "torsion": list(inv.torsion)})
+                diags.append(
+                    f"cover of index {table.degree} has abelianization {inv} "
+                    "!= Z x Z below a commutator relator")
+                return C.Verdict(C.LARGE, cert, None, tuple(diags))
+    child_cfg = replace(config, budget=config.budget - 1)
+    for table, sub in covers:
+        child = C.decide(sub, child_cfg)
+        if child.is_large:
+            cert = child.certificate.lift(p, (C.ChainLink(table, sub),))
+            diags.append(
+                f"cover of index {table.degree} certified large "
+                f"({child.certificate.kind})")
+            return C.Verdict(C.LARGE, cert, None, tuple(diags))
+    note = "; search truncated at the node budget" if truncated else ""
+    diags.append(
+        f"low-index route: {len(covers)} proper covers up to index "
+        f"{config.max_index} tried (budget {config.budget}){note}; none certified")
+    return None
+
+
+def random_two_generator(rnd):
+    rels = []
+    for _ in range(rnd.randint(1, 2)):
+        word = [rnd.choice((1, -1, 2, -2)) for _ in range(rnd.randint(1, 12))]
+        rels.append(free_reduce(tuple(word)))
+    return Presentation(("x", "y"), tuple(rels))
+
+
+def torus_cases(count):
+    """Injective endomorphisms of F_2 or F_3 with x1 -> x1^k, and the
+    witness (x1, 1, empty word, k)."""
+    rnd = random.Random(17)
+    out = []
+    while len(out) < count:
+        n = rnd.choice((2, 3))
+        k = rnd.choice((1, -1, 2, -2, 3))
+        letters = [s * g for g in range(1, n + 1) for s in (1, -1)]
+        images = [(1,) * k if k > 0 else (-1,) * -k]
+        for _ in range(n - 1):
+            images.append(free_reduce(tuple(rnd.choice(letters)
+                                            for _ in range(rnd.randint(1, 4)))) or (2,))
+        e = Endomorphism(tuple(images))
+        if endo_is_injective(e):
+            out.append((e, PeriodicWitness((1,), 1, (), k)))
+    return out
+
+
+def verdict_bytes(v):
+    return dumps(verdict_to_json(v))
+
+
+class TestLowIndexRoute:
+    """The index-2 stage, the search only when it is needed and lazy cover
+    presentations give the verdict bytes of the reference form whenever the
+    search is not truncated."""
+
+    @staticmethod
+    def _same_bytes(monkeypatch, run, inputs):
+        new = [verdict_bytes(run(x)) for x in inputs]
+        monkeypatch.setattr(C, "_route_low_index", ref_route_low_index)
+        old = [verdict_bytes(run(x)) for x in inputs]
+        assert new == old
+        return new
+
+    def test_corpus(self, monkeypatch):
+        inputs = [parse_presentation(f.read_text())
+                  for f in sorted(CORPUS.glob("*.pres"))]
+        self._same_bytes(monkeypatch, lambda p: certify(p, LI_FAST), inputs)
+
+    def test_random_two_generator(self, monkeypatch):
+        rnd = random.Random(2024)
+        inputs = [random_two_generator(rnd) for _ in range(300)]
+        out = self._same_bytes(monkeypatch, lambda p: certify(p, LI_FAST), inputs)
+        # the panel reaches both stages of the route
+        assert any('"cover of index 2 certified' in v for v in out)
+        assert any('"cover of index 3 certified' in v for v in out)
+
+    def test_torus(self, monkeypatch):
+        def run(case):
+            e, wit = case
+            pipeline = torus_zz_pipeline if abs(wit.k) == 1 else torus_bs_pipeline
+            return pipeline(e, wit, LI_FAST)
+
+        self._same_bytes(monkeypatch, run, torus_cases(40))
+
+    def test_index_two_cover_needs_no_search(self, monkeypatch):
+        searches, covers, at_replay = [], [], []
+        search, cover = subgroups._search_tables, C.cover_presentation
+        verify = C.verify_certificate
+        monkeypatch.setattr(subgroups, "_search_tables",
+                            lambda *a: searches.append(a) or search(*a))
+        monkeypatch.setattr(C, "cover_presentation",
+                            lambda *a: covers.append(a) or cover(*a))
+        monkeypatch.setattr(C, "verify_certificate",
+                            lambda *a: at_replay.append(len(covers)) or verify(*a))
+        v = certify(parse_presentation(INDEX_TWO_LARGE), LI_FAST)
+        assert v.is_large and [l.table.degree for l in v.certificate.chain] == [2]
+        assert searches == [] and at_replay == [1]
+
+    def test_commutator_covers_checked_first(self, monkeypatch):
+        # deficiency 1, a commutator relator, and a group (Z x Z) whose
+        # covers all have abelianization Z x Z: every cover's abelianization
+        # comes before the first child is decided
+        p = parse_presentation("< a, b, c | b^-1 a^-1 b a, b^-1 c^-1 a >")
+        events = []
+        ab, decide = C.abelianization, C.decide
+        monkeypatch.setattr(C, "abelianization",
+                            lambda q: events.append(("ab", q)) or ab(q))
+        monkeypatch.setattr(C, "decide",
+                            lambda q, cfg: events.append(("decide", q)) or decide(q, cfg))
+        v = certify(p, LI_FAST)
+        assert v.status == "UNKNOWN"
+        first_child = [e for e, _ in events].index("decide", 1)
+        checked = [q for e, q in events[:first_child] if e == "ab" and q != p]
+        want = [cover_presentation(p, t)[0]
+                for t in low_index_subgroups(p, LI_FAST.max_index) if t.degree > 1]
+        assert len(want) > 1 and checked == want
+
+    def test_truncated_search_keeps_every_index_two_cover(self, monkeypatch):
+        # (Z/2)^3 has 7 index-2 subgroups; 7 DFS nodes find only 2 of them
+        p = parse_presentation("< a, b, c | a^2, b^2, c^2, a b A B, a c A C, b c B C >")
+        cfg = replace(LI_FAST, li_nodes=7)
+        twos = [cover_presentation(p, t)[0] for t in index_two_classes(p)]
+        assert len(twos) == 7
+
+        def children():
+            seen = []
+            decide = C.decide
+            monkeypatch.setattr(C, "decide",
+                                lambda q, c: seen.append(q) or decide(q, c))
+            v = certify(p, cfg)
+            monkeypatch.setattr(C, "decide", decide)
+            assert "search truncated at the node budget" in v.diagnostics[-1]
+            return [q for q in seen[1:] if q in twos]
+
+        assert children() == twos
+        monkeypatch.setattr(C, "_route_low_index", ref_route_low_index)
+        assert len(children()) == 2
+
+
+# ---------------------------------------------------------------------------
+# verifier fuzz on chained certificates
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 10 ** 12) | st.text(max_size=6),
+    lambda kids: st.lists(kids, max_size=3) | st.dictionaries(
+        st.text(max_size=3), kids, max_size=3),
+    max_leaves=6)
+
+
+@functools.lru_cache(maxsize=None)
+def chained_certificates():
+    """Certificate JSON with a chain: one link through an index-2 cover of
+    the low-index route, and two links (indices 2 and 3) for the corpus
+    trefoil."""
+    out = []
+    for p, cfg in ((parse_presentation(INDEX_TWO_LARGE), LI_FAST),
+                   (parse_presentation((CORPUS / "trefoil.pres").read_text()),
+                    CertifyConfig())):
+        cert = certify(p, cfg).certificate
+        out.append(dumps(certificate_to_json(cert)))
+    return tuple(out)
+
+
+def test_chained_certificates_shape():
+    chains = [[l["table"]["degree"] for l in json.loads(c)["chain"]]
+              for c in chained_certificates()]
+    assert chains == [[2], [2, 3]]
+
+
+class TestChainFuzz:
+    """``largeness verify`` on mutated chained certificates exits 0, 1 or 2,
+    prints JSON on success, at most one error line, and no traceback."""
+
+    @staticmethod
+    def _mutate(obj, data):
+        """One mutation in place; parts an earlier mutation turned into
+        another shape are left as they are."""
+        chain = obj["chain"]
+        where = data.draw(st.sampled_from(
+            ("entry", "degree", "relators", "generators", "data", "drop")))
+        if where == "data":
+            if not isinstance(obj["data"], dict):
+                return
+            key = data.draw(st.sampled_from(sorted(obj["data"]) + ["extra"]))
+            if data.draw(st.booleans()):
+                obj["data"].pop(key, None)
+            else:
+                obj["data"][key] = data.draw(JSON_VALUES)
+            return
+        if not chain:
+            return
+        link = chain[data.draw(st.integers(0, len(chain) - 1))]
+        if where == "drop":
+            chain.remove(link)
+            return
+        if where in ("entry", "degree"):
+            table = link["table"]
+            if where == "degree":
+                table["degree"] = data.draw(st.integers(-1, 6) | JSON_VALUES)
+            elif isinstance(table["action"], list) and table["action"]:
+                perm = data.draw(st.sampled_from(table["action"]))
+                if isinstance(perm, list) and perm:
+                    perm[data.draw(st.integers(0, len(perm) - 1))] = data.draw(
+                        st.integers(-2, 6) | JSON_VALUES)
+            return
+        pres = link["presentation"]
+        gens, rels = pres["generators"], pres["relators"]
+        if not (isinstance(gens, list) and isinstance(rels, list)):
+            return
+        if where == "relators":
+            names = [g for g in gens if isinstance(g, str)]
+            pieces = names + ["^", "-", "2", "^-1", " ", "0", "Z"]
+            text = "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=8)))
+            i = data.draw(st.integers(0, len(rels)))
+            rels[i:i + data.draw(st.integers(0, 1))] = [text]
+            return
+        choice = data.draw(st.sampled_from(("drop", "rename", "repeat", "json")))
+        if choice == "json" or not gens:
+            pres["generators"] = data.draw(JSON_VALUES)
+        elif choice == "drop":
+            gens.pop(data.draw(st.integers(0, len(gens) - 1)))
+        elif choice == "rename":
+            gens[data.draw(st.integers(0, len(gens) - 1))] = data.draw(
+                st.text(max_size=4))
+        else:
+            gens.append(gens[0])
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=2000)
+    def test_mutated_chains(self, data):
+        obj = json.loads(data.draw(st.sampled_from(chained_certificates())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            self._mutate(obj, data)
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "cert.json"
+            path.write_text(json.dumps(obj))
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+                code = main(["verify", "--cert", str(path)])
+        assert code in (0, 1, 2)
+        if code == 0:
+            assert set(json.loads(out.getvalue())) == {"valid"}
+        assert err.getvalue().count("error:") <= 1
+        assert "Traceback" not in err.getvalue()

@@ -109,16 +109,11 @@ class TestCertify:
                                 "--max-index", "4", "--budget", "1")
         assert code == 0 and doc["status"] == "UNKNOWN"
 
-    def test_threads_byte_identical(self, capsys):
-        _, out1, _ = run(capsys, "certify", "< x, y | x y x y^-1 x^-1 y^-1 >",
-                         "--threads", "1")
-        _, out4, _ = run(capsys, "certify", "< x, y | x y x y^-1 x^-1 y^-1 >",
-                         "--threads", "4")
-        assert out1 == out4
-
-    def test_bad_threads(self, capsys):
-        code, _, err = run(capsys, "certify", "< a | >", "--threads", "0")
-        assert code == 1
+    def test_threads_is_unrecognized(self, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["certify", "< a | >", "--threads", "4"])
+        assert exc.value.code == 2
+        assert "unrecognized arguments: --threads 4" in capsys.readouterr().err
 
     @pytest.mark.parametrize("relator,argv", [
         ("a", ("certify", "< a, b | a^10000000 >")),

@@ -10,7 +10,7 @@ from largeness import subgroups
 from largeness.abelian import abelianization
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  coset_enumerate, cover_presentation,
-                                 low_index_subgroups, reidemeister_schreier,
+                                 index_two_classes, low_index_subgroups, reidemeister_schreier,
                                  rewrite_word, schreier_tree, subgroup_classes,
                                  subgroup_count_by_index, tietze_simplify)
 from largeness.words import (Presentation, default_names, free_reduce,
@@ -329,6 +329,50 @@ class TestSearchNodes:
         tables, truncated = subgroups._search_tables(cover, 8, cell)
         assert [t.degree for t in tables] == list(range(1, 9))
         assert truncated and cell == [0]
+
+
+class TestIndexTwoClasses:
+    """The index-2 classes read off the maps onto Z/2, against the search."""
+
+    @staticmethod
+    def check(p):
+        got = list(index_two_classes(p))
+        assert got == [t for t in low_index_subgroups(p, 2) if t.degree == 2]
+        # Hom(G, Z/2) = Hom(H_1, Z/2) has rank b_1 plus the even invariants
+        inv = abelianization(p)
+        k = inv.betti + sum(1 for d in inv.torsion if d % 2 == 0)
+        assert len(got) == 2 ** k - 1
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)]),
+                 min_size=1, max_size=8),
+        max_size=4).map(lambda rels: Presentation(
+            default_names(n), tuple(free_reduce(tuple(r)) for r in rels)))))
+    @settings(max_examples=150, deadline=None)
+    def test_random_presentations(self, p):
+        self.check(p)
+
+    @pytest.mark.parametrize("p", CORPUS_PRESENTATIONS)
+    def test_corpus(self, p):
+        self.check(p)
+
+    def test_lazy(self, monkeypatch):
+        # (Z/2)^12 has 4095 index-2 subgroups; the first comes alone
+        n = 12
+        rels = [(g, g) for g in range(1, n + 1)]
+        rels += [(a, b, -a, -b) for a, b in itertools.combinations(range(1, n + 1), 2)]
+        p = Presentation(default_names(n), tuple(rels))
+        built = []
+
+        def counting(degree, action):
+            built.append(action)
+            return CosetTable(degree, action)
+
+        monkeypatch.setattr(subgroups, "CosetTable", counting)
+        first = next(index_two_classes(p))
+        assert first == CosetTable(2, ((0, 1),) * (n - 1) + ((1, 0),))
+        assert len(built) == 1
+        assert sum(1 for _ in index_two_classes(p)) == 2 ** n - 1
 
 
 class TestSearchOracle:
