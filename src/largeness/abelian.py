@@ -114,80 +114,98 @@ def smith_normal_form(m_in) -> SmithDecomposition:
     """
     m = mat_copy(m_in)
     rows = len(m)
-    cols = len(m[0]) if rows else 0
     u = identity_matrix(rows)
-    v = identity_matrix(cols)
+    v = identity_matrix(len(m[0]) if rows else 0)
+    _smith(m, u, v)
+    return SmithDecomposition(u, m, v)
+
+
+def smith_invariants(m_in) -> list:
+    """The diagonal of ``smith_normal_form(m_in)``, from the same elimination
+    with no transforms kept."""
+    m = mat_copy(m_in)
+    _smith(m, None, None)
+    return [m[i][i] for i in range(min(len(m), len(m[0]) if m else 0))]
+
+
+def _smith(m, u, v) -> None:
+    """Bring ``m`` to Smith form in place.  Row operations are applied to
+    ``u`` and column operations to ``v`` too, unless they are None."""
+    rows = len(m)
+    cols = len(m[0]) if rows else 0
 
     def row_op(i, j, q):  # row_i -= q * row_j
-        for t in range(cols):
-            m[i][t] -= q * m[j][t]
-        for t in range(rows):
-            u[i][t] -= q * u[j][t]
+        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
+        if u is not None:
+            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
 
     def col_op(i, j, q):  # col_i -= q * col_j
         for r in m:
             r[i] -= q * r[j]
-        for r in v:
-            r[i] -= q * r[j]
+        if v is not None:
+            for r in v:
+                r[i] -= q * r[j]
 
     def swap_rows(i, j):
         m[i], m[j] = m[j], m[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in m:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
 
     k = 0
     while k < min(rows, cols):
-        # smallest nonzero entry in the remaining block becomes the pivot
-        best = None
+        # the first entry, row by row, of least absolute value in the
+        # remaining block becomes the pivot; nothing is less than 1
+        least, pi, pj = 0, k, k
         for i in range(k, rows):
+            row = m[i]
             for j in range(k, cols):
-                if m[i][j] and (best is None or abs(m[i][j]) < abs(m[best[0]][best[1]])):
-                    best = (i, j)
-        if best is None:
+                x = row[j]
+                if x and (not least or abs(x) < least):
+                    least, pi, pj = abs(x), i, j
+                    if least == 1:
+                        break
+            if least == 1:
+                break
+        if not least:
             break
-        swap_rows(k, best[0])
-        swap_cols(k, best[1])
+        swap_rows(k, pi)
+        swap_cols(k, pj)
+        piv = m[k][k]
         dirty = False
         for i in range(k + 1, rows):
             if m[i][k]:
-                q = m[i][k] // m[k][k]
-                row_op(i, k, q)
+                row_op(i, k, m[i][k] // piv)
                 if m[i][k]:
                     dirty = True
         for j in range(k + 1, cols):
             if m[k][j]:
-                q = m[k][j] // m[k][k]
-                col_op(j, k, q)
+                col_op(j, k, m[k][j] // piv)
                 if m[k][j]:
                     dirty = True
         if dirty:
             continue
         # pivot must divide everything that remains
-        offender = None
-        for i in range(k + 1, rows):
-            for j in range(k + 1, cols):
-                if m[i][j] % m[k][k]:
-                    offender = i
-                    break
+        if least > 1:
+            offender = next((i for i in range(k + 1, rows)
+                             if any(x % piv for x in m[i][k + 1:])), None)
             if offender is not None:
-                break
-        if offender is not None:
-            row_op(k, offender, -1)
-            continue
+                row_op(k, offender, -1)
+                continue
         k += 1
 
+    # m is diagonal by now, so negating a row of it negates one entry
     for i in range(min(rows, cols)):
         if m[i][i] < 0:
-            for t in range(cols):
-                m[i][t] = -m[i][t]
-            for t in range(rows):
-                u[i][t] = -u[i][t]
-    return SmithDecomposition(u, m, v)
+            m[i][i] = -m[i][i]
+            if u is not None:
+                u[i] = [-x for x in u[i]]
 
 
 @dataclass(frozen=True)
@@ -196,6 +214,15 @@ class AbelianInvariants:
 
     betti: int
     torsion: tuple
+
+    @staticmethod
+    def of_relations(matrix, ngens: int) -> "AbelianInvariants":
+        """Z^ngens modulo the span of the relation vectors that are the rows,
+        or the columns, of ``matrix``: either way the Smith diagonal is the
+        same."""
+        diag = smith_invariants(matrix)
+        return AbelianInvariants(ngens - sum(1 for d in diag if d),
+                                 tuple(d for d in diag if d > 1))
 
     def is_z_squared(self):
         return self.betti == 2 and not self.torsion
@@ -212,14 +239,7 @@ def exponent_matrix(p: Presentation):
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    mat = exponent_matrix(p)
-    if p.ngens == 0:
-        return AbelianInvariants(0, ())
-    snf = smith_normal_form(mat)
-    diag = snf.diagonal
-    rank = sum(1 for d in diag if d)
-    torsion = tuple(d for d in diag if d > 1)
-    return AbelianInvariants(p.ngens - rank, torsion)
+    return AbelianInvariants.of_relations(exponent_matrix(p), p.ngens)
 
 
 def hermite_rows(basis):

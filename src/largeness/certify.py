@@ -21,8 +21,8 @@ from . import abelian
 from .alexander import (PrimeField, QQ, field_by_name, is_prime,
                         prime_factors, rank_witness)
 from .abelian import Chi, abelianization, image_span_rank
-from .subgroups import (CosetTable, cover_presentation, index_two_classes,
-                        subgroup_classes)
+from .subgroups import (CosetTable, cover_abelianization, cover_presentation,
+                        index_two_classes, subgroup_classes)
 from .words import (MAX_WORD_LEN, Presentation, SearchCapExceeded, Word,
                     commutator, conjugator_between, cyclic_reduce, gen_of,
                     inverse, is_commutator, is_proper_power, parse_word, power,
@@ -537,19 +537,18 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
         diags.append("low-index route: max index < 2")
         return None
     truncated = [False]
-    # each cover presentation is built just before it is used
-    covers = ((table, cover_presentation(p, table)[0])
-              for table in _cover_tables(p, config, truncated))
+    tables = _cover_tables(p, config, truncated)
     if wits and p.deficiency == 1:
         # a commutator relator upstairs plus a cover whose abelianization
         # is not Z x Z gives largeness outright: every cover is checked
-        # for that before any child is decided
-        built = []
-        for table, sub in covers:
-            built.append((table, sub))
-            inv = abelianization(sub)
+        # for that, off its coset table, before any child is decided
+        checked = []
+        for table in tables:
+            checked.append(table)
+            inv = cover_abelianization(p, table)
             if not inv.is_z_squared():
                 i, wit = sorted(wits.items())[0]
+                sub, _ = cover_presentation(p, table)
                 cert = Certificate("big_cover_abelianization", p,
                                    (ChainLink(table, sub),), {
                     "parent_relator_index": i,
@@ -560,11 +559,13 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
                     f"cover of index {table.degree} has abelianization {inv} "
                     "!= Z x Z below a commutator relator")
                 return Verdict(LARGE, cert, None, tuple(diags))
-        covers = built
+        tables = checked
     child_cfg = replace(config, budget=config.budget - 1)
     tried = 0
-    for table, sub in covers:
+    # each cover presentation is built just before its child is decided
+    for table in tables:
         tried += 1
+        sub, _ = cover_presentation(p, table)
         child = decide(sub, child_cfg)
         if child.is_large:
             cert = child.certificate.lift(p, (ChainLink(table, sub),))

@@ -16,7 +16,7 @@ from .alexander import alexander_polynomial, field_by_name
 from .certify import (CertifyConfig, certificate_from_json, certify, dumps,
                       presentation_to_json, verdict_to_json,
                       verify_certificate)
-from .subgroups import (BoundExceeded, cover_presentation, low_index_subgroups,
+from .subgroups import (BoundExceeded, cover_abelianization, low_index_subgroups,
                         reidemeister_schreier, tietze_simplify)
 from .torus import (Endomorphism, PeriodicWitness, mapping_torus,
                     torus_bs_pipeline, torus_zz_pipeline, witness_verify)
@@ -96,7 +96,7 @@ def cmd_subgroups(args) -> int:
     p = _read_presentation(args.presentation)
     out = []
     for table in low_index_subgroups(p, args.max_index):
-        inv = abelianization(cover_presentation(p, table)[0])
+        inv = cover_abelianization(p, table)
         out.append({"index": table.degree, "table": table.to_json(),
                     "abelianization": {"betti": inv.betti,
                                        "torsion": list(inv.torsion),

@@ -11,6 +11,7 @@ from dataclasses import dataclass
 from functools import cached_property, partial
 from typing import Iterable, Optional, Sequence
 
+from .abelian import AbelianInvariants
 from .stallings import uf_find
 from .words import (Presentation, Word, concat, cyclic_reduce, exponent_vector,
                     inverse, letter)
@@ -53,7 +54,7 @@ class CosetTable:
                    for r in relators for c in range(self.degree))
 
     def flat(self) -> tuple:
-        return tuple(x for perm in self.action for x in perm)
+        return sum(self.action, ())
 
     def to_json(self):
         return {"degree": self.degree, "action": [list(p) for p in self.action]}
@@ -66,40 +67,55 @@ class CosetTable:
 
 def _first_visits(table: CosetTable, base: int):
     """The cosets in first-visit scan order from ``base``, and per coset the
-    step ``(coset, gen, sign)`` that first reached it (None for ``base``).
+    coset that first reached it and the letter of that step (-1 and 0 for
+    ``base``).
 
     The scan order is the one used everywhere in this module: cosets in
     that order, directions g1, g1^-1, g2, g2^-1, ...
     """
-    inv = table.inverse
     order = [base]
-    steps = [None] * table.degree
+    parent = [-1] * table.degree
+    via = [0] * table.degree
+    moves = list(enumerate(zip(table.action, table.inverse), 1))
     for c in order:
-        for g, perm in enumerate(table.action):
-            for sign, tgt in ((1, perm[c]), (-1, inv[g][c])):
-                if steps[tgt] is None and tgt != base:
-                    steps[tgt] = (c, g, sign)
-                    order.append(tgt)
-    return order, steps
+        for g, (perm, ip) in moves:
+            t = perm[c]
+            if not via[t] and t != base:
+                parent[t], via[t] = c, g
+                order.append(t)
+            t = ip[c]
+            if not via[t] and t != base:
+                parent[t], via[t] = c, -g
+                order.append(t)
+    return order, parent, via
+
+
+def _rebased_flat(table: CosetTable, base: int) -> tuple:
+    """The flat form of ``table`` renumbered by first visit from ``base``."""
+    order = _first_visits(table, base)[0]
+    new = [0] * table.degree
+    for i, c in enumerate(order):
+        new[c] = i
+    return tuple([new[perm[c]] for perm in table.action for c in order])
+
+
+def _from_flat(degree: int, flat: tuple) -> CosetTable:
+    return CosetTable(degree, tuple(flat[i:i + degree]
+                                    for i in range(0, len(flat), degree)))
 
 
 def canonical_rebase(table: CosetTable, base: int) -> CosetTable:
     """Renumber cosets by first visit in scan order starting from ``base``."""
-    order, _ = _first_visits(table, base)
-    new = [0] * table.degree
-    for i, c in enumerate(order):
-        new[c] = i
-    return CosetTable(table.degree, tuple(tuple(new[perm[c]] for c in order)
-                                          for perm in table.action))
+    return _from_flat(table.degree, _rebased_flat(table, base))
 
 
 def _orbit(table: CosetTable) -> set:
-    """The canonical tables of the conjugates of ``table``'s subgroup: its
-    rebasings at every coset."""
+    """The flat forms of the canonical tables of the conjugates of
+    ``table``'s subgroup: its rebasings at every coset."""
     # rebase a copy, so that the inverse cached on it goes with the orbit
     # and does not stay on a table the caller keeps
     table = CosetTable(table.degree, table.action)
-    return {canonical_rebase(table, b) for b in range(table.degree)}
+    return {_rebased_flat(table, b) for b in range(table.degree)}
 
 
 # the bound on the cosets live at once in an enumeration
@@ -234,19 +250,49 @@ class SchreierData:
                      for _, c, g in edges)
 
 
+def _tree(table: CosetTable):
+    """First visits in scan order from coset 0, which span the Schreier
+    tree: ``_first_visits(table, 0)``, refused when not every coset is
+    reached."""
+    order, parent, via = _first_visits(table, 0)
+    if len(order) != table.degree:
+        raise ValueError("coset table is not transitive")
+    return order, parent, via
+
+
 def schreier_tree(table: CosetTable):
     """Spanning tree of first visits in scan order from coset 0; returns
     transversal words and the set of tree edges (coset, gen)."""
-    order, steps = _first_visits(table, 0)
-    if len(order) != table.degree:
-        raise ValueError("coset table is not transitive")
+    order, parent, via = _tree(table)
     transversal: list = [()] * table.degree
     tree_edges = set()
     for tgt in order[1:]:
-        c, g, sign = steps[tgt]
-        transversal[tgt] = transversal[c] + (letter(g, sign),)
-        tree_edges.add((c, g) if sign > 0 else (tgt, g))
+        c, lt = parent[tgt], via[tgt]
+        transversal[tgt] = transversal[c] + (lt,)
+        tree_edges.add((c, lt - 1) if lt > 0 else (tgt, -lt - 1))
     return transversal, tree_edges
+
+
+def _edge_index(table: CosetTable) -> tuple:
+    """The Schreier generators: per generator g and coset c, the number
+    (from 1) of the one for the edge (c, g), or 0 when the edge is on the
+    Schreier tree.  The edges off the tree are numbered in order of coset,
+    then generator.  Raises ValueError when the table is not transitive."""
+    order, parent, via = _tree(table)
+    index = [[1] * table.degree for _ in table.action]
+    for tgt in order[1:]:
+        lt = via[tgt]
+        if lt > 0:
+            index[lt - 1][parent[tgt]] = 0
+        else:
+            index[-lt - 1][tgt] = 0
+    k = 0
+    for c in range(table.degree):
+        for row in index:
+            if row[c]:
+                k += 1
+                row[c] = k
+    return tuple(map(tuple, index))
 
 
 def rewrite_word(table: CosetTable, edge_index: tuple, w: Word, start: int = 0) -> Word:
@@ -278,20 +324,18 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
 
     Returns ``(presentation, SchreierData)``.
     """
-    transversal, tree_edges = schreier_tree(table)
-    edge_index = [[0] * table.degree for _ in range(p.ngens)]
+    transversal, _ = schreier_tree(table)
+    edge_index = _edge_index(table)
     names = []
     taken = set()
     for c in range(table.degree):
         for g in range(p.ngens):
-            if (c, g) not in tree_edges:
-                edge_index[g][c] = len(names) + 1
+            if edge_index[g][c]:
                 name = p.generators[g] if table.degree == 1 else f"{p.generators[g]}_{c}"
                 while name in taken:
                     name += "_"
                 taken.add(name)
                 names.append(name)
-    edge_index = tuple(map(tuple, edge_index))
     try:
         relators = [rewrite_word(table, edge_index, r, c)
                     for r in p.relators for c in range(table.degree)]
@@ -299,6 +343,38 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
         raise ValueError("coset table is not closed under the relators") from None
     sub = Presentation(tuple(names), tuple(relators))
     return sub, SchreierData(table, tuple(transversal), edge_index)
+
+
+def cover_abelianization(p: Presentation, table: CosetTable) -> AbelianInvariants:
+    """The abelianization of the subgroup with coset table ``table``:
+    Z^(Schreier generators) modulo the exponent vectors of the relators
+    rewritten by Reidemeister-Schreier, one per (relator, coset).
+
+    Tietze moves do not change it, so it equals the abelianization of
+    ``cover_presentation(p, table)[0]``; no word is built.  Refuses the
+    tables ``reidemeister_schreier`` refuses, with the same errors.
+    """
+    edge_index = _edge_index(table)
+    nsub = (len(table.action) - 1) * table.degree + 1
+    # per letter, per coset: (next coset, column of the edge crossed or -1)
+    moves = {}
+    for g, (perm, ip, ids) in enumerate(zip(table.action, table.inverse, edge_index), 1):
+        moves[g] = [(t, k - 1) for t, k in zip(perm, ids)]
+        moves[-g] = [(t, ids[t] - 1) for t in ip]
+    rows = []
+    for r in p.relators:
+        steps = [(moves[lt], 1 if lt > 0 else -1) for lt in r]
+        for start in range(table.degree):
+            row = [0] * nsub
+            c = start
+            for move, sign in steps:
+                c, k = move[c]
+                if k >= 0:
+                    row[k] += sign
+            if c != start:
+                raise ValueError("coset table is not closed under the relators")
+            rows.append(row)
+    return AbelianInvariants.of_relations(rows, nsub)
 
 
 # the longest substitution a Tietze elimination may make
@@ -408,15 +484,17 @@ def subgroup_classes(p: Presentation, max_index: int,
         raise ValueError("max_index must be >= 1")
     cell = None if node_budget is None else [node_budget]
     tables, truncated = _search_tables(p, max_index, cell)
-    unplaced = set(tables)
-    classes = []
-    for table in tables:
-        if table in unplaced:
+    found = [(t.degree, t.flat()) for t in tables]
+    unplaced = set(found)
+    keys = []
+    for table, key in zip(tables, found):
+        if key in unplaced:
             orbit = _orbit(table)
-            unplaced -= orbit
-            classes.append(min(orbit, key=CosetTable.flat))
-    classes.sort(key=lambda t: (t.degree, t.flat()))
-    return classes, truncated
+            d = table.degree
+            unplaced.difference_update((d, flat) for flat in orbit)
+            keys.append((d, min(orbit)))
+    keys.sort()
+    return [_from_flat(d, flat) for d, flat in keys], truncated
 
 
 def low_index_subgroups(p: Presentation, max_index: int) -> list:
@@ -561,7 +639,7 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
         if h >= size:
             if complete_closed(size):
                 results.append(CosetTable(degree, tuple(
-                    tuple(e // nd for e in tab[d:size:nd]) for d in range(0, nd, 2))))
+                    [tuple([e // nd for e in tab[d:size:nd]]) for d in range(0, nd, 2)])))
             return
         d = h % nd
         c, di = h - d, d ^ 1

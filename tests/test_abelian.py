@@ -8,13 +8,31 @@ from hypothesis import given, settings, strategies as st
 from largeness.abelian import (AbelianInvariants, abelianization,
                                determinant, exponent_matrix, hermite_rows,
                                hom_to_Z_basis, image_span_rank, int_rank,
-                               mat_mul, smith_normal_form)
+                               mat_mul, smith_invariants, smith_normal_form,
+                               transpose)
 from largeness.words import parse_presentation, parse_word
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
         lambda m: st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
                            min_size=n, max_size=n)))
+
+
+def sparse_matrix(rows, cols):
+    """A rows x cols integer matrix with some zero rows and columns: each
+    entry is 0 when its row or its column is drawn zero."""
+    return st.tuples(
+        st.lists(st.integers(-9, 9), min_size=rows * cols, max_size=rows * cols),
+        st.lists(st.booleans(), min_size=rows, max_size=rows),
+        st.lists(st.booleans(), min_size=cols, max_size=cols)).map(
+            lambda t: [[t[0][i * cols + j] if t[1][i] and t[2][j] else 0
+                        for j in range(cols)] for i in range(rows)])
+
+
+# 0 to 6 rows and columns, empty matrices included: a matrix with no rows
+# is [], one with rows and no columns is a list of empty rows
+sparse_matrices = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
+    lambda shape: sparse_matrix(*shape))
 
 
 def invariant_factors_oracle(m):
@@ -90,6 +108,42 @@ class TestSmith:
         d = sympy_snf(Matrix(m), domain=ZZ)
         want = [abs(d[i, i]) for i in range(min(d.shape))]
         assert smith_normal_form(m).diagonal == want
+
+    @given(sparse_matrices)
+    @settings(max_examples=200, deadline=None)
+    def test_invariants_without_transforms(self, m):
+        # the same elimination with no U and V kept gives the same diagonal,
+        # and leaves its input alone
+        before = [row[:] for row in m]
+        assert smith_invariants(m) == smith_normal_form(m).diagonal
+        assert m == before
+
+    @given(sparse_matrices)
+    @settings(max_examples=100, deadline=None)
+    def test_invariants_sympy_oracle(self, m):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+        rows, cols = len(m), len(m[0]) if m else 0
+        d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
+        assert smith_invariants(m) == [abs(d[i, i]) for i in range(min(d.shape))]
+
+    def test_invariants_of_empty_matrices(self):
+        for m in ([], [[]], [[], []], [[0, 0, 0]], [[0], [0]]):
+            assert smith_invariants(m) == smith_normal_form(m).diagonal
+        assert smith_invariants([[], []]) == []
+        assert smith_invariants([[0], [0]]) == [0]
+
+    @given(sparse_matrices, st.integers(0, 3))
+    @settings(max_examples=100, deadline=None)
+    def test_invariants_of_relations(self, m, extra):
+        # rows or columns: Z^n modulo the relation vectors either way
+        n = (len(m[0]) if m else 0) + extra
+        rows = [row + [0] * extra for row in m]
+        inv = AbelianInvariants.of_relations(rows, n)
+        assert inv == AbelianInvariants.of_relations(transpose(rows), n)
+        diag = smith_normal_form(rows).diagonal
+        assert inv.betti == n - sum(1 for x in diag if x)
+        assert inv.torsion == tuple(x for x in diag if x > 1)
 
     def test_unimodular_invariance(self):
         rnd = random.Random(5)

@@ -564,21 +564,27 @@ class TestLowIndexRoute:
     def test_commutator_covers_checked_first(self, monkeypatch):
         # deficiency 1, a commutator relator, and a group (Z x Z) whose
         # covers all have abelianization Z x Z: every cover's abelianization
-        # comes before the first child is decided
+        # comes before the first child is decided, read off its table with
+        # no cover presentation built
         p = parse_presentation("< a, b, c | b^-1 a^-1 b a, b^-1 c^-1 a >")
         events = []
-        ab, decide = C.abelianization, C.decide
-        monkeypatch.setattr(C, "abelianization",
-                            lambda q: events.append(("ab", q)) or ab(q))
+        cover_ab, cover, decide = C.cover_abelianization, C.cover_presentation, C.decide
+        monkeypatch.setattr(C, "cover_abelianization",
+                            lambda q, t: events.append(("ab", t)) or cover_ab(q, t))
+        monkeypatch.setattr(C, "cover_presentation",
+                            lambda q, t: events.append(("cover", t)) or cover(q, t))
         monkeypatch.setattr(C, "decide",
                             lambda q, cfg: events.append(("decide", q)) or decide(q, cfg))
         v = certify(p, LI_FAST)
         assert v.status == "UNKNOWN"
         first_child = [e for e, _ in events].index("decide", 1)
-        checked = [q for e, q in events[:first_child] if e == "ab" and q != p]
-        want = [cover_presentation(p, t)[0]
-                for t in low_index_subgroups(p, LI_FAST.max_index) if t.degree > 1]
+        checked = [t for e, t in events[:first_child] if e == "ab"]
+        want = [t for t in low_index_subgroups(p, LI_FAST.max_index) if t.degree > 1]
         assert len(want) > 1 and checked == want
+        # one cover presentation per child, each built just before it
+        kinds = [e for e, _ in events[first_child - 1:]]
+        assert kinds[:4] == ["cover", "decide", "cover", "decide"]
+        assert [e for e, _ in events[:first_child]].count("cover") == 1
 
     def test_truncated_search_keeps_every_index_two_cover(self, monkeypatch):
         # (Z/2)^3 has 7 index-2 subgroups; 7 DFS nodes find only 2 of them
@@ -644,13 +650,7 @@ class TestChainFuzz:
         where = data.draw(st.sampled_from(
             ("entry", "degree", "relators", "generators", "data", "drop")))
         if where == "data":
-            if not isinstance(obj["data"], dict):
-                return
-            key = data.draw(st.sampled_from(sorted(obj["data"]) + ["extra"]))
-            if data.draw(st.booleans()):
-                obj["data"].pop(key, None)
-            else:
-                obj["data"][key] = data.draw(JSON_VALUES)
+            mutate_data(obj, data)
             return
         if not chain:
             return
@@ -668,27 +668,7 @@ class TestChainFuzz:
                     perm[data.draw(st.integers(0, len(perm) - 1))] = data.draw(
                         st.integers(-2, 6) | JSON_VALUES)
             return
-        pres = link["presentation"]
-        gens, rels = pres["generators"], pres["relators"]
-        if not (isinstance(gens, list) and isinstance(rels, list)):
-            return
-        if where == "relators":
-            names = [g for g in gens if isinstance(g, str)]
-            pieces = names + ["^", "-", "2", "^-1", " ", "0", "Z"]
-            text = "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=8)))
-            i = data.draw(st.integers(0, len(rels)))
-            rels[i:i + data.draw(st.integers(0, 1))] = [text]
-            return
-        choice = data.draw(st.sampled_from(("drop", "rename", "repeat", "json")))
-        if choice == "json" or not gens:
-            pres["generators"] = data.draw(JSON_VALUES)
-        elif choice == "drop":
-            gens.pop(data.draw(st.integers(0, len(gens) - 1)))
-        elif choice == "rename":
-            gens[data.draw(st.integers(0, len(gens) - 1))] = data.draw(
-                st.text(max_size=4))
-        else:
-            gens.append(gens[0])
+        mutate_presentation(link["presentation"], where, data)
 
     @given(st.data())
     @settings(max_examples=150, deadline=2000)
@@ -696,14 +676,174 @@ class TestChainFuzz:
         obj = json.loads(data.draw(st.sampled_from(chained_certificates())))
         for _ in range(data.draw(st.integers(1, 3))):
             self._mutate(obj, data)
-        with tempfile.TemporaryDirectory() as tmp:
-            path = Path(tmp) / "cert.json"
-            path.write_text(json.dumps(obj))
-            out, err = io.StringIO(), io.StringIO()
-            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-                code = main(["verify", "--cert", str(path)])
-        assert code in (0, 1, 2)
-        if code == 0:
-            assert set(json.loads(out.getvalue())) == {"valid"}
-        assert err.getvalue().count("error:") <= 1
-        assert "Traceback" not in err.getvalue()
+        check_verify_cli(obj)
+
+
+def mutate_data(obj, data):
+    """Drop one key of the certificate's ``data``, or set it to any JSON."""
+    if not isinstance(obj["data"], dict):
+        return
+    key = data.draw(st.sampled_from(sorted(obj["data"]) + ["extra"]))
+    if data.draw(st.booleans()):
+        obj["data"].pop(key, None)
+    else:
+        obj["data"][key] = data.draw(JSON_VALUES)
+
+
+def mutate_presentation(pres, where, data):
+    """Replace or insert one relator (``where == "relators"``), or drop,
+    rename or repeat a generator, or put any JSON in place of the list."""
+    gens, rels = pres["generators"], pres["relators"]
+    if not (isinstance(gens, list) and isinstance(rels, list)):
+        return
+    if where == "relators":
+        names = [g for g in gens if isinstance(g, str)]
+        pieces = names + ["^", "-", "2", "^-1", " ", "0", "Z"]
+        text = "".join(data.draw(st.lists(st.sampled_from(pieces), max_size=8)))
+        i = data.draw(st.integers(0, len(rels)))
+        rels[i:i + data.draw(st.integers(0, 1))] = [text]
+        return
+    choice = data.draw(st.sampled_from(("drop", "rename", "repeat", "json")))
+    if choice == "json" or not gens:
+        pres["generators"] = data.draw(JSON_VALUES)
+    elif choice == "drop":
+        gens.pop(data.draw(st.integers(0, len(gens) - 1)))
+    elif choice == "rename":
+        gens[data.draw(st.integers(0, len(gens) - 1))] = data.draw(
+            st.text(max_size=4))
+    else:
+        gens.append(gens[0])
+
+
+def check_verify_cli(obj):
+    """``largeness verify --cert`` on ``obj`` exits 0, 1 or 2, prints JSON
+    on success, at most one error line, and no traceback."""
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "cert.json"
+        path.write_text(json.dumps(obj))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(["verify", "--cert", str(path)])
+    assert code in (0, 1, 2)
+    if code == 0:
+        assert set(json.loads(out.getvalue())) == {"valid"}
+    assert err.getvalue().count("error:") <= 1
+    assert "Traceback" not in err.getvalue()
+
+
+# ---------------------------------------------------------------------------
+# verifier fuzz on the other certificate kinds and on citations
+
+KIND_SOURCES = {
+    "deficiency": "< a, b, c | a b A B >",
+    "cited_family": "< x, y | x y^2 x^-1 y^-4 >",
+    "proper_power": "< a, b | a^3 >",
+    "commutator_betti": "< x, y, t | t x T X, t y T Y >",
+    "big_cover_abelianization": "< a, b | a b a b^-2 a^-2 b >",
+}
+CERT_KINDS = sorted(KIND_SOURCES) + ["alexander_zero"]
+
+
+@functools.lru_cache(maxsize=None)
+def kind_certificates():
+    """Certificate JSON of every kind ``certify`` emits with no chain, and
+    of ``big_cover_abelianization``, whose chain has one link."""
+    certs = [certify(parse_presentation(text)).certificate
+             for text in KIND_SOURCES.values()]
+    # a Baumslag-Solitar mapping torus: the vanishing character is found
+    # by the torus pipeline
+    e = Endomorphism(((1, 1, 1), (2,)))
+    certs.append(torus_bs_pipeline(e, PeriodicWitness((1,), 1, (), 3)).certificate)
+    return tuple(dumps(certificate_to_json(c)) for c in certs)
+
+
+def test_kind_certificates_shape():
+    objs = [json.loads(c) for c in kind_certificates()]
+    assert sorted(o["kind"] for o in objs) == sorted(CERT_KINDS)
+    for o in objs:
+        cert = certificate_from_json(o)
+        assert verify_certificate(cert.presentation, cert), o["kind"]
+
+
+class TestKindFuzz:
+    """``largeness verify`` on mutated certificates of each kind: mutated
+    ``data``, presentation, kind or chain."""
+
+    @staticmethod
+    def _mutate(obj, data):
+        where = data.draw(st.sampled_from(
+            ("data", "relators", "generators", "kind", "chain")))
+        if where == "kind":
+            obj["kind"] = data.draw(st.sampled_from(CERT_KINDS) | JSON_VALUES)
+        elif where == "chain":
+            # the links of a real chain are mutated as in TestChainFuzz; an
+            # empty or already replaced chain becomes any JSON
+            chain = obj["chain"]
+            if (isinstance(chain, list) and chain
+                    and all(isinstance(l, dict) and "table" in l for l in chain)):
+                TestChainFuzz._mutate(obj, data)
+            else:
+                obj["chain"] = data.draw(JSON_VALUES)
+        elif where == "data":
+            mutate_data(obj, data)
+        else:
+            mutate_presentation(obj["presentation"], where, data)
+
+    @given(st.data())
+    @settings(max_examples=200, deadline=2000)
+    def test_mutated_kinds(self, data):
+        obj = json.loads(data.draw(st.sampled_from(kind_certificates())))
+        for _ in range(data.draw(st.integers(1, 3))):
+            self._mutate(obj, data)
+        check_verify_cli(obj)
+
+
+CITATION_SOURCES = ("< a | a^3 >", "< a, b | a >", "< a, b | a b A B >",
+                    "< x, y | x y^2 x^-1 y^-3 >")
+
+
+@functools.lru_cache(maxsize=None)
+def citations():
+    """(presentation, citation JSON) for a finite and an infinite cyclic
+    group, Z x Z and BS(2, 3)."""
+    out = []
+    for text in CITATION_SOURCES:
+        p = parse_presentation(text)
+        out.append((p, json.dumps(certify(p).citation)))
+    return tuple(out)
+
+
+def test_citations_shape():
+    got = [json.loads(c) for _, c in citations()]
+    assert [c["reason"] for c in got] == ["cyclic", "cyclic", "ZxZ", "BS_coprime"]
+    assert all(verify_citation(p, json.loads(c)) for p, c in citations())
+
+
+@given(st.data())
+@settings(max_examples=200, deadline=2000)
+def test_mutated_citations(data):
+    # verify_citation returns a bool on any citation JSON and any
+    # presentation, and never raises
+    p, text = data.draw(st.sampled_from(citations()))
+    citation = json.loads(text)
+    for _ in range(data.draw(st.integers(1, 3))):
+        where = data.draw(st.sampled_from(("value", "drop", "reason", "whole", "presentation")))
+        if not isinstance(citation, dict):
+            citation = {"reason": citation}
+        if where == "value":
+            key = data.draw(st.sampled_from(sorted(citation) + ["order", "l", "m"]))
+            citation[key] = data.draw(JSON_VALUES | st.sampled_from(["3", "infinite", "-1"]))
+        elif where == "drop" and citation:
+            citation.pop(data.draw(st.sampled_from(sorted(citation))))
+        elif where == "reason":
+            citation["reason"] = data.draw(
+                st.sampled_from(["cyclic", "ZxZ", "BS_coprime", "finite"]) | JSON_VALUES)
+        elif where == "whole":
+            citation = data.draw(JSON_VALUES)
+        else:
+            n = data.draw(st.integers(1, 3))
+            letters = [s * g for g in range(1, n + 1) for s in (1, -1)]
+            rels = data.draw(st.lists(st.lists(st.sampled_from(letters), max_size=12),
+                                      max_size=3))
+            p = Presentation(tuple("abc"[:n]), tuple(free_reduce(tuple(r)) for r in rels))
+    assert isinstance(verify_citation(p, citation), bool)

@@ -1,5 +1,9 @@
 import json
+import os
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import pytest
 
@@ -29,6 +33,16 @@ class TestAb:
         f.write_text("< a, b | a b A B >\n")
         code, doc, _ = run_json(capsys, "ab", str(f))
         assert code == 0 and doc["betti"] == 2
+
+
+def test_python_m_largeness():
+    # the package runs as a module from a source checkout, uninstalled
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-m", "largeness", "ab", "< a | a^2 >"],
+                          capture_output=True, text=True, env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"betti": 0, "torsion": [2], "display": "Z/2"}
 
 
 class TestAlex:
@@ -86,6 +100,21 @@ class TestSubgroupsAndRewrite:
         i = doc["index"]
         assert len(doc["raw"]["generators"]) == (2 - 1) * i + 1
         assert len(doc["raw"]["relators"]) == 1 * i
+
+    def test_listing_abelianization_is_ab_of_rewrite(self, capsys):
+        # each class's abelianization, read off its table, is `ab` of the
+        # raw and of the simplified presentation `rewrite` prints for it
+        text = "< x, y | x^2 y x^-2 y^-1 >"
+        _, listing, _ = run_json(capsys, "subgroups", text, "--max-index", "4")
+        assert listing["count"] > 10
+        for k, cls in enumerate(listing["classes"]):
+            _, doc, _ = run_json(capsys, "rewrite", text, "--max-index", "4",
+                                 "--index-class", str(k))
+            for pres in (doc["raw"], doc["simplified"]):
+                inline = (f"< {', '.join(pres['generators'])} | "
+                          f"{', '.join(pres['relators'])} >")
+                code, ab, _ = run_json(capsys, "ab", inline)
+                assert code == 0 and ab == cls["abelianization"], (k, inline)
 
     def test_rewrite_out_of_range(self, capsys):
         code, _, err = run(capsys, "rewrite", "< a | >", "--max-index", "2",

@@ -1,15 +1,20 @@
+import contextlib
+import hashlib
+import io
 import itertools
 import random
 import tracemalloc
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from largeness import subgroups
 from largeness.abelian import abelianization
+from largeness.cli import main
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
-                                 coset_enumerate, cover_presentation,
+                                 coset_enumerate, cover_abelianization,
+                                 cover_presentation,
                                  index_two_classes, low_index_subgroups, reidemeister_schreier,
                                  rewrite_word, schreier_tree, subgroup_classes,
                                  subgroup_count_by_index, tietze_simplify)
@@ -58,6 +63,52 @@ def per_table_minimum_classes(p, max_index, node_budget=None):
     classes = [CosetTable(d, tuple(flat[g * d:(g + 1) * d] for g in range(p.ngens)))
                for d, flat in sorted(keys)]
     return classes, truncated
+
+
+def ref_canonical_rebase(table, base):
+    """``canonical_rebase`` with no inverse table: each inverse step is
+    found by searching the permutation."""
+    order = [base]
+    for c in order:
+        for perm in table.action:
+            for tgt in (perm[c], perm.index(c)):
+                if tgt not in order:
+                    order.append(tgt)
+    new = {c: i for i, c in enumerate(order)}
+    return CosetTable(table.degree, tuple(tuple(new[perm[c]] for c in order)
+                                          for perm in table.action))
+
+
+def ref_subgroup_classes(p, max_index, node_budget=None):
+    """The dedup of ``subgroup_classes`` in its earlier form: the orbit of
+    each table not yet placed is a set of rebased ``CosetTable`` objects,
+    and the least of it by flat form represents the class."""
+    cell = None if node_budget is None else [node_budget]
+    tables, truncated = subgroups._search_tables(p, max_index, cell)
+    unplaced = set(tables)
+    classes = []
+    for table in tables:
+        if table in unplaced:
+            orbit = {ref_canonical_rebase(table, b) for b in range(table.degree)}
+            unplaced -= orbit
+            classes.append(min(orbit, key=CosetTable.flat))
+    classes.sort(key=lambda t: (t.degree, t.flat()))
+    return classes, truncated
+
+
+def random_tables():
+    """Two random permutations of 1 to 4 cosets: transitive or not, closed
+    under a presentation's relators or not."""
+    return st.integers(1, 4).flatmap(lambda d: st.lists(
+        st.permutations(range(d)), min_size=2, max_size=2).map(
+            lambda perms: CosetTable(d, tuple(map(tuple, perms)))))
+
+
+def outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
 
 
 def closed_transitive_tables(p, degree):
@@ -290,8 +341,17 @@ class TestCanonicalSearch:
         for p in CORPUS_PRESENTATIONS:
             want = per_table_minimum_classes(p, 5, node_budget)
             assert subgroup_classes(p, 5, node_budget) == want
+            assert ref_subgroup_classes(p, 5, node_budget) == want
             cut = cut or want[1]
         assert cut == (node_budget is not None)
+
+    @given(random_tables(), st.integers(0, 3))
+    @settings(max_examples=200, deadline=None)
+    def test_rebase_against_reference(self, t, base):
+        # any numbering of a transitive table, rebased at any coset
+        assume(outcome(schreier_tree, t)[0] != "ValueError")
+        base %= t.degree
+        assert canonical_rebase(t, base) == ref_canonical_rebase(t, base)
 
 
 class TestSearchNodes:
@@ -529,3 +589,81 @@ class TestTietze:
             p = Presentation(default_names(n), tuple(rels))
             simp, _, _ = tietze_simplify(p)
             assert abelianization(simp) == abelianization(p)
+
+
+# ---------------------------------------------------------------------------
+# abelianizations read off coset tables
+
+
+class TestCoverAbelianization:
+    """H1 of a cover read off its coset table equals the abelianization of
+    the rewritten and simplified cover presentation."""
+
+    def test_corpus(self):
+        count = 0
+        for p in CORPUS_PRESENTATIONS:
+            for t in low_index_subgroups(p, 5):
+                assert (cover_abelianization(p, t)
+                        == abelianization(cover_presentation(p, t)[0])), (p, t)
+                count += 1
+        assert count == 1281
+
+    @given(st.integers(1, 3).flatmap(presentations), st.integers(1, 4))
+    @settings(max_examples=60, deadline=None)
+    def test_random_presentations(self, p, max_index):
+        for t in low_index_subgroups(p, max_index):
+            assert cover_abelianization(p, t) == abelianization(cover_presentation(p, t)[0])
+
+    @given(random_tables(), st.lists(st.lists(st.sampled_from([1, -1, 2, -2]),
+                                              min_size=1, max_size=6), max_size=2))
+    @settings(max_examples=200, deadline=None)
+    def test_random_tables(self, t, rels):
+        # a table that is not transitive, or not closed under the relators,
+        # is refused with the error rewriting gives
+        p = Presentation(("x", "y"), tuple(free_reduce(tuple(r)) for r in rels))
+        got = outcome(cover_abelianization, p, t)
+        want = outcome(reidemeister_schreier, p, t)
+        if want[0] == "ValueError":
+            assert got == want
+        else:
+            assert got == abelianization(tietze_simplify(want[0])[0])
+
+    def test_refused_tables(self):
+        p = parse_presentation("< x, y | x^3 >")
+        not_transitive = CosetTable(2, ((0, 1), (0, 1)))
+        not_closed = CosetTable(2, ((1, 0), (0, 1)))
+        for t, message in ((not_transitive, "not transitive"),
+                           (not_closed, "not closed under the relators")):
+            with pytest.raises(ValueError, match=message):
+                cover_abelianization(p, t)
+            assert outcome(cover_abelianization, p, t) == outcome(reidemeister_schreier, p, t)
+
+
+
+# sha256 of the stdout of `largeness subgroups FILE --max-index 5` per corpus
+# file, recorded while each cover's abelianization was still taken from its
+# rewritten and simplified presentation
+SUBGROUPS_SHA256 = {
+    "bs_1_2": "fda9c858e8175d34bc730bbe9333a77b7505bdfb50e871c03f109eaee5c15765",
+    "bs_2_3": "409f98196f53efa331b12ad4d6c8c55c2cf79bdd7761bd17a622874b0246d829",
+    "bs_2_4": "e075d311decfd970df9b656022c0658b0fc25bc706ce40ce3765fa73592d5e69",
+    "conjugate_square_commutes": "eb4ed6bf96c5e2bc70223bcdfdea688897bcb995f029dc9d98c60d18da702868",
+    "cyclic_quotients_only": "ce3a34ec64f86995e2c47b35de9addf06ac112e8099a54c2349f806bc09454c8",
+    "deep_conjugator_family": "2903f887a5767eecb498bcf30a84d9f0f2b5b16899551f85d723469901eeee0b",
+    "f2_times_z": "62a9b3435ebb49e29b67f584e9e554694f9114a4e87afa4e80cb66234027864f",
+    "free_rank2_and_z": "95e369295a9f070f47ecc3bc3c7e8ffd07ca0b658f377007ace254d5319e6c48",
+    "hexagonal_balanced_1": "c42a6d0a7b653d7011e1b6fa38ffd7eed432ff316fce4bd94bdf4ed04bcb268b",
+    "hexagonal_balanced_2": "8d83932b2277ac56a450d7ddb5470bcbcbfbc3e6aa8a18a1c2c4f290cd6edb41",
+    "trefoil": "cd0975ec0e88a3a94a29453bf04bfb21b135e1dfe124086c1f3f80676cf55c06",
+    "z": "3061e227d039eb82363994fd3a2d7375ef9d8d81ad5520608022ee61d94194be",
+    "zxz": "7b4f51e3361960d6c13f3e54b6a165ead04f1bdb0b1535d5eef7ba019d0eee6c",
+}
+
+
+@pytest.mark.parametrize("name", sorted(SUBGROUPS_SHA256))
+def test_subgroups_listing_bytes(name):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["subgroups", str(CORPUS / f"{name}.pres"), "--max-index", "5"])
+    assert code == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUBGROUPS_SHA256[name]
