@@ -16,24 +16,6 @@ def identity_matrix(n):
     return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
 
 
-def mat_mul(a, b):
-    if not a:
-        return []
-    n, k = len(a), len(a[0]) if a[0] else 0
-    m = len(b[0]) if b else 0
-    out = [[0] * m for _ in range(n)]
-    for i in range(n):
-        ai = a[i]
-        for t in range(k):
-            x = ai[t]
-            if x:
-                bt = b[t]
-                oi = out[i]
-                for j in range(m):
-                    oi[j] += x * bt[j]
-    return out
-
-
 def mat_copy(a):
     return [row[:] for row in a]
 
@@ -42,31 +24,6 @@ def transpose(a):
     if not a:
         return []
     return [list(col) for col in zip(*a)]
-
-
-def determinant(a):
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    n = len(a)
-    if n == 0:
-        return 1
-    m = mat_copy(a)
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if m[k][k] == 0:
-            for i in range(k + 1, n):
-                if m[i][k]:
-                    m[k], m[i] = m[i], m[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
-            m[i][k] = 0
-        prev = m[k][k]
-    return sign * m[n - 1][n - 1]
 
 
 def int_rank(a):
@@ -300,7 +257,11 @@ class Chi:
     values: tuple
 
     def of_word(self, w: Word) -> int:
-        return sum(self.values[abs(lt) - 1] * (1 if lt > 0 else -1) for lt in w)
+        """chi(w); KeyError on a letter beyond the generators."""
+        of_letter = {}
+        for g, v in enumerate(self.values, 1):
+            of_letter[g], of_letter[-g] = v, -v
+        return sum(map(of_letter.__getitem__, w))
 
     def __iter__(self):
         return iter(self.values)

@@ -1,22 +1,28 @@
 """Fox calculus and Alexander polynomials over Q and F_p.
 
-The polynomial attached to a presentation and a surjection chi: G -> Z is
-computed in coordinate form: a free-group automorphism first moves chi to
-a basis where one pivot generator has value 1 and the rest 0, the pivot
-row is dropped, and the remaining (n-1) x m matrix of specialized Fox
-derivatives presents the relevant module.  The zero test is a rank
-computation over the rational function field, not a gcd.  The matrix is
-built once over Z[t, t^-1] for each character and reduced to each field;
-its rank at a few points, which cannot exceed the rank over the field of
-rational functions, settles the common full-rank case before any
-elimination over F(t).
+The zero test for a surjection chi: G -> Z is a rank computation over the
+rational function field F(t), not a gcd.  It reads the Fox Jacobian of the
+input relators, specialised by chi in one pass over each relator, without
+the row of a generator on which chi is nonzero.  The fundamental formula
+makes that row a combination of the others over F(t), and a change
+of free basis multiplies the Jacobian by an invertible matrix, so each
+column prefix has the rank it has in the coordinate form, where chi is 1
+on one pivot generator and 0 on the others.  The coordinate form is still
+built for ``alexander_matrix`` and ``alexander_polynomial``.
+
+The matrix is built once over Z[t, t^-1] for each character.  Its exact
+integer maximal minors at t = 0 and t = oo (after scaling each row to a
+polynomial) and at t = 1 and t = -1 are computed once, as the fields need
+them, and shared: a minor that is nonzero (prime to p) proves full rank
+over Q(t) (F_p(t)).  A field left unproven is tried at a few units modulo
+a prime, and only then eliminated over F(t).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import chain, combinations
+from itertools import combinations
 from math import gcd, lcm
 from typing import Sequence
 
@@ -132,39 +138,7 @@ def field_by_name(name: str):
 
 
 # ---------------------------------------------------------------------------
-# group ring elements: dict word -> nonzero integer coefficient
-
-
-def gr_add(a: dict, b: dict) -> dict:
-    out = dict(a)
-    for w, c in b.items():
-        c2 = out.get(w, 0) + c
-        if c2:
-            out[w] = c2
-        else:
-            out.pop(w, None)
-    return out
-
-
-def gr_neg(a: dict) -> dict:
-    return {w: -c for w, c in a.items()}
-
-
-def gr_mul(a: dict, b: dict) -> dict:
-    out = {}
-    for w1, c1 in a.items():
-        for w2, c2 in b.items():
-            w = concat(w1, w2)
-            c = out.get(w, 0) + c1 * c2
-            if c:
-                out[w] = c
-            else:
-                out.pop(w, None)
-    return out
-
-
-def gr_one() -> dict:
-    return {(): 1}
+# Fox derivatives
 
 
 def fox_derivative(r: Word, gen: int) -> dict:
@@ -443,43 +417,48 @@ class AlexMatrix:
         return len(self.entries[0]) if self.entries else 0
 
 
-def _fox_rows(relators, pivot: int, ngens: int) -> list:
-    """The Fox Jacobian of ``relators`` under the character that is 1 on
-    generator ``pivot`` and 0 on the others, without the pivot's row: entry
-    [i][j] is chi(d r_j / d x_g), g the i-th other generator, as an integer
-    Laurent polynomial (dict exponent -> nonzero int).
+def _fox_rows(relators, chi_values) -> list:
+    """The Fox Jacobian of ``relators`` specialised by the character with
+    ``chi_values``, without the row of the first generator of least nonzero
+    |chi|: entry [i][j] is chi(d r_j / d x_g), g the i-th other generator,
+    as an integer Laurent polynomial (dict exponent -> nonzero int).  With
+    |chi| = 1 there, the maximal minors are those of the coordinate form up
+    to a unit; a value c multiplies them by (t^c - 1) / (t - 1), which
+    vanishes at some of the points the full-rank proofs evaluate.
 
-    One pass per relator carries chi of the prefix read so far (the
-    exponent sum of the pivot) instead of building the prefix words.
-    Reduced to any field, entry [i][j] equals
+    One pass per relator carries chi of the prefix read so far instead of
+    building the prefix words.  Reduced to any field, entry [i][j] equals
     ``chi_specialize(fox_derivative(r_j, g), chi, field)``.
     """
-    rows = [[{} for _ in relators] for _ in range(ngens - 1)]
+    rows = [[{} for _ in relators] for _ in chi_values]
     for j, r in enumerate(relators):
         e = 0
         for lt in r:
-            g = gen_of(lt)
-            if g == pivot:
-                e += 1 if lt > 0 else -1
-                continue
-            entry = rows[g - (g > pivot)][j]
+            g = abs(lt) - 1
+            if lt < 0:  # d(x^-1)/dx = -x^-1: the term's prefix ends in x^-1
+                e -= chi_values[g]
+            entry = rows[g][j]
             c = entry.get(e, 0) + (1 if lt > 0 else -1)
             if c:
                 entry[e] = c
             else:
                 del entry[e]
+            if lt > 0:
+                e += chi_values[g]
+    del rows[min((abs(v), g) for g, v in enumerate(chi_values) if v)[1]]
     return rows
 
 
-# Characters with a larger value are refused: the coordinate change builds
-# words whose length grows with the values, so the bound keeps the work,
-# and the replay of a hostile certificate, small.  Sweeps stay far below it.
+# Characters with a larger value are refused: the exponents of the Jacobian,
+# and in coordinate form the lengths of the rewritten relators, grow with
+# the values, so the bound keeps the work, and the replay of a hostile
+# certificate, small.  Sweeps stay far below it.
 CHI_BOUND = 2 ** 10
 
 
-def _integer_matrix(p: Presentation, chi: Chi):
-    """The coordinate-form Alexander matrix over Z[t, t^-1], before a field
-    is chosen: ``(rows, row_gens, pivot)``."""
+def _check_character(p: Presentation, chi: Chi) -> None:
+    """ValueError unless ``chi`` is a surjection onto Z, within CHI_BOUND,
+    that vanishes on every relator of ``p``."""
     if len(chi.values) != p.ngens:
         raise ValueError("chi needs one value per generator")
     if any(abs(v) > CHI_BOUND for v in chi.values):
@@ -487,9 +466,10 @@ def _integer_matrix(p: Presentation, chi: Chi):
     bad = [i for i, r in enumerate(p.relators) if chi.of_word(r)]
     if bad:
         raise ValueError(f"chi does not vanish on relator {bad[0]}")
-    p2, pivot = coordinate_change(p, chi)
-    row_gens = tuple(i for i in range(p.ngens) if i != pivot)
-    return _fox_rows(p2.relators, pivot, p.ngens), row_gens, pivot
+    if not any(chi.values):
+        raise ValueError("chi is zero")
+    if gcd(*chi.values) != 1:
+        raise ValueError("chi is not surjective (gcd of values != 1)")
 
 
 def _reduce(rows, field) -> tuple:
@@ -499,8 +479,15 @@ def _reduce(rows, field) -> tuple:
 
 
 def alexander_matrix(p: Presentation, chi: Chi, field) -> AlexMatrix:
-    rows, row_gens, pivot = _integer_matrix(p, chi)
-    return AlexMatrix(_reduce(rows, field), field, row_gens, pivot)
+    """The matrix in coordinate form: the Jacobian of ``p`` rewritten by
+    ``coordinate_change``, where chi is 1 on the pivot and 0 elsewhere,
+    without the pivot's row, which is zero."""
+    _check_character(p, chi)
+    p2, pivot = coordinate_change(p, chi)
+    unit = tuple(int(g == pivot) for g in range(p.ngens))
+    row_gens = tuple(g for g in range(p.ngens) if g != pivot)
+    return AlexMatrix(_reduce(_fox_rows(p2.relators, unit), field), field,
+                      row_gens, pivot)
 
 
 def _eliminate(rows, field) -> tuple:
@@ -538,58 +525,75 @@ def lp_matrix_rank(rows, field) -> tuple:
     return rank, pivot_cols
 
 
-# The full-rank test reads the integer matrix mod a prime q at a few points:
-# over F_p, q = p and those of t = -1, -2, -3 that are units; over Q,
-# q = 2**61 - 1 and three fixed units far from the small roots that
-# Alexander polynomials have.
-_Q_MODULUS = 2 ** 61 - 1
-_Q_UNITS = (0x1F83D9ABFB41BD6B, 0x1E3779B97F4A7C15, 0x0A09E667F3BCC909)
+# ---------------------------------------------------------------------------
+# full-rank proofs by evaluation
+#
+# Each evaluation below is a ring map, after scaling each row by a unit, so
+# it sends every vanishing maximal minor to zero: full row rank at a point
+# proves full row rank over F(t), and a rank drop proves nothing.
 
 
-def _rank_mod(mat, q: int) -> int:
-    """Rank of an integer matrix mod the prime ``q``; consumes ``mat``."""
-    rank = 0
+def _bareiss(mat, q: int = 0) -> int:
+    """Fraction-free elimination of an integer matrix over Z, or over F_q
+    for a prime ``q``; consumes ``mat``.  Returns 0 when the rows are
+    dependent, else the last pivot: up to sign, the maximal minor on the
+    pivot columns (mod q)."""
+    rank, prev = 0, 1
     for j in range(len(mat[0])):
         piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
         top = mat[rank]
-        inv = pow(top[j], -1, q)
+        d = top[j]
+        f = pow(prev, -1, q) if q else None
         for i in range(rank + 1, len(mat)):
-            f = mat[i][j] * inv % q
-            if f:
-                mat[i] = [(x - f * y) % q for x, y in zip(mat[i], top)]
+            a = mat[i][j]
+            if q:
+                mat[i] = [(x * d - a * y) * f % q for x, y in zip(mat[i], top)]
+            else:
+                mat[i] = [(x * d - a * y) // prev for x, y in zip(mat[i], top)]
+        prev = d
         rank += 1
         if rank == len(mat):
-            break
-    return rank
+            return prev
+    return 0
+
+
+def _point_matrices(rows):
+    """The integer rows, none of them zero, at t = 0 and at t = oo, after
+    scaling each row by the power of t that makes its lowest (highest) term
+    constant, then at t = 1 and at t = -1; lazily.  Entries are sums of
+    coefficients, small whatever the exponents."""
+    ends = [(min(ex), max(ex)) for ex in ([e for entry in row for e in entry]
+                                          for row in rows)]
+    for k in (0, 1):
+        yield [[entry.get(end[k], 0) for entry in row] for row, end in zip(rows, ends)]
+    yield [[sum(entry.values()) for entry in row] for row in rows]
+    yield [[sum(-c if e % 2 else c for e, c in entry.items()) for entry in row]
+           for row in rows]
+
+
+# A field the minors leave unproven is tried modulo a prime q at a few
+# units: over F_p, q = p and those of t = -1, -2, -3 that are units; over Q,
+# q = 2**61 - 1 and three fixed units far from the small roots that
+# Alexander polynomials have.
+_Q_MODULUS = 2 ** 61 - 1
+_Q_UNITS = (0x1F83D9ABFB41BD6B, 0x1E3779B97F4A7C15, 0x0A09E667F3BCC909)
 
 
 def _full_rank_at_a_point(rows, field) -> bool:
-    """True when the integer rows have full row rank at one of a few points
-    over a prime field: t = 0 and t = oo, after scaling each row by the
-    power of t that makes its lowest (highest) term constant, and units
-    t = a.  Each point is a ring map that sends every vanishing minor to
-    zero, so the rank at a point never exceeds the rank over field(t):
-    True proves full rank; False proves nothing.  A nonzero minor of degree
-    d vanishes at no more than d points (Schwartz 1980, Zippel 1979), so
-    over Q, with its large modulus, False is rare at full rank.
-    """
+    """True when the integer rows have full row rank modulo q at one of the
+    units t = a above; False proves nothing.  A nonzero minor of degree d
+    vanishes at no more than d points (Schwartz 1980, Zippel 1979), so over
+    Q, with its large modulus, False is rare at full rank."""
     if isinstance(field, RationalField):
         q, units = _Q_MODULUS, _Q_UNITS
     else:
         q, units = field.p, range(field.p - 1, max(field.p - 4, 0), -1)
-    exps = [[e for entry in row for e in entry] for row in rows]
-    if not all(exps):
-        return False  # a zero row
-    ends = [(min(ex), max(ex)) for ex in exps]
-    mats = chain(
-        ([[entry.get(end[k], 0) % q for entry in row]
-          for row, end in zip(rows, ends)] for k in (0, 1)),
-        ([[sum(c * pow(a, e, q) for e, c in entry.items()) % q
-           for entry in row] for row in rows] for a in units))
-    return any(_rank_mod(mat, q) == len(rows) for mat in mats)
+    return any(_bareiss([[sum(c * pow(a, e, q) for e, c in entry.items()) % q
+                          for entry in row] for row in rows], q)
+               for a in units)
 
 
 def rank_witness(p: Presentation, chi: Chi, fields):
@@ -598,22 +602,35 @@ def rank_witness(p: Presentation, chi: Chi, fields):
     the witness {"rank", "rows", "pivot_cols"} (plus "reason" when the
     matrix is too narrow); None when it vanishes over none of them, or
     when some value of ``chi`` exceeds CHI_BOUND in absolute value.
+    ValueError when ``chi`` is not a surjection that kills every relator.
 
-    The integer matrix is built once and reduced per field.  A field where
-    an evaluation proves full rank is passed over; for the others the rank
-    and the pivot columns come from ``lp_matrix_rank`` over field(t).
+    The rows are the Fox Jacobian of ``p`` itself (see ``_fox_rows``), whose
+    column prefixes have the ranks of the coordinate form, so the witness
+    is the same.  They are built once over Z; a field is passed over when
+    the shared minors or an evaluation at a unit prove full rank, and for
+    the others the rank and the pivot columns come from ``lp_matrix_rank``
+    over field(t).
     """
     if any(abs(v) > CHI_BOUND for v in chi.values):
         return None
-    rows, _, _ = _integer_matrix(p, chi)
+    _check_character(p, chi)
+    rows = _fox_rows(p.relators, chi.values)
     if not rows or not fields:
         return None
     nrows = len(rows)
     if len(rows[0]) < nrows:
         return fields[0], {"rank": 0, "rows": nrows, "pivot_cols": [],
                            "reason": "fewer relators than module generators"}
-    for field in fields:
-        if _full_rank_at_a_point(rows, field):
+    unproven = list(fields)
+    no_zero_row = all(any(row) for row in rows)  # else rank drops everywhere
+    for mat in _point_matrices(rows) if no_zero_row else ():
+        d = _bareiss(mat)  # a minor shared by all fields
+        unproven = [f for f in unproven
+                    if (d % f.p == 0 if isinstance(f, PrimeField) else d == 0)]
+        if not unproven:
+            return None
+    for field in unproven:
+        if no_zero_row and _full_rank_at_a_point(rows, field):
             continue
         rank, pivots = lp_matrix_rank(_reduce(rows, field), field)
         if rank < nrows:

@@ -13,7 +13,9 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, replace
+from functools import lru_cache
 from itertools import combinations, islice, product
+from json.encoder import encode_basestring_ascii
 from math import gcd
 from typing import Optional, Sequence
 
@@ -152,7 +154,35 @@ def verdict_to_json(v: Verdict):
 
 
 def dumps(obj) -> str:
-    return json.dumps(obj, sort_keys=True, indent=2)
+    """``json.dumps(obj, sort_keys=True, indent=2)``, byte for byte, without
+    the pure-Python encoder that ``indent`` selects."""
+    return _json_text(obj, "\n")
+
+
+def _json_text(obj, nl: str) -> str:
+    """Strings, ints, and the lists and str-keyed dicts that hold them are
+    written here, a list of ints in one join; any other container by
+    ``json.dumps``, re-indented to the depth where ``nl`` starts lines."""
+    kind = type(obj)
+    if kind is str:
+        return encode_basestring_ascii(obj)
+    if kind is int:
+        return int.__repr__(obj)
+    inner = nl + "  "
+    if kind is list or kind is tuple:
+        if not obj:
+            return "[]"
+        items = (map(int.__repr__, obj) if set(map(type, obj)) == {int}
+                 else (_json_text(x, inner) for x in obj))
+        return "[" + inner + ("," + inner).join(items) + nl + "]"
+    if kind is dict and set(map(type, obj)) <= {str}:
+        if not obj:
+            return "{}"
+        return "{" + ",".join(f"{inner}{encode_basestring_ascii(k)}: "
+                              f"{_json_text(obj[k], inner)}" for k in sorted(obj)) + nl + "}"
+    if isinstance(obj, (dict, list, tuple)):
+        return json.dumps(obj, sort_keys=True, indent=2).replace("\n", nl)
+    return json.dumps(obj)  # a scalar: the same text with or without indent
 
 
 # ---------------------------------------------------------------------------
@@ -250,9 +280,11 @@ def automatic_primes(p: Presentation) -> tuple:
 # character sweep enumeration
 
 
-def sweep_vectors(dim: int, height: int):
+@lru_cache(maxsize=32)
+def sweep_vectors(dim: int, height: int) -> tuple:
     """Primitive integer vectors with entries in [-height, height], up to
-    sign, ordered by (max abs entry, support size, lexicographic).
+    sign, ordered by (max abs entry, support size, lexicographic); built
+    once per (dim, height).
 
     For dim > 4 only vectors supported on at most 2 coordinates are
     produced, to keep the sweep finite in practice.
@@ -279,7 +311,7 @@ def sweep_vectors(dim: int, height: int):
             out.append(v)
     out.sort(key=lambda v: (max(abs(x) for x in v),
                             sum(1 for x in v if x), v))
-    return out
+    return tuple(out)
 
 
 def chi_from_coords(basis: Sequence[Chi], coords: Sequence[int]) -> Chi:

@@ -535,15 +535,6 @@ def index_two_classes(p: Presentation):
                                   for g in range(n)))
 
 
-def subgroup_count_by_index(p: Presentation, max_index: int) -> dict:
-    """Total number of subgroups (not classes) per index: the sizes of the
-    orbits of the class representatives."""
-    counts = {i: 0 for i in range(1, max_index + 1)}
-    for table in low_index_subgroups(p, max_index):
-        counts[table.degree] += len(_orbit(table))
-    return counts
-
-
 def _search_tables(p: Presentation, max_index: int, node_budget=None):
     """All complete closed tables in scan-order numbering, one per subgroup
     of index <= max_index.

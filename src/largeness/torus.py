@@ -21,7 +21,7 @@ from .stallings import (StallingsGraph, fold, graph_basis, hall_overgroup,
                         is_covering, pin_loop_basis, rank, sg_express,
                         sg_membership)
 from .subgroups import (BoundExceeded, canonical_rebase, coset_enumerate,
-                        cover_presentation, low_index_subgroups)
+                        cover_presentation, subgroup_classes)
 from .words import (Presentation, Word, concat, conjugator_between,
                     default_names, free_reduce, inverse, is_proper_power,
                     letter, power, substitute)
@@ -463,7 +463,8 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         e_eff = exponent
         fields = _fields_for(e_eff)
         if fields:
-            for sub_table in low_index_subgroups(pres, config.max_index):
+            classes, cut = subgroup_classes(pres, config.max_index, config.li_nodes)
+            for sub_table in classes:
                 if sub_table.degree < 2:
                     continue
                 base_ok = next(
@@ -483,8 +484,10 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
                         f"gives a vanishing Alexander invariant over "
                         f"{cert.data['field']}")
                     return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
+            note = "; search truncated at the node budget" if cut else ""
             diags.append(
                 "no finite-index subgroup with first Betti number >= 2 "
-                f"admitting the vanishing test found up to index {config.max_index}")
+                f"admitting the vanishing test found up to index {config.max_index}"
+                f"{note}")
     diags.extend(tried)
     return Verdict(UNKNOWN, None, None, tuple(diags))

@@ -81,11 +81,6 @@ def power(w: Word, k: int) -> Word:
     return concat(*([w] * k))
 
 
-def conjugate(w: Word, g: Word) -> Word:
-    """g w g^-1, freely reduced."""
-    return concat(g, w, inverse(g))
-
-
 def commutator(u: Word, v: Word) -> Word:
     return concat(u, v, inverse(u), inverse(v))
 

@@ -1,0 +1,80 @@
+"""Reference implementations that only the tests use: group ring
+arithmetic, integer matrix products and determinants, and subgroup counts."""
+
+from largeness.subgroups import canonical_rebase, low_index_subgroups
+from largeness.words import concat
+
+# group ring elements: dict word -> nonzero integer coefficient
+
+
+def gr_add(a: dict, b: dict) -> dict:
+    out = dict(a)
+    for w, c in b.items():
+        c2 = out.get(w, 0) + c
+        if c2:
+            out[w] = c2
+        else:
+            out.pop(w, None)
+    return out
+
+
+def gr_neg(a: dict) -> dict:
+    return {w: -c for w, c in a.items()}
+
+
+def gr_mul(a: dict, b: dict) -> dict:
+    out = {}
+    for w1, c1 in a.items():
+        for w2, c2 in b.items():
+            w = concat(w1, w2)
+            c = out.get(w, 0) + c1 * c2
+            if c:
+                out[w] = c
+            else:
+                out.pop(w, None)
+    return out
+
+
+def gr_one() -> dict:
+    return {(): 1}
+
+
+def mat_mul(a, b):
+    if not a:
+        return []
+    return [[sum(x * y for x, y in zip(row, col)) for col in zip(*b)] for row in a]
+
+
+def determinant(a):
+    """Exact determinant by fraction-free (Bareiss) elimination."""
+    n = len(a)
+    if n == 0:
+        return 1
+    m = [list(row) for row in a]
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if m[k][k] == 0:
+            for i in range(k + 1, n):
+                if m[i][k]:
+                    m[k], m[i] = m[i], m[k]
+                    sign = -sign
+                    break
+            else:
+                return 0
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                m[i][j] = (m[i][j] * m[k][k] - m[i][k] * m[k][j]) // prev
+            m[i][k] = 0
+        prev = m[k][k]
+    return sign * m[n - 1][n - 1]
+
+
+def subgroup_count_by_index(p, max_index: int) -> dict:
+    """Total number of subgroups (not classes) per index: each class has
+    as many members as its table has distinct rebasings."""
+    counts = {i: 0 for i in range(1, max_index + 1)}
+    for table in low_index_subgroups(p, max_index):
+        counts[table.degree] += len({canonical_rebase(table, b).flat()
+                                     for b in range(table.degree)})
+    return counts

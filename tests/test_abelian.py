@@ -6,11 +6,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from largeness.abelian import (AbelianInvariants, abelianization,
-                               determinant, exponent_matrix, hermite_rows,
-                               hom_to_Z_basis, image_span_rank, int_rank,
-                               mat_mul, smith_invariants, smith_normal_form,
-                               transpose)
+                               exponent_matrix, hermite_rows, hom_to_Z_basis,
+                               image_span_rank, int_rank, smith_invariants,
+                               smith_normal_form, transpose)
 from largeness.words import parse_presentation, parse_word
+from oracles import determinant, mat_mul
 
 small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(

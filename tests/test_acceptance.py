@@ -8,19 +8,19 @@ import time
 from fractions import Fraction
 from pathlib import Path
 
-from largeness.abelian import determinant, mat_mul, smith_normal_form
+from largeness.abelian import smith_normal_form
 from largeness.alexander import (LaurentPoly, QQ, alexander_polynomial,
-                                 fox_derivative, gr_add, gr_mul, gr_neg,
-                                 gr_one)
+                                 fox_derivative)
 from largeness.abelian import Chi
 from largeness.certify import (CertifyConfig, certify, dumps, verdict_to_json,
                                verify_certificate)
-from largeness.subgroups import (low_index_subgroups, reidemeister_schreier,
-                                 subgroup_count_by_index)
+from largeness.subgroups import low_index_subgroups, reidemeister_schreier
 from largeness.torus import (Endomorphism, PeriodicWitness, mapping_torus,
                              torus_bs_pipeline, torus_zz_pipeline)
 from largeness.words import (Presentation, default_names, free_reduce,
                              parse_presentation)
+from oracles import (determinant, gr_add, gr_mul, gr_neg, gr_one, mat_mul,
+                     subgroup_count_by_index)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 

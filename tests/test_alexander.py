@@ -1,20 +1,24 @@
+import functools
 from fractions import Fraction
 from itertools import permutations
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from largeness.abelian import Chi
+from largeness import alexander, words
+from largeness.abelian import Chi, hom_to_Z_basis
 from largeness.alexander import (CHI_BOUND, PRIME_BOUND, LaurentPoly,
                                  PrimeField, QQ, alexander_matrix,
                                  alexander_polynomial, chi_specialize,
                                  coordinate_change, field_by_name,
-                                 fox_derivative, gr_add, gr_mul, gr_neg,
-                                 gr_one, is_prime, lp_add, lp_divmod, lp_gcd,
+                                 fox_derivative, is_prime, lp_add, lp_divmod, lp_gcd,
                                  lp_matrix_rank, lp_mul, lp_neg, lp_sub,
                                  prime_factors, rank_witness)
 from largeness.words import (Presentation, free_reduce, parse_presentation,
                              parse_word)
+from largeness.subgroups import cover_presentation, low_index_subgroups
+from oracles import gr_add, gr_mul, gr_neg, gr_one
 
 F2, F3 = PrimeField(2), PrimeField(3)
 
@@ -318,6 +322,63 @@ def presentation_and_character(draw):
     return p, chi
 
 
+@st.composite
+def large_character(draw):
+    """As ``presentation_and_character``, with values near CHI_BOUND off
+    the unit generator and shorter random words, so that the coordinate
+    change in the oracle stays affordable."""
+    n = draw(st.integers(2, 3))
+    unit = draw(st.integers(0, n - 1))
+    values = [draw(st.integers(CHI_BOUND - 3, CHI_BOUND) | st.integers(-2, 2))
+              * draw(st.sampled_from([1, -1])) for _ in range(n)]
+    values[unit] = draw(st.sampled_from([1, -1]))
+    chi = Chi(tuple(values))
+    letters = [x for g in range(1, n + 1) for x in (g, -g)]
+    rels = []
+    for _ in range(draw(st.integers(1, n))):
+        w = free_reduce(draw(st.lists(st.sampled_from(letters), max_size=3)))
+        k = chi.of_word(w) * values[unit]
+        rels.append(free_reduce(w + (-(unit + 1) if k > 0 else unit + 1,) * abs(k)))
+    return Presentation(tuple(f"x{i}" for i in range(n)), tuple(rels)), chi
+
+
+COVER_BASES = ("< x, y | x y x y^-1 x^-1 y^-1 >", "< x, y | x y x^-1 y^-2 >",
+               "< a, b | a^2 b^-3 >", "< a, b | a b a b^-2 a^-2 b >",
+               "< a, b | a b^2 a^-1 b^-1 a^2 b^-1, a^2 b a^-2 b^-1 >")
+
+
+@functools.lru_cache(maxsize=None)
+def covers_with_betti_two():
+    """(cover presentation, basis of its characters) for the covers of
+    index 2 and 3 of COVER_BASES whose first Betti number is at least 2."""
+    out = []
+    for text in COVER_BASES:
+        p = parse_presentation(text)
+        for table in low_index_subgroups(p, 3):
+            if table.degree > 1:
+                cover, _ = cover_presentation(p, table)
+                basis = hom_to_Z_basis(cover)
+                if len(basis) >= 2:
+                    out.append((cover, tuple(basis)))
+    return tuple(out)
+
+
+@st.composite
+def cover_character(draw):
+    """A cover with b1 >= 2 and a surjective character on it: a primitive
+    combination of its basis characters."""
+    cover, basis = draw(st.sampled_from(covers_with_betti_two()))
+    coords = draw(st.lists(st.integers(-3, 3), min_size=len(basis),
+                           max_size=len(basis)).filter(lambda c: gcd(*c) == 1))
+    values = tuple(sum(c * b.values[i] for c, b in zip(coords, basis))
+                   for i in range(cover.ngens))
+    return cover, Chi(values)
+
+
+def test_covers_with_betti_two_are_there():
+    assert len(covers_with_betti_two()) >= 5
+
+
 def full_elimination_witness(p, chi, fields):
     """rank_witness without the evaluation exit: lp_matrix_rank over each
     field in turn."""
@@ -348,9 +409,11 @@ class TestIntegerPath:
                          for g in range(p.ngens) if g != pivot)
             assert mat.entries == want
 
-    @given(presentation_and_character())
-    @settings(max_examples=150, deadline=None)
+    @given(presentation_and_character() | large_character() | cover_character())
+    @settings(max_examples=200, deadline=None)
     def test_rank_witness_matches_full_elimination(self, case):
+        # the oracle eliminates the coordinate form, a different matrix
+        # with the same column-prefix ranks
         p, chi = case
         assert rank_witness(p, chi, FIELDS) == full_elimination_witness(p, chi, FIELDS)
         for fld in FIELDS:
@@ -391,6 +454,63 @@ class TestIntegerPath:
         # t - 2 vanishes at t = 2 and 2t - 1 at t = 1/2, but not over Q(t)
         for text in ("< x, y | x y x^-1 y^-2 >", "< x, y | x y^2 x^-1 y^-1 >"):
             assert rank_witness(parse_presentation(text), Chi((1, 0)), [QQ]) is None
+
+
+class TestRankPath:
+    CASES = [(TREFOIL, (1, 1)), (BS12, (1, 0)), (ZERO_COL, (0, 1, 0)),
+             (parse_presentation("< x, y | x y^2 x^-1 y^-4 >"), (1, 0)),
+             (parse_presentation("< a, b | >"), (3, 2)),
+             (parse_presentation("< x, y, t | t x T X, t y T Y >"), (2, 1, 3))]
+
+    def test_no_coordinate_change(self, monkeypatch):
+        want = [rank_witness(p, Chi(chi), FIELDS) for p, chi in self.CASES]
+
+        def refuse(*args):
+            raise AssertionError("the rank path rewrote the relators")
+        monkeypatch.setattr(alexander, "coordinate_change", refuse)
+        monkeypatch.setattr(alexander, "substitute", refuse)
+        monkeypatch.setattr(words, "substitute", refuse)
+        assert [rank_witness(p, Chi(chi), FIELDS) for p, chi in self.CASES] == want
+        assert any(want) and not all(want)
+
+    REFUSALS = [
+        (TREFOIL, (1, 1, 0), "chi needs one value per generator"),
+        (TREFOIL, (1, 0), "chi does not vanish on relator 0"),
+        (ZXZ, (0, 0), "chi is zero"),
+        (ZXZ, (2, 4), "chi is not surjective (gcd of values != 1)"),
+        (TREFOIL, (2, 0), "chi does not vanish on relator 0"),  # and gcd 2
+    ]
+
+    @pytest.mark.parametrize("p,chi,message", REFUSALS)
+    def test_refusals_match_the_coordinate_form(self, p, chi, message):
+        with pytest.raises(ValueError) as coordinate_form:
+            alexander_matrix(p, Chi(chi), QQ)
+        with pytest.raises(ValueError) as jacobian:
+            rank_witness(p, Chi(chi), FIELDS)
+        assert str(jacobian.value) == str(coordinate_form.value) == message
+
+    @given(st.integers(1, 4).flatmap(lambda n: st.integers(n, 5).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-4, 4), min_size=m, max_size=m),
+                           min_size=n, max_size=n))),
+           st.sampled_from([0, 2, 3, 5, 7]))
+    @settings(max_examples=200, deadline=None)
+    def test_last_pivot_is_the_pivot_minor(self, rows, q):
+        # over Z, and over F_q for q > 0: the last pivot is 0 exactly at a
+        # rank drop, else +- the determinant of the pivot columns
+        from sympy import GF, QQ as SQQ
+        from sympy.polys.matrices import DomainMatrix
+        dom = GF(q) if q else SQQ
+        mat = DomainMatrix([[dom(x) for x in row] for row in rows],
+                           (len(rows), len(rows[0])), dom)
+        rref, pivots = mat.rref()
+        d = alexander._bareiss([[x % q if q else x for x in row] for row in rows], q)
+        if len(pivots) < len(rows):
+            assert d == 0
+        else:
+            det = int(mat.extract(range(len(rows)), list(pivots)).det())
+            assert d != 0 and (d - det) * (d + det) % (q or 1) == 0
+            if not q:
+                assert abs(d) == abs(det)
 
 
 laurent_entries = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),

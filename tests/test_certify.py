@@ -5,6 +5,7 @@ import json
 import random
 import sys
 import tempfile
+import time
 from dataclasses import replace
 from pathlib import Path
 
@@ -25,7 +26,7 @@ from largeness.subgroups import (cover_presentation, index_two_classes,
 from largeness.torus import (Endomorphism, PeriodicWitness, endo_is_injective,
                              mapping_torus, torus_bs_pipeline, torus_zz_pipeline)
 from largeness.words import (MAX_WORD_LEN, Presentation, free_reduce,
-                             parse_presentation, parse_word)
+                             parse_presentation, parse_word, word_to_text)
 
 FAST = CertifyConfig(max_index=5, budget=1)
 
@@ -731,6 +732,23 @@ def check_verify_cli(obj):
     assert "Traceback" not in err.getvalue()
 
 
+def test_hostile_alexander_replay_is_quick():
+    # chi = (1, 1024) kills both 8000-letter relators; a change of free
+    # basis would rewrite each b as b a^1024, some four million letters
+    # per relator, before any rank is taken
+    gens = ("a", "b")
+    rels = [free_reduce((2, 1) * 2000 + (-2, -1) * 2000),
+            free_reduce((1, 2) * 2000 + (-1, -2) * 2000)]
+    obj = {"kind": "alexander_zero", "chain": [],
+           "presentation": {"generators": list(gens),
+                            "relators": [word_to_text(r, gens) for r in rels]},
+           "data": {"chi": [1, 1024], "field": "Q", "rank": 0, "rows": 1,
+                    "pivot_cols": []}}
+    t0 = time.perf_counter()
+    check_verify_cli(obj)
+    assert time.perf_counter() - t0 < 2.0  # the fuzz deadline
+
+
 # ---------------------------------------------------------------------------
 # verifier fuzz on the other certificate kinds and on citations
 
@@ -847,3 +865,44 @@ def test_mutated_citations(data):
                                       max_size=3))
             p = Presentation(tuple("abc"[:n]), tuple(free_reduce(tuple(r)) for r in rels))
     assert isinstance(verify_citation(p, citation), bool)
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer
+
+JSON_TREES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.integers(-10 ** 40, 10 ** 40)
+    | st.floats() | st.text(),
+    lambda kids: (st.lists(kids) | st.lists(kids).map(tuple)
+                  | st.lists(st.integers(-10 ** 30, 10 ** 30))
+                  | st.dictionaries(st.text(), kids)
+                  | st.dictionaries(st.integers(), kids)),
+    max_leaves=40)
+
+
+class TestDumps:
+    @given(JSON_TREES)
+    @settings(max_examples=400, deadline=None)
+    def test_matches_json_dumps(self, obj):
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    @pytest.mark.parametrize("obj", [{}, [], (), "", [[]], [{}], {"": {}},
+                                     [True, 1, False, 0], {"é\n\"": ["☃"]},
+                                     [-(2 ** 70), 2 ** 70], [None, 1.5, float("nan")]])
+    def test_edge_cases(self, obj):
+        assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+
+    def test_corpus_verdicts_and_listings(self):
+        listed = 0
+        for f in sorted(CORPUS.glob("*.pres")):
+            p = parse_presentation(f.read_text())
+            obj = verdict_to_json(certify(p, LI_FAST))
+            assert dumps(obj) == json.dumps(obj, sort_keys=True, indent=2)
+            if p.ngens >= 2:
+                out = io.StringIO()
+                with contextlib.redirect_stdout(out):
+                    assert main(["subgroups", str(f), "--max-index", "4"]) == 0
+                text = out.getvalue()
+                assert text == json.dumps(json.loads(text), sort_keys=True, indent=2) + "\n"
+                listed += 1
+        assert listed >= 10

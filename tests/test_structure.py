@@ -55,3 +55,43 @@ def test_every_config_field_is_set_outside_tests():
                 set_names.add(node.slice.value)
     unset = [f.name for f in fields(CertifyConfig) if f.name not in set_names]
     assert unset == []
+
+
+def _definitions(tree):
+    return [node for node in tree.body
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))]
+
+
+def _references(tree):
+    """(name, line) of every name the module uses: names, attributes,
+    imported names and string constants (the benchmark's tracer names its
+    targets by string)."""
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            yield node.id, node.lineno
+        elif isinstance(node, ast.Attribute):
+            yield node.attr, node.lineno
+        elif isinstance(node, ast.alias):
+            yield node.name, node.lineno
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            yield node.value, node.lineno
+
+
+def test_every_definition_in_the_package_has_a_caller():
+    # a module-level function or class that only tests use belongs in the
+    # tests; a use inside its own definition does not count
+    root = SRC.parents[1]
+    files = [*sorted(SRC.glob("*.py")), *sorted((root / "scripts").glob("*.py")),
+             *sorted((root / "perfbench").glob("*.py"))]
+    trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
+    used = {}
+    for path, tree in trees.items():
+        for name, line in _references(tree):
+            used.setdefault(name, []).append((path, line))
+    unused = []
+    for path in sorted(SRC.glob("*.py")):
+        for node in _definitions(trees[path]):
+            own = range(node.lineno, node.end_lineno + 1)
+            if not any(p != path or line not in own for p, line in used.get(node.name, [])):
+                unused.append(f"{path.name}:{node.name}")
+    assert unused == []

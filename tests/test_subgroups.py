@@ -17,9 +17,10 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  cover_presentation,
                                  index_two_classes, low_index_subgroups, reidemeister_schreier,
                                  rewrite_word, schreier_tree, subgroup_classes,
-                                 subgroup_count_by_index, tietze_simplify)
+                                 tietze_simplify)
 from largeness.words import (Presentation, default_names, free_reduce,
                              parse_presentation, parse_word)
+from oracles import subgroup_count_by_index
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())

@@ -282,6 +282,21 @@ class TestPipelines:
         with pytest.raises(ValueError):
             torus_zz_pipeline(CUBE_X, PeriodicWitness((1,), 1, (), 3))
 
+    def test_pinned_subgroup_search_is_bounded(self):
+        # the covers of the pinned subgroup come from a search cut at
+        # li_nodes DFS nodes, and a cut search says so when UNKNOWN
+        e = Endomorphism(((-1,), (1, 2, 2, 1)))
+        wit = PeriodicWitness((1,), 1, (), -1)
+        cut = torus_zz_pipeline(e, wit, CertifyConfig(max_index=3, budget=0, li_nodes=3))
+        assert cut.status == "UNKNOWN"
+        assert any(d.startswith("no finite-index subgroup")
+                   and d.endswith("; search truncated at the node budget")
+                   for d in cut.diagnostics)
+        full = torus_zz_pipeline(e, wit, CertifyConfig(max_index=3, budget=0))
+        assert full.status == "LARGE"
+        assert "of the pinned subgroup gives" in full.diagnostics[-1]
+        assert verify_certificate(mapping_torus(e), full.certificate)
+
     def test_conjugated_witness(self):
         # theta: x -> y x^3 y^-1, y -> y: theta(x) = v x^3 v^-1 with v = y
         e = Endomorphism(((2, 1, 1, 1, -2), (2,)))
