@@ -13,10 +13,10 @@ from .subgroups import (BoundExceeded, CosetTable, coset_enumerate,
                         tietze_simplify)
 from .stallings import (StallingsGraph, fold, graph_basis, hall_overgroup,
                         is_covering, sg_membership)
-from .torus import (Endomorphism, PeriodicWitness, cyclic_cover, endo_apply,
-                    endo_is_injective, mapping_torus, normal_form,
-                    preimage_subgroup, stable_pullback, torus_bs_pipeline,
-                    torus_zz_pipeline, witness_verify)
+from .torus import (Endomorphism, PeriodicWitness, endo_apply,
+                    endo_is_injective, mapping_torus, preimage_subgroup,
+                    stable_pullback, torus_bs_pipeline, torus_zz_pipeline,
+                    witness_verify)
 from .certify import (Certificate, CertifyConfig, Verdict, certify,
                       verify_certificate)
 

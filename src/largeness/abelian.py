@@ -26,30 +26,6 @@ def transpose(a):
     return [list(col) for col in zip(*a)]
 
 
-def int_rank(a):
-    """Rank over Q by fraction-free elimination."""
-    if not a or not a[0]:
-        return 0
-    m = mat_copy(a)
-    rows, cols = len(m), len(m[0])
-    rank = 0
-    prev = 1
-    for j in range(cols):
-        piv = next((i for i in range(rank, rows) if m[i][j]), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, rows):
-            for jj in range(j + 1, cols):
-                m[i][jj] = (m[i][jj] * m[rank][j] - m[i][j] * m[rank][jj]) // prev
-            m[i][j] = 0
-        prev = m[rank][j]
-        rank += 1
-        if rank == rows:
-            break
-    return rank
-
-
 @dataclass(frozen=True)
 class SmithDecomposition:
     """U.M.V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
@@ -279,27 +255,12 @@ def hom_to_Z_basis(p: Presentation):
     return [Chi(tuple(row)) for row in basis]
 
 
-def free_ab_projection(p: Presentation):
-    """Rows of a matrix projecting Z^n onto ab(G) = Z^betti."""
-    mat = exponent_matrix(p)
-    snf = smith_normal_form(mat)
-    diag = snf.diagonal
-    rows = [snf.U[i] for i in range(p.ngens)
-            if i >= len(diag) or diag[i] == 0]
-    return rows
-
-
 def image_span_rank(p: Presentation, words: Sequence[Word]):
     """Rank of the span of the words' images in ab(G), and whether that
-    span has infinite index (rank < betti)."""
-    proj = free_ab_projection(p)
-    betti = len(proj)
-    if not words or betti == 0:
-        return 0, betti > 0
-    vecs = []
-    for w in words:
-        e = exponent_vector(w, p.ngens)
-        vecs.append([sum(row[g] * e[g] for g in range(p.ngens)) for row in proj])
-    rank = int_rank(vecs)
+    span has infinite index (rank < betti): the rank is b1(G) minus b1 of G
+    with the words added as relators."""
+    rels = [exponent_vector(r, p.ngens) for r in p.relators]
+    betti = AbelianInvariants.of_relations(rels, p.ngens).betti
+    rels += [exponent_vector(w, p.ngens) for w in words]
+    rank = betti - AbelianInvariants.of_relations(rels, p.ngens).betti
     return rank, rank < betti
-

@@ -399,24 +399,6 @@ def coordinate_change(p: Presentation, chi: Chi):
 # Alexander matrices
 
 
-@dataclass(frozen=True)
-class AlexMatrix:
-    """(n-1) x m matrix of Laurent polynomials in coordinate form."""
-
-    entries: tuple  # tuple of row tuples
-    field: object
-    row_gens: tuple  # generator indices of the rows in the rewritten presentation
-    pivot: int
-
-    @property
-    def nrows(self):
-        return len(self.entries)
-
-    @property
-    def ncols(self):
-        return len(self.entries[0]) if self.entries else 0
-
-
 def _fox_rows(relators, chi_values) -> list:
     """The Fox Jacobian of ``relators`` specialised by the character with
     ``chi_values``, without the row of the first generator of least nonzero
@@ -478,16 +460,15 @@ def _reduce(rows, field) -> tuple:
                        for entry in row) for row in rows)
 
 
-def alexander_matrix(p: Presentation, chi: Chi, field) -> AlexMatrix:
-    """The matrix in coordinate form: the Jacobian of ``p`` rewritten by
-    ``coordinate_change``, where chi is 1 on the pivot and 0 elsewhere,
-    without the pivot's row, which is zero."""
+def alexander_matrix(p: Presentation, chi: Chi, field) -> tuple:
+    """The (n-1) x m matrix in coordinate form, as rows of Laurent
+    polynomials: the Jacobian of ``p`` rewritten by ``coordinate_change``,
+    where chi is 1 on the pivot and 0 elsewhere, without the pivot's row,
+    which is zero."""
     _check_character(p, chi)
     p2, pivot = coordinate_change(p, chi)
     unit = tuple(int(g == pivot) for g in range(p.ngens))
-    row_gens = tuple(g for g in range(p.ngens) if g != pivot)
-    return AlexMatrix(_reduce(_fox_rows(p2.relators, unit), field), field,
-                      row_gens, pivot)
+    return _reduce(_fox_rows(p2.relators, unit), field)
 
 
 def _eliminate(rows, field) -> tuple:
@@ -643,15 +624,16 @@ def alexander_polynomial(p: Presentation, chi: Chi, field) -> LaurentPoly:
 
     Zero when there are fewer relators than rows or all minors vanish.
     """
-    mat = alexander_matrix(p, chi, field)
-    if mat.nrows == 0:
+    rows = alexander_matrix(p, chi, field)
+    if not rows:
         return lp_const(field, 1).normalize()
-    if mat.ncols < mat.nrows:
+    nrows, ncols = len(rows), len(rows[0])
+    if ncols < nrows:
         return lp_zero(field)
     g = lp_zero(field)
-    for cols in combinations(range(mat.ncols), mat.nrows):
-        rank, _, d = _eliminate([[row[j] for j in cols] for row in mat.entries], field)
-        if rank < mat.nrows:
+    for cols in combinations(range(ncols), nrows):
+        rank, _, d = _eliminate([[row[j] for j in cols] for row in rows], field)
+        if rank < nrows:
             continue
         g = d if g.is_zero else lp_gcd(g, d)
         if not g.is_zero and g.normalize().degree_span() == 0:

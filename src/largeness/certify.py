@@ -634,24 +634,47 @@ def _table_valid(p: Presentation, table: CosetTable) -> bool:
     return table.is_closed_under(p.relators)
 
 
+def _replay_chain(p: Presentation, chain) -> Optional[list]:
+    """The presentations along ``chain`` from ``p``, each link's table
+    checked and its presentation regenerated from the one before; None on
+    a mismatch."""
+    pres = [p]
+    for link in chain:
+        if not _table_valid(pres[-1], link.table):
+            return None
+        regenerated, _ = cover_presentation(pres[-1], link.table)
+        if regenerated != link.presentation:
+            return None
+        pres.append(regenerated)
+    return pres
+
+
 def _verify(p: Presentation, cert: Certificate) -> bool:
     if cert.presentation != p:
         return False
-    cur = p
-    for link in cert.chain:
-        if not _table_valid(cur, link.table):
-            return False
-        regenerated, _ = cover_presentation(cur, link.table)
-        if regenerated != link.presentation:
-            return False
-        cur = regenerated
+    pres = _replay_chain(p, cert.chain)
+    if pres is None:
+        return False
+    cur = pres[-1]
     data = cert.data
 
-    def relator_at(pres, key):
+    def relator_at(q, key):
         i = data[key]
-        if not isinstance(i, int) or not 0 <= i < pres.nrels:
+        if not isinstance(i, int) or not 0 <= i < q.nrels:
             return None
-        return pres.relators[i]
+        return q.relators[i]
+
+    def commutator_relator(q, key):
+        """(u, v) from ``data`` if [u, v] is conjugate to the relator of
+        ``q`` at ``key``, else None."""
+        relator = relator_at(q, key)
+        if relator is None:
+            return None
+        u = parse_word(data["u"], q.generators)
+        v = parse_word(data["v"], q.generators)
+        if conjugator_between(relator, commutator(u, v)) is None:
+            return None
+        return u, v
 
     if cert.kind == "deficiency":
         return cur.deficiency >= 2 and data.get("deficiency") == cur.deficiency
@@ -704,15 +727,11 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
     if cert.kind == "commutator_betti":
         if cur.deficiency != 1:
             return False
-        relator = relator_at(cur, "relator_index")
-        if relator is None:
-            return False
-        u = parse_word(data["u"], cur.generators)
-        v = parse_word(data["v"], cur.generators)
-        if conjugator_between(relator, commutator(u, v)) is None:
+        words = commutator_relator(cur, "relator_index")
+        if words is None:
             return False
         if data["mode"] == "span":
-            rank, infinite = image_span_rank(cur, [u, v])
+            rank, infinite = image_span_rank(cur, words)
             return (infinite and rank == data["rank"]
                     and abelianization(cur).betti == data["betti"])
         if data["mode"] == "torsion":
@@ -724,15 +743,10 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
     if cert.kind == "big_cover_abelianization":
         if not cert.chain:
             return False
-        parent = cert.chain[-2].presentation if len(cert.chain) > 1 else p
+        parent = pres[-2]
         if parent.deficiency != 1:
             return False
-        relator = relator_at(parent, "parent_relator_index")
-        if relator is None:
-            return False
-        u = parse_word(data["u"], parent.generators)
-        v = parse_word(data["v"], parent.generators)
-        if conjugator_between(relator, commutator(u, v)) is None:
+        if commutator_relator(parent, "parent_relator_index") is None:
             return False
         inv = abelianization(cur)
         if inv.is_z_squared():

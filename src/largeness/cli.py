@@ -113,7 +113,7 @@ def cmd_rewrite(args) -> int:
             f"index-class {args.index_class} out of range (0..{len(classes) - 1})")
     table = classes[args.index_class]
     raw, _ = reidemeister_schreier(p, table)
-    simp, _, _ = tietze_simplify(raw)
+    simp, _ = tietze_simplify(raw)
     _emit({"index": table.degree,
            "raw": presentation_to_json(raw),
            "simplified": presentation_to_json(simp)}, args)

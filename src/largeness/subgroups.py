@@ -13,8 +13,7 @@ from typing import Iterable, Optional, Sequence
 
 from .abelian import AbelianInvariants
 from .stallings import uf_find
-from .words import (Presentation, Word, concat, cyclic_reduce, exponent_vector,
-                    inverse, letter)
+from .words import Presentation, Word, cyclic_reduce, exponent_vector, inverse
 
 
 class BoundExceeded(RuntimeError):
@@ -231,54 +230,15 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
 # Reidemeister-Schreier
 
 
-@dataclass(frozen=True)
-class SchreierData:
-    """Byproducts of rewriting: the edge numbering, and ambient words for the
-    subgroup generators (one per non-tree edge), built on first use."""
-
-    table: CosetTable
-    transversal: tuple
-    edge_index: tuple  # per gen, per coset: the edge's letter upstairs, 0 on the tree
-
-    @cached_property
-    def ambient_words(self) -> tuple:
-        """Generator k's ambient word t_c g t_{c.g}^-1 for its edge (c, g)."""
-        edges = sorted((k, c, g) for g, ids in enumerate(self.edge_index)
-                       for c, k in enumerate(ids) if k)
-        t = self.transversal
-        return tuple(concat(t[c], (letter(g),), inverse(t[self.table.action[g][c]]))
-                     for _, c, g in edges)
-
-
-def _tree(table: CosetTable):
-    """First visits in scan order from coset 0, which span the Schreier
-    tree: ``_first_visits(table, 0)``, refused when not every coset is
-    reached."""
-    order, parent, via = _first_visits(table, 0)
-    if len(order) != table.degree:
-        raise ValueError("coset table is not transitive")
-    return order, parent, via
-
-
-def schreier_tree(table: CosetTable):
-    """Spanning tree of first visits in scan order from coset 0; returns
-    transversal words and the set of tree edges (coset, gen)."""
-    order, parent, via = _tree(table)
-    transversal: list = [()] * table.degree
-    tree_edges = set()
-    for tgt in order[1:]:
-        c, lt = parent[tgt], via[tgt]
-        transversal[tgt] = transversal[c] + (lt,)
-        tree_edges.add((c, lt - 1) if lt > 0 else (tgt, -lt - 1))
-    return transversal, tree_edges
-
-
 def _edge_index(table: CosetTable) -> tuple:
     """The Schreier generators: per generator g and coset c, the number
     (from 1) of the one for the edge (c, g), or 0 when the edge is on the
-    Schreier tree.  The edges off the tree are numbered in order of coset,
-    then generator.  Raises ValueError when the table is not transitive."""
-    order, parent, via = _tree(table)
+    Schreier tree of first visits in scan order from coset 0.  The edges off
+    the tree are numbered in order of coset, then generator.  Raises
+    ValueError when the table is not transitive."""
+    order, parent, via = _first_visits(table, 0)
+    if len(order) != table.degree:
+        raise ValueError("coset table is not transitive")
     index = [[1] * table.degree for _ in table.action]
     for tgt in order[1:]:
         lt = via[tgt]
@@ -322,9 +282,9 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
     """Subgroup presentation on (n-1)i+1 Schreier generators with mi
     relators (before any simplification).
 
-    Returns ``(presentation, SchreierData)``.
+    Returns ``(presentation, edge_index)``, the numbering of ``_edge_index``
+    that ``rewrite_word`` takes.
     """
-    transversal, _ = schreier_tree(table)
     edge_index = _edge_index(table)
     names = []
     taken = set()
@@ -342,7 +302,7 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
     except ValueError:
         raise ValueError("coset table is not closed under the relators") from None
     sub = Presentation(tuple(names), tuple(relators))
-    return sub, SchreierData(table, tuple(transversal), edge_index)
+    return sub, edge_index
 
 
 def cover_abelianization(p: Presentation, table: CosetTable) -> AbelianInvariants:
@@ -381,8 +341,7 @@ def cover_abelianization(p: Presentation, table: CosetTable) -> AbelianInvariant
 MAX_SUB_LEN = 64
 
 
-def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
-                    ambient: Optional[Sequence[Word]] = None):
+def tietze_simplify(p: Presentation, carry: Sequence[Word] = ()):
     """Bounded Tietze simplification: drop empty relators, cyclically reduce,
     and eliminate generators that occur exactly once in some relator.
 
@@ -396,9 +355,7 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
     renumbered in their old order at the end.
 
     ``carry`` words (freely reduced) are rewritten through the same
-    substitutions; ``ambient`` tracks per-generator ambient words when the
-    presentation came from rewriting.  Returns ``(presentation, carry,
-    ambient)``.
+    substitutions.  Returns ``(presentation, carry)``.
     """
     rels = [r for r in (cyclic_reduce(r)[0] for r in p.relators) if r]
     carry = [tuple(w) for w in carry]
@@ -446,8 +403,7 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = (),
             new[g + 1], new[-g - 1] = k, -k
         rels = [tuple(map(new.__getitem__, r)) for r in rels]
         carry = [tuple(map(new.__getitem__, w)) for w in carry]
-    amb = None if ambient is None else [ambient[g] for g in kept]
-    return Presentation(tuple(p.generators[g] for g in kept), tuple(rels)), carry, amb
+    return Presentation(tuple(p.generators[g] for g in kept), tuple(rels)), carry
 
 
 def cover_presentation(p: Presentation, table: CosetTable,
@@ -458,10 +414,8 @@ def cover_presentation(p: Presentation, table: CosetTable,
     ``carry`` words must lie in the subgroup; they come back re-expressed in
     the simplified generators.  Returns ``(presentation, carried words)``.
     """
-    raw, data = reidemeister_schreier(p, table)
-    carried = [rewrite_word(table, data.edge_index, w) for w in carry]
-    simp, carried, _ = tietze_simplify(raw, carried)
-    return simp, carried
+    raw, edge_index = reidemeister_schreier(p, table)
+    return tietze_simplify(raw, [rewrite_word(table, edge_index, w) for w in carry])
 
 
 # ---------------------------------------------------------------------------

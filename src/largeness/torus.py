@@ -93,49 +93,6 @@ def mapping_torus(e: Endomorphism) -> Presentation:
     return Presentation(e.names + (stable_letter_name(e.names),), rels)
 
 
-def cyclic_cover(e: Endomorphism, j: int) -> Presentation:
-    """Presentation of the index-j subgroup generated by the base group and
-    the j-th power of the stable letter."""
-    if j < 1:
-        raise ValueError("j must be >= 1")
-    if j == 1:
-        return mapping_torus(e)
-    ej = endo_power(e, j)
-    n = e.rank
-    s = letter(n)
-    rels = tuple(free_reduce((s, letter(i), -s) + inverse(ej.images[i]))
-                 for i in range(n))
-    name = "s" if "s" not in e.names else stable_letter_name(e.names + ("s",))
-    return Presentation(e.names + (name,), rels)
-
-
-def normal_form(e: Endomorphism, g: Word) -> tuple:
-    """Write a mapping-torus element as t^-p gamma t^q with p, q >= 0.
-
-    ``g`` uses letters 1..n for the base generators and n+1 for the stable
-    letter; t-letters are pushed outward with t x t^-1 = theta(x).
-    """
-    if not endo_is_injective(e):
-        raise ValueError("normal form needs an injective endomorphism")
-    n = e.rank
-    t = n + 1
-    p = 0
-    gamma: Word = ()
-    qcount = 0
-    for lt in g:
-        if abs(lt) == t:
-            if lt > 0:
-                qcount += 1
-            elif qcount > 0:
-                qcount -= 1
-            else:
-                p += 1
-                gamma = endo_apply(e, gamma, 1)
-        else:
-            gamma = concat(gamma, endo_apply(e, (lt,), qcount))
-    return p, gamma, qcount
-
-
 def preimage_subgroup(e: Endomorphism, cover: StallingsGraph) -> StallingsGraph:
     """Graph of theta^-1(F): the stabilizer of the base coset under the
     action gamma -> (theta(gamma) acting on cosets of F)."""

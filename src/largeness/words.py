@@ -267,10 +267,6 @@ class Presentation:
         return f"< {', '.join(self.generators)} | {rels} >"
 
 
-def presentation(gen_names: Sequence[str], relators: Iterable[Word]) -> Presentation:
-    return Presentation(tuple(gen_names), tuple(free_reduce(r) for r in relators))
-
-
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 _INT_RE = re.compile(r"-?\d+")
 

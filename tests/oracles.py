@@ -1,8 +1,9 @@
 """Reference implementations that only the tests use: group ring
-arithmetic, integer matrix products and determinants, and subgroup counts."""
+arithmetic, integer matrix products and determinants, subgroup counts, and
+the Schreier generators of a coset table as words in the ambient group."""
 
 from largeness.subgroups import canonical_rebase, low_index_subgroups
-from largeness.words import concat
+from largeness.words import concat, inverse
 
 # group ring elements: dict word -> nonzero integer coefficient
 
@@ -78,3 +79,29 @@ def subgroup_count_by_index(p, max_index: int) -> dict:
         counts[table.degree] += len({canonical_rebase(table, b).flat()
                                      for b in range(table.degree)})
     return counts
+
+
+def schreier_generators(table) -> list:
+    """Per Schreier generator, in order of coset then generator: its edge
+    (c, g) off the tree of first visits from coset 0, and its ambient word
+    t_c g t_(c.g)^-1, with t_c the tree path to c.
+
+    First visits follow the scan order: cosets in order of visit, directions
+    g1, g1^-1, g2, g2^-1, ...; each inverse step is found by searching the
+    permutation.  Raises ValueError when not every coset is reached.
+    """
+    path = {0: ()}
+    tree = set()
+    order = [0]
+    for c in order:
+        for g, perm in enumerate(table.action):
+            for tgt, lt in ((perm[c], g + 1), (perm.index(c), -g - 1)):
+                if tgt not in path:
+                    path[tgt] = path[c] + (lt,)
+                    tree.add((c, g) if lt > 0 else (tgt, g))
+                    order.append(tgt)
+    if len(order) != table.degree:
+        raise ValueError("coset table is not transitive")
+    return [((c, g), concat(path[c], (g + 1,), inverse(path[table.action[g][c]])))
+            for c in range(table.degree) for g in range(len(table.action))
+            if (c, g) not in tree]

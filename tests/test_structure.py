@@ -79,9 +79,11 @@ def _references(tree):
 
 def test_every_definition_in_the_package_has_a_caller():
     # a module-level function or class that only tests use belongs in the
-    # tests; a use inside its own definition does not count
+    # tests; a use inside its own definition does not count, and neither
+    # does a re-export from the package's __init__.py
     root = SRC.parents[1]
-    files = [*sorted(SRC.glob("*.py")), *sorted((root / "scripts").glob("*.py")),
+    files = [*sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py"),
+             *sorted((root / "scripts").glob("*.py")),
              *sorted((root / "perfbench").glob("*.py"))]
     trees = {path: ast.parse(path.read_text(), str(path)) for path in files}
     used = {}
@@ -89,7 +91,7 @@ def test_every_definition_in_the_package_has_a_caller():
         for name, line in _references(tree):
             used.setdefault(name, []).append((path, line))
     unused = []
-    for path in sorted(SRC.glob("*.py")):
+    for path in sorted(p for p in trees if p.parent == SRC):
         for node in _definitions(trees[path]):
             own = range(node.lineno, node.end_lineno + 1)
             if not any(p != path or line not in own for p, line in used.get(node.name, [])):

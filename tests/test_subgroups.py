@@ -16,11 +16,10 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  coset_enumerate, cover_abelianization,
                                  cover_presentation,
                                  index_two_classes, low_index_subgroups, reidemeister_schreier,
-                                 rewrite_word, schreier_tree, subgroup_classes,
-                                 tietze_simplify)
+                                 rewrite_word, subgroup_classes, tietze_simplify)
 from largeness.words import (Presentation, default_names, free_reduce,
                              parse_presentation, parse_word)
-from oracles import subgroup_count_by_index
+from oracles import schreier_generators, subgroup_count_by_index
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())
@@ -235,19 +234,21 @@ class TestReidemeisterSchreier:
     def test_ambient_words(self):
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
-        _, data = reidemeister_schreier(p, t)
-        # every ambient word fixes the base coset
-        for w in data.ambient_words:
+        _, edge_index = reidemeister_schreier(p, t)
+        # every ambient word fixes the base coset and rewrites to its own
+        # Schreier generator
+        for k, (_, w) in enumerate(schreier_generators(t), 1):
             assert t.trace(0, w) == 0
+            assert rewrite_word(t, edge_index, w) == (k,)
 
     def test_rewrite_word(self):
         p = parse_presentation("< x, y | >")
         t = coset_enumerate(p, words_of(p, "x^2", "y", "x y x^-1"))
-        sub, data = reidemeister_schreier(p, t)
-        expr = rewrite_word(t, data.edge_index, parse_word("x^2", p.generators))
+        sub, edge_index = reidemeister_schreier(p, t)
+        expr = rewrite_word(t, edge_index, parse_word("x^2", p.generators))
         assert len(expr) == 1
         with pytest.raises(ValueError):
-            rewrite_word(t, data.edge_index, parse_word("x", p.generators))
+            rewrite_word(t, edge_index, parse_word("x", p.generators))
 
 
 class TestLowIndex:
@@ -307,7 +308,7 @@ class TestLowIndex:
         p = parse_presentation("< a, b | a^2, b^3, a b a b >")
         table = [t for t in low_index_subgroups(p, 2) if t.degree == 2][0]
         sub, _ = reidemeister_schreier(p, table)
-        simp, _, _ = tietze_simplify(sub)
+        simp, _ = tietze_simplify(sub)
         inv = abelianization(simp)
         assert inv.betti == 0 and inv.torsion == (3,)
 
@@ -350,7 +351,7 @@ class TestCanonicalSearch:
     @settings(max_examples=200, deadline=None)
     def test_rebase_against_reference(self, t, base):
         # any numbering of a transitive table, rebased at any coset
-        assume(outcome(schreier_tree, t)[0] != "ValueError")
+        assume(outcome(schreier_generators, t)[0] != "ValueError")
         base %= t.degree
         assert canonical_rebase(t, base) == ref_canonical_rebase(t, base)
 
@@ -487,18 +488,22 @@ class TestSchreierTree:
             if canonical_rebase(t, 0) == t:
                 continue
             assert t.is_closed_under(p.relators)
-            transversal, tree_edges = schreier_tree(t)
-            for c, w in enumerate(transversal):
-                assert t.trace(0, w) == c
-            assert len(tree_edges) == t.degree - 1
-            sub, _ = reidemeister_schreier(p, t)
+            sub, edge_index = reidemeister_schreier(p, t)
+            # degree - 1 tree edges, the others numbered 1, 2, ... in order
+            # of coset, then generator, as the reference numbers them
+            assert sum(row.count(0) for row in edge_index) == t.degree - 1
             assert sub.ngens == (p.ngens - 1) * t.degree + 1
+            numbered = sorted((c, g, k) for g, row in enumerate(edge_index)
+                              for c, k in enumerate(row) if k)
+            assert [k for _, _, k in numbered] == list(range(1, sub.ngens + 1))
+            assert [(c, g) for c, g, _ in numbered] == [e for e, _ in schreier_generators(t)]
             checked += 1
         assert checked > 0
 
     def test_non_transitive_table_is_refused(self):
-        with pytest.raises(ValueError):
-            schreier_tree(CosetTable(2, ((0, 1),)))
+        p = Presentation(("x",), ())
+        with pytest.raises(ValueError, match="not transitive"):
+            reidemeister_schreier(p, CosetTable(2, ((0, 1),)))
 
 
 class TestCoverPresentation:
@@ -506,9 +511,9 @@ class TestCoverPresentation:
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         subgens = words_of(p, "x^2", "y", "x y x^-1")
         table = coset_enumerate(p, subgens)
-        raw, data = reidemeister_schreier(p, table)
-        exprs = [rewrite_word(table, data.edge_index, w) for w in subgens]
-        expected, carried, _ = tietze_simplify(raw, exprs)
+        raw, edge_index = reidemeister_schreier(p, table)
+        exprs = [rewrite_word(table, edge_index, w) for w in subgens]
+        expected, carried = tietze_simplify(raw, exprs)
         assert cover_presentation(p, table, subgens) == (expected, carried)
         assert cover_presentation(p, table) == (expected, [])
 
@@ -516,8 +521,8 @@ class TestCoverPresentation:
 class TestRewritingRoundTrip:
     def test_expressions_expand_back(self):
         # rewrite subgroup elements into Schreier generators, then expand
-        # the generators through their ambient words: must reproduce the
-        # original element of the ambient free group
+        # the generators through the reference's ambient words: must
+        # reproduce the original element of the ambient free group
         from largeness.words import free_reduce, inverse, substitute
         rnd = random.Random(17)
         p = parse_presentation("< x, y | >")
@@ -526,14 +531,15 @@ class TestRewritingRoundTrip:
             subgens += [parse_word(f"x^{i} y x^-{i}", p.generators) for i in range(k)]
             table = coset_enumerate(p, subgens)
             assert table.degree == k
-            sub, data = reidemeister_schreier(p, table)
+            _, edge_index = reidemeister_schreier(p, table)
+            ambient = [w for _, w in schreier_generators(table)]
             for _ in range(25):
                 parts = []
                 for w in rnd.choices(subgens, k=rnd.randint(1, 4)):
                     parts.extend(w if rnd.random() < 0.5 else inverse(w))
                 element = free_reduce(tuple(parts))
-                expr = rewrite_word(table, data.edge_index, element)
-                assert free_reduce(substitute(expr, data.ambient_words)) == element
+                expr = rewrite_word(table, edge_index, element)
+                assert free_reduce(substitute(expr, ambient)) == element
 
     def test_expressions_survive_simplification(self):
         from largeness.words import free_reduce, inverse, substitute
@@ -541,18 +547,21 @@ class TestRewritingRoundTrip:
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         subgens = [parse_word(t, p.generators) for t in ("x^2", "y", "x y x^-1")]
         table = coset_enumerate(p, subgens)
-        sub, data = reidemeister_schreier(p, table)
+        sub, edge_index = reidemeister_schreier(p, table)
         elements = []
         for _ in range(15):
             parts = []
             for w in rnd.choices(subgens, k=rnd.randint(1, 3)):
                 parts.extend(w if rnd.random() < 0.5 else inverse(w))
             elements.append(free_reduce(tuple(parts)))
-        exprs = [rewrite_word(table, data.edge_index, el) for el in elements]
-        simp, carried, amb = tietze_simplify(sub, exprs, list(data.ambient_words))
+        exprs = [rewrite_word(table, edge_index, el) for el in elements]
+        simp, carried = tietze_simplify(sub, exprs)
+        # no generator is eliminated here, so the reference's ambient words
+        # still stand for the simplified generators, and expansion, which
+        # in general agrees only in the group, agrees in the free group
+        assert simp.generators == sub.generators
+        amb = [w for _, w in schreier_generators(table)]
         for element, expr in zip(elements, carried):
-            # expansion only agrees in the group, but with no elimination
-            # possible here it agrees on the nose in the free group
             assert free_reduce(substitute(expr, amb)) == element
 
 
@@ -561,18 +570,18 @@ class TestTietze:
         from largeness.words import Presentation
         # one empty relator plus a conjugate of a single letter
         q = Presentation(("a", "b"), ((), (2, 1, -2)))
-        simp, _, _ = tietze_simplify(q)
+        simp, _ = tietze_simplify(q)
         assert simp.ngens == 1 and simp.nrels == 0
 
     def test_eliminates_defined_generator(self):
         # c is defined by the second relator; the group is Z x Z
         p = parse_presentation("< a, b, c | a b A B, c b a >")
-        simp, _, _ = tietze_simplify(p)
+        simp, _ = tietze_simplify(p)
         assert simp.ngens == 2 and simp.nrels == 1
 
     def test_carry_words(self):
         p = parse_presentation("< a, b, c | c b a >")
-        simp, carry, _ = tietze_simplify(p, [(3,)])  # the letter c
+        simp, carry = tietze_simplify(p, [(3,)])  # the letter c
         assert simp.ngens == 2 and simp.nrels == 0
         # c = (b a)^-1 = a^-1 b^-1
         assert carry[0] == (-1, -2)
@@ -588,7 +597,7 @@ class TestTietze:
                         for _ in range(rnd.randint(1, 8))]
                 rels.append(free_reduce(tuple(word)))
             p = Presentation(default_names(n), tuple(rels))
-            simp, _, _ = tietze_simplify(p)
+            simp, _ = tietze_simplify(p)
             assert abelianization(simp) == abelianization(p)
 
 
@@ -668,3 +677,37 @@ def test_subgroups_listing_bytes(name):
         code = main(["subgroups", str(CORPUS / f"{name}.pres"), "--max-index", "5"])
     assert code == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == SUBGROUPS_SHA256[name]
+
+
+# sha256 of the stdout of `largeness rewrite FILE --max-index 4 --index-class
+# k`, over k = 0, 1, ... for every class up to index 4 (383 in all), per
+# corpus file: the raw and the simplified presentation of each class, with
+# their generator names, recorded while Reidemeister-Schreier still built a
+# transversal and Tietze still carried ambient words
+REWRITE_SHA256 = {
+    "bs_1_2": "17296d2e67e15145878776eccddfe29e1e138876435e89c8143ea908818571ef",
+    "bs_2_3": "e35e4333bb3cfa6fbf7fb71b45b090c194985580b623868405d1963d63e0f591",
+    "bs_2_4": "3f64eb23835e61db53945e29fc4853a8e7d5fbea2ee40d7ce25b459a57b0e4ea",
+    "conjugate_square_commutes": "0bcf4d97d077fd36e41e2cd27c574774a6dd3ca15bb2bd53323adbfc3b666918",
+    "cyclic_quotients_only": "6da4bfc4d5694b7fe2f59ada1ef6924462ca0219a9da2c6512bd0d8b8d6f93a6",
+    "deep_conjugator_family": "7eb0b8774ec4dfdab7fef56d97c824763b2a9dae57f0cc9a5c81eab4a69e3a5a",
+    "f2_times_z": "5f9837dfc53ec0f1b9ebc16c3be74b6e15bd2c8b878172aca2ebe60868d7f65b",
+    "free_rank2_and_z": "2e2c9b9b6d1b0985566934130c9bf9c94e05c2bc4f8fbe3d953e0581554f05d2",
+    "hexagonal_balanced_1": "0a6b14c95df42f0fa51e2af77f1c7f9ffdad13a0baaf5be7c0064ad24b231c67",
+    "hexagonal_balanced_2": "ae754c982eb577eb506ec68b4407087d9d8754d91a67d139af7b6ff73b35b018",
+    "trefoil": "46ce01e791de530a5c716d65efb18c3ca3dcf7bcd6b9254b0776c65516d03ed3",
+    "z": "31790cd0df0dc1e8d81c25d64de7804dad8c69ab65d563e8c4e10975edc6959a",
+    "zxz": "1ef93730bac40622a74274902246fe4a827b3f19502d2e0a4dc492cf87a2ae76",
+}
+
+
+@pytest.mark.parametrize("name", sorted(REWRITE_SHA256))
+def test_rewrite_bytes(name):
+    path = CORPUS / f"{name}.pres"
+    nclasses = len(low_index_subgroups(parse_presentation(path.read_text()), 4))
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for k in range(nclasses):
+            assert main(["rewrite", str(path), "--max-index", "4",
+                         "--index-class", str(k)]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REWRITE_SHA256[name]

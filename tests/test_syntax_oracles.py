@@ -3,9 +3,10 @@
 The reference forms below are the earlier, direct implementations of
 ``classify_conjugated_power``, ``reidemeister_schreier``/``rewrite_word``,
 ``tietze_simplify`` and ``exponent_matrix``: every rotation built, a
-``power`` per candidate split, a ``(coset, gen)`` edge dict, and a Tietze loop
-that renumbers and reduces every word on every elimination.  The fast forms
-must give the same output, in the same order, and the same errors.
+``power`` per candidate split, a ``(coset, gen)`` edge dict over the Schreier
+tree of ``oracles.schreier_generators``, and a Tietze loop that renumbers and
+reduces every word on every elimination.  The fast forms must give the same
+output, in the same order, and the same errors.
 """
 
 import random
@@ -18,10 +19,11 @@ from largeness.abelian import exponent_matrix
 from largeness.certify import classify_conjugated_power
 from largeness.subgroups import (MAX_SUB_LEN, CosetTable, cover_presentation,
                                  low_index_subgroups, reidemeister_schreier,
-                                 rewrite_word, schreier_tree, tietze_simplify)
+                                 rewrite_word, tietze_simplify)
 from largeness.words import (Presentation, concat, cyclic_reduce,
                              default_names, free_reduce, gen_of, inverse,
                              letter, parse_presentation, power, rotate)
+from oracles import schreier_generators
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -82,37 +84,30 @@ def ref_rewrite_word(table, edge_index, w, start=0):
 
 def ref_reidemeister_schreier(p, table):
     """``(presentation, ambient words, (coset, gen) -> generator index)``."""
+    gens = schreier_generators(table)
     if not table.is_closed_under(p.relators):
         raise ValueError("coset table is not closed under the relators")
-    transversal, tree_edges = schreier_tree(table)
-    edge_index = {}
+    edge_index = {edge: k for k, (edge, _) in enumerate(gens)}
     names = []
     taken = set()
-    ambient = []
-    for c in range(table.degree):
-        for g in range(p.ngens):
-            if (c, g) not in tree_edges:
-                edge_index[(c, g)] = len(names)
-                name = p.generators[g] if table.degree == 1 else f"{p.generators[g]}_{c}"
-                while name in taken:
-                    name += "_"
-                taken.add(name)
-                names.append(name)
-                tgt = table.action[g][c]
-                ambient.append(concat(transversal[c], (letter(g),),
-                                      inverse(transversal[tgt])))
+    for c, g in edge_index:
+        name = p.generators[g] if table.degree == 1 else f"{p.generators[g]}_{c}"
+        while name in taken:
+            name += "_"
+        taken.add(name)
+        names.append(name)
     relators = []
     for r in p.relators:
         for c in range(table.degree):
             relators.append(ref_rewrite_word(table, edge_index, r, c))
-    return Presentation(tuple(names), tuple(relators)), tuple(ambient), edge_index
+    ambient = tuple(w for _, w in gens)
+    return Presentation(tuple(names), tuple(relators)), ambient, edge_index
 
 
-def ref_tietze_simplify(p, carry=(), ambient=None):
+def ref_tietze_simplify(p, carry=()):
     gens = list(p.generators)
     rels = [r for r in p.relators]
     carry = [tuple(w) for w in carry]
-    amb = list(ambient) if ambient is not None else None
 
     def cyc(w):
         return cyclic_reduce(w)[0]
@@ -169,19 +164,15 @@ def ref_tietze_simplify(p, carry=(), ambient=None):
         rels = [eliminate(r2) for r2i, r2 in enumerate(rels) if r2i != r_idx]
         carry = [eliminate(w) for w in carry]
         gens = [nm for i, nm in enumerate(gens) if i != g]
-        if amb is not None:
-            amb = [a for i, a in enumerate(amb) if i != g]
         changed = True
     rels = [cyc(r) for r in rels]
     rels = [r for r in rels if r]
-    return Presentation(tuple(gens), tuple(rels)), carry, amb
+    return Presentation(tuple(gens), tuple(rels)), carry
 
 
 def ref_cover_presentation(p, table, carry=()):
     raw, _, edge_index = ref_reidemeister_schreier(p, table)
-    carried = [ref_rewrite_word(table, edge_index, w) for w in carry]
-    simp, carried, _ = ref_tietze_simplify(raw, carried)
-    return simp, carried
+    return ref_tietze_simplify(raw, [ref_rewrite_word(table, edge_index, w) for w in carry])
 
 
 # ---------------------------------------------------------------------------
@@ -196,14 +187,13 @@ def reduced_words(ngens, max_size):
 @st.composite
 def presentations_with_words(draw):
     """A presentation on 1-5 generators with some relators long enough to
-    meet the substitution bound, plus carry words and ambient words."""
+    meet the substitution bound, plus carry words."""
     n = draw(st.integers(1, 5))
     short = draw(st.lists(reduced_words(n, 12), max_size=5))
     long = draw(st.lists(reduced_words(n, 3 * MAX_SUB_LEN // 2), max_size=1))
     rels = draw(st.permutations(short + long))
     carry = draw(st.lists(reduced_words(n, 10), max_size=4))
-    ambient = draw(st.lists(reduced_words(3, 6), min_size=n, max_size=n))
-    return Presentation(default_names(n), tuple(rels)), carry, ambient
+    return Presentation(default_names(n), tuple(rels)), carry
 
 
 def edge_dict(edge_index):
@@ -264,7 +254,7 @@ class TestExponentMatrix:
     @given(presentations_with_words())
     @settings(max_examples=100, deadline=None)
     def test_random(self, case):
-        p, _, _ = case
+        p, _ = case
         assert exponent_matrix(p) == ref_exponent_matrix(p)
 
     def test_no_relators(self):
@@ -276,8 +266,8 @@ class TestTietze:
     @given(presentations_with_words())
     @settings(max_examples=300, deadline=None)
     def test_random_presentations(self, case):
-        p, carry, ambient = case
-        assert tietze_simplify(p, carry, ambient) == ref_tietze_simplify(p, carry, ambient)
+        p, carry = case
+        assert tietze_simplify(p, carry) == ref_tietze_simplify(p, carry)
         assert tietze_simplify(p) == ref_tietze_simplify(p)
 
     def test_substitution_bound(self):
@@ -286,7 +276,7 @@ class TestTietze:
         for length, ngens in ((MAX_SUB_LEN + 2, 3), (MAX_SUB_LEN + 1, 2)):
             p = Presentation(("a", "b", "c"),
                              ((1,) + tuple(2 + i % 2 for i in range(length - 1)),))
-            simp, _, _ = tietze_simplify(p)
+            simp, _ = tietze_simplify(p)
             assert simp == ref_tietze_simplify(p)[0]
             assert simp.ngens == ngens
 
@@ -306,18 +296,17 @@ class TestRewriting:
                 tuple(perm[a[perm.index(c)]] for c in range(table.degree))
                 for a in table.action))
             for t in (table, moved):
-                sub, data = reidemeister_schreier(p, t)
+                sub, edge_index = reidemeister_schreier(p, t)
                 ref_sub, ref_amb, ref_edges = ref_reidemeister_schreier(p, t)
                 assert sub == ref_sub
-                assert data.ambient_words == ref_amb
-                assert edge_dict(data.edge_index) == ref_edges
+                assert edge_dict(edge_index) == ref_edges
                 # carry words in the subgroup: products of ambient words
                 carry = [free_reduce(sum((ref_amb[i] if rnd.random() < 0.5
                                           else inverse(ref_amb[i])
                                           for i in rnd.choices(range(len(ref_amb)), k=3)),
                                          ())) for _ in range(3)]
                 for w in carry:
-                    assert (rewrite_word(t, data.edge_index, w)
+                    assert (rewrite_word(t, edge_index, w)
                             == ref_rewrite_word(t, ref_edges, w))
                 assert cover_presentation(p, t, carry) == ref_cover_presentation(p, t, carry)
 
@@ -328,20 +317,19 @@ class TestRewriting:
            st.integers(0, 3))
     @settings(max_examples=300, deadline=None)
     def test_random_tables(self, table_spec, rels, w, start):
-        # closed or not: a table that is transitive but not closed under the
-        # relators is refused with the reference error; the word rewritten
-        # need not be freely reduced
+        # transitive or not, closed or not: a table that is not transitive,
+        # or not closed under the relators, is refused with the reference
+        # error; the word rewritten need not be freely reduced
         degree, perms = table_spec
         t = CosetTable(degree, tuple(tuple(x) for x in perms))
-        assume(outcome(schreier_tree, t)[0] != "ValueError")
         p = Presentation(("x", "y"), tuple(rels))
         got = outcome(reidemeister_schreier, p, t)
         ref = outcome(ref_reidemeister_schreier, p, t)
         if ref[0] == "ValueError":
             assert got == ref
             return
-        sub, data = got
-        assert sub == ref[0] and edge_dict(data.edge_index) == ref[2]
+        sub, edge_index = got
+        assert sub == ref[0] and edge_dict(edge_index) == ref[2]
         start %= degree
-        assert (outcome(rewrite_word, t, data.edge_index, w, start)
+        assert (outcome(rewrite_word, t, edge_index, w, start)
                 == outcome(ref_rewrite_word, t, ref[2], w, start))
