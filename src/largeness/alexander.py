@@ -541,18 +541,20 @@ def _bareiss(mat, q: int = 0) -> int:
     return 0
 
 
-def _point_matrices(rows):
+def _point_matrices(rows, least: int):
     """The integer rows, none of them zero, at t = 0 and at t = oo, after
     scaling each row by the power of t that makes its lowest (highest) term
-    constant, then at t = 1 and at t = -1; lazily.  Entries are sums of
+    constant, then at t = 1 and at t = -1; lazily, each with the factor its
+    maximal minors are known to carry: ``least``, the least nonzero |chi|,
+    at t = 1 (see ``_fox_rows``), else 1.  Entries are sums of
     coefficients, small whatever the exponents."""
     ends = [(min(ex), max(ex)) for ex in ([e for entry in row for e in entry]
                                           for row in rows)]
     for k in (0, 1):
-        yield [[entry.get(end[k], 0) for entry in row] for row, end in zip(rows, ends)]
-    yield [[sum(entry.values()) for entry in row] for row in rows]
-    yield [[sum(-c if e % 2 else c for e, c in entry.items()) for entry in row]
-           for row in rows]
+        yield 1, [[entry.get(end[k], 0) for entry in row] for row, end in zip(rows, ends)]
+    yield least, [[sum(entry.values()) for entry in row] for row in rows]
+    yield 1, [[sum(-c if e % 2 else c for e, c in entry.items()) for entry in row]
+              for row in rows]
 
 
 # A field the minors leave unproven is tried modulo a prime q at a few
@@ -604,8 +606,14 @@ def rank_witness(p: Presentation, chi: Chi, fields):
                            "reason": "fewer relators than module generators"}
     unproven = list(fields)
     no_zero_row = all(any(row) for row in rows)  # else rank drops everywhere
-    for mat in _point_matrices(rows) if no_zero_row else ():
+    least = min(abs(v) for v in chi.values if v)
+    for factor, mat in _point_matrices(rows, least) if no_zero_row else ():
         d = _bareiss(mat)  # a minor shared by all fields
+        if d % factor == 0:
+            # each minor is (t^c - 1) / (t - 1), c = least, which is monic,
+            # times an integer Laurent polynomial, of value d / c at t = 1:
+            # where that is nonzero mod p, so is the minor over F_p(t)
+            d //= factor
         unproven = [f for f in unproven
                     if (d % f.p == 0 if isinstance(f, PrimeField) else d == 0)]
         if not unproven:

@@ -12,6 +12,7 @@ sweep with recursion.  Every LARGE verdict carries a certificate that
 from __future__ import annotations
 
 import json
+from collections import Counter
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from itertools import combinations, islice, product
@@ -198,23 +199,44 @@ def classify_conjugated_power(w: Word) -> Optional[dict]:
     """
     core, _ = cyclic_reduce(w)
     n = len(core)
-    # g A g^-1 B with B = A^(+-c) has |A|(c + 1) = n - 2
-    sizes = [m for m in range(1, n - 1) if (n - 2) % m == 0]
+    # g A g^-1 B with B = A^(+-c) has |A|(c + 1) = n - 2 and c >= 1, as
+    # g A g^-1 is not cyclically reduced; each generator but g's occurs in
+    # it a multiple of c + 1 times, and g's 2 more than that
+    counts = Counter(map(abs, core))
+    splits = []  # (|A|, c, the generator g must be, or 0 for any)
+    for m in range(1, n - 2):
+        if (n - 2) % m:
+            continue
+        c = (n - 2) // m - 1
+        off = [j for j, t in counts.items() if t % (c + 1)]
+        if not off and c == 1:
+            splits.append((m, c, 0))
+        elif len(off) == 1 and counts[off[0]] % (c + 1) == 2:
+            splits.append((m, c, off[0]))
     core2 = core + core  # rotation k is core2[k:k + n]
+    inv2 = inverse(core2)  # inverse(core2[i:j]) is inv2[2n - j:2n - i]
+    end = 2 * n
     for k in range(n):
-        for m in sizes:
-            if core2[k + m + 1] != -core2[k]:
+        g = -core2[k]
+        j = abs(g)
+        for m, c, gen in splits:
+            if gen not in (0, j) or core2[k + m + 1] != g:
                 continue
-            a_part = core2[k + 1:k + m + 1]
-            b_part = core2[k + m + 2:k + n]
-            c = (n - 2) // m - 1
-            # A^c is the plain repetition A*c unless c >= 2 and A[0] =
-            # A[-1]^-1; then A^c is shorter than B and A*c is not reduced,
-            # so neither equals B
-            if b_part == a_part * c:
-                return {"exponent": -c, "amplitude": a_part}
-            if b_part == inverse(a_part) * c:
-                return {"exponent": c, "amplitude": a_part}
+            # B = core2[s:k + n] is X*c, |X| = m, when it starts with X and
+            # has period m.  A^c is the plain repetition A*c unless c >= 2
+            # and A[0] = A[-1]^-1; then A^c is shorter than B and A*c is
+            # not reduced, so neither equals B
+            s = k + m + 2
+            x = core2[s]
+            if x == core2[k + 1] and core2[s:s + m] == core2[k + 1:k + m + 1]:
+                e = -c
+            elif (x == -core2[k + m]
+                  and core2[s:s + m] == inv2[end - k - m - 1:end - k - 1]):
+                e = c
+            else:
+                continue
+            if core2[s + m:k + n] == core2[s:k + n - m]:
+                return {"exponent": e, "amplitude": core2[k + 1:k + m + 1]}
     return None
 
 
@@ -266,8 +288,7 @@ def automatic_primes(p: Presentation) -> tuple:
         hit = classify_conjugated_power(r)
         if hit and hit["exponent"] not in (0, 1):
             out.update(prime_factors(1 - hit["exponent"]))
-        gens = {gen_of(lt) for lt in r}
-        if len(gens) == 2:
+        if len(set(map(abs, r))) == 2:
             bs = classify_bs_shape(cyclic_reduce(r)[0])
             if bs:
                 g = gcd(abs(bs["l"]), abs(bs["m"]))
@@ -365,9 +386,22 @@ def replayed(p: Presentation, verdict: Verdict) -> Verdict:
     return verdict
 
 
-def decide(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict:
+def decide(p: Presentation, config: CertifyConfig = CertifyConfig(),
+           pool: Optional[list] = None) -> Verdict:
     """The routes of ``certify`` without the final replay: for searches that
-    lift the verdict into a larger certificate and replay that instead."""
+    lift the verdict into a larger certificate and replay that instead.
+
+    The low-index DFS work of a call is bounded by 2 * ``li_nodes`` nodes,
+    whatever the recursion depth.  A top-level call (no ``pool``) gives its
+    own search a cell of ``li_nodes`` nodes, and every search in its covers,
+    at any depth, draws from one shared pool of ``li_nodes`` more.  A child
+    call's own search and its descendants' use the ``pool`` it is handed, a
+    one-element list of nodes left, decremented in place.
+    """
+    if pool is None:
+        own, pool = [config.li_nodes], [config.li_nodes]
+    else:
+        own = pool
     diags = []
     verdict = _route_deficiency(p, diags)
     if verdict is None:
@@ -380,7 +414,7 @@ def decide(p: Presentation, config: CertifyConfig = CertifyConfig()) -> Verdict:
     if verdict is None:
         verdict = _route_chi_sweep(p, config, diags)
     if verdict is None:
-        verdict = _route_low_index(p, config, diags, wits)
+        verdict = _route_low_index(p, config, diags, wits, own, pool)
     if verdict is None:
         verdict = Verdict(UNKNOWN, None, None, tuple(diags))
     return verdict
@@ -542,13 +576,14 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     return None
 
 
-def _cover_tables(p: Presentation, config, truncated):
+def _cover_tables(p: Presentation, config, truncated, nodes):
     """The tables the low-index route tries, in (degree, flat) order and
     lazily: the index-2 covers, from the maps onto Z/2, then the classes of
     degree 3 to ``max_index`` from a search run only once they are needed.
 
-    Each stage takes at most ``li_nodes`` tables or DFS nodes and sets
-    ``truncated[0]`` when it stops short; the index-2 covers are all there
+    The index-2 stage takes at most ``li_nodes`` tables, and the search the
+    DFS nodes left in the one-element list ``nodes``; either sets
+    ``truncated[0]`` when it stops short.  The index-2 covers are all there
     even when the search stops short.
     """
     twos = index_two_classes(p)
@@ -556,12 +591,13 @@ def _cover_tables(p: Presentation, config, truncated):
     if next(twos, None) is not None:
         truncated[0] = True
     if config.max_index > 2:
-        classes, cut = subgroup_classes(p, config.max_index, config.li_nodes)
+        classes, cut = subgroup_classes(p, config.max_index, nodes)
         truncated[0] |= cut
         yield from (t for t in classes if t.degree > 2)
 
 
-def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
+def _route_low_index(p: Presentation, config, diags, wits, own,
+                     pool) -> Optional[Verdict]:
     if config.budget < 1:
         diags.append("low-index route: recursion budget exhausted")
         return None
@@ -569,7 +605,7 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
         diags.append("low-index route: max index < 2")
         return None
     truncated = [False]
-    tables = _cover_tables(p, config, truncated)
+    tables = _cover_tables(p, config, truncated, own)
     if wits and p.deficiency == 1:
         # a commutator relator upstairs plus a cover whose abelianization
         # is not Z x Z gives largeness outright: every cover is checked
@@ -598,7 +634,7 @@ def _route_low_index(p: Presentation, config, diags, wits) -> Optional[Verdict]:
     for table in tables:
         tried += 1
         sub, _ = cover_presentation(p, table)
-        child = decide(sub, child_cfg)
+        child = decide(sub, child_cfg, pool)
         if child.is_large:
             cert = child.certificate.lift(p, (ChainLink(table, sub),))
             diags.append(

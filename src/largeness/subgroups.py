@@ -423,10 +423,14 @@ def cover_presentation(p: Presentation, table: CosetTable,
 
 
 def subgroup_classes(p: Presentation, max_index: int,
-                     node_budget: Optional[int] = None):
+                     node_budget: Optional[list] = None):
     """One canonical coset table per conjugacy class of subgroups of index
     at most ``max_index``, in deterministic order, and whether the search
-    stopped at ``node_budget`` DFS nodes (None: unbounded).
+    stopped short of them.
+
+    ``node_budget`` is a one-element list of the DFS nodes the search may
+    visit, decremented in place, so that searches handed the same list
+    share one bound; None: unbounded.
 
     Backtracking over partial tables; partial assignments are propagated
     through relator scans, and new cosets are introduced in scan order so
@@ -436,8 +440,7 @@ def subgroup_classes(p: Presentation, max_index: int,
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    cell = None if node_budget is None else [node_budget]
-    tables, truncated = _search_tables(p, max_index, cell)
+    tables, truncated = _search_tables(p, max_index, node_budget)
     found = [(t.degree, t.flat()) for t in tables]
     unplaced = set(found)
     keys = []

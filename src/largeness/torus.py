@@ -420,7 +420,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         e_eff = exponent
         fields = _fields_for(e_eff)
         if fields:
-            classes, cut = subgroup_classes(pres, config.max_index, config.li_nodes)
+            classes, cut = subgroup_classes(pres, config.max_index, [config.li_nodes])
             for sub_table in classes:
                 if sub_table.degree < 2:
                     continue

@@ -60,7 +60,7 @@ def free_reduce(letters: Iterable[int]) -> Word:
 
 
 def inverse(w: Word) -> Word:
-    return tuple(-lt for lt in reversed(w))
+    return tuple(map(neg, reversed(w)))
 
 
 def concat(*ws: Word) -> Word:

@@ -1,9 +1,10 @@
 """Reference implementations that only the tests use: group ring
-arithmetic, integer matrix products and determinants, subgroup counts, and
-the Schreier generators of a coset table as words in the ambient group."""
+arithmetic, integer matrix products and determinants, subgroup counts, the
+Schreier generators of a coset table as words in the ambient group, and
+the conjugated-power match split by split."""
 
 from largeness.subgroups import canonical_rebase, low_index_subgroups
-from largeness.words import concat, inverse
+from largeness.words import concat, cyclic_reduce, inverse
 
 # group ring elements: dict word -> nonzero integer coefficient
 
@@ -105,3 +106,25 @@ def schreier_generators(table) -> list:
     return [((c, g), concat(path[c], (g + 1,), inverse(path[table.action[g][c]])))
             for c in range(table.degree) for g in range(len(table.action))
             if (c, g) not in tree]
+
+
+def conjugated_power_by_splits(w):
+    """``classify_conjugated_power`` in its earlier form: per rotation k and
+    per |A| dividing n - 2, when the letter after A is g^-1, build A and B
+    and compare B with A*c and with inverse(A)*c."""
+    core, _ = cyclic_reduce(w)
+    n = len(core)
+    sizes = [m for m in range(1, n - 1) if (n - 2) % m == 0]
+    core2 = core + core
+    for k in range(n):
+        for m in sizes:
+            if core2[k + m + 1] != -core2[k]:
+                continue
+            a_part = core2[k + 1:k + m + 1]
+            b_part = core2[k + m + 2:k + n]
+            c = (n - 2) // m - 1
+            if b_part == a_part * c:
+                return {"exponent": -c, "amplitude": a_part}
+            if b_part == inverse(a_part) * c:
+                return {"exponent": c, "amplitude": a_part}
+    return None

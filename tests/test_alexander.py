@@ -449,6 +449,19 @@ class TestIntegerPath:
         assert rank_witness(p, Chi((1, 0)), [QQ, F3]) is None
         assert rank_witness(p, Chi((1, 0)), []) is None
 
+    def test_minor_at_one_is_divided_by_the_least_value(self, monkeypatch):
+        # no value of chi is +-1, so the minors carry (t^2 - 1) / (t - 1)
+        # and are even at t = 1; divided by 2 the minor there is odd, which
+        # proves full rank over F2 with no elimination over F2(t)
+        p = parse_presentation("< x0, x1, y1 | x1 y1 x0^3 x1 y1 x0^-2, "
+                               "y1 x0 x1^3 y1 x0 x1^-2 >")
+        chi = Chi((2, 2, -3))
+        calls = []
+        monkeypatch.setattr(alexander, "lp_matrix_rank",
+                            lambda *a: calls.append(a) or lp_matrix_rank(*a))
+        assert rank_witness(p, chi, [F2]) is None and calls == []
+        assert full_elimination_witness(p, chi, [F2]) is None
+
     def test_roots_of_the_polynomial_are_not_enough(self):
         # t - 2 vanishes at t = 2 and 2t - 1 at t = 1/2, but not over Q(t)
         for text in ("< x, y | x y x^-1 y^-2 >", "< x, y | x y^2 x^-1 y^-1 >"):

@@ -437,7 +437,7 @@ INDEX_TWO_LARGE = "< x, y | x y^3 x y^-1 >"
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
-def ref_route_low_index(p, config, diags, wits):
+def ref_route_low_index(p, config, diags, wits, own, pool):
     """The low-index route in its earlier form: one search to ``max_index``,
     and every cover presentation built before the first one is tried."""
     if config.budget < 1:
@@ -446,7 +446,7 @@ def ref_route_low_index(p, config, diags, wits):
     if config.max_index < 2:
         diags.append("low-index route: max index < 2")
         return None
-    classes, truncated = C.subgroup_classes(p, config.max_index, config.li_nodes)
+    classes, truncated = C.subgroup_classes(p, config.max_index, own)
     covers = []
     for table in classes:
         if table.degree < 2:
@@ -469,7 +469,7 @@ def ref_route_low_index(p, config, diags, wits):
                 return C.Verdict(C.LARGE, cert, None, tuple(diags))
     child_cfg = replace(config, budget=config.budget - 1)
     for table, sub in covers:
-        child = C.decide(sub, child_cfg)
+        child = C.decide(sub, child_cfg, pool)
         if child.is_large:
             cert = child.certificate.lift(p, (C.ChainLink(table, sub),))
             diags.append(
@@ -575,7 +575,8 @@ class TestLowIndexRoute:
         monkeypatch.setattr(C, "cover_presentation",
                             lambda q, t: events.append(("cover", t)) or cover(q, t))
         monkeypatch.setattr(C, "decide",
-                            lambda q, cfg: events.append(("decide", q)) or decide(q, cfg))
+                            lambda q, cfg, pool=None: events.append(("decide", q))
+                            or decide(q, cfg, pool))
         v = certify(p, LI_FAST)
         assert v.status == "UNKNOWN"
         first_child = [e for e, _ in events].index("decide", 1)
@@ -598,7 +599,7 @@ class TestLowIndexRoute:
             seen = []
             decide = C.decide
             monkeypatch.setattr(C, "decide",
-                                lambda q, c: seen.append(q) or decide(q, c))
+                                lambda q, c, pool=None: seen.append(q) or decide(q, c, pool))
             v = certify(p, cfg)
             monkeypatch.setattr(C, "decide", decide)
             assert "search truncated at the node budget" in v.diagnostics[-1]
@@ -607,6 +608,51 @@ class TestLowIndexRoute:
         assert children() == twos
         monkeypatch.setattr(C, "_route_low_index", ref_route_low_index)
         assert len(children()) == 2
+
+
+class TestNodeBudget:
+    """One certify call visits at most 2 * li_nodes DFS nodes: li_nodes for
+    the input's own search, and one pool of li_nodes for every search in
+    its covers, at any depth."""
+
+    P = parse_presentation((CORPUS / "cyclic_quotients_only.pres").read_text())
+    ROOT = ("low-index route: 7 proper covers up to index 8 tried (budget 2); "
+            "none certified")
+
+    def searches(self, monkeypatch, config):
+        """Per search of ``certify(P, config)``: whether it is the input's,
+        and the nodes it had and left."""
+        out = []
+        search = subgroups._search_tables
+
+        def spy(p, max_index, cell):
+            before = cell[0]
+            result = search(p, max_index, cell)
+            out.append((p == self.P, before, cell[0]))
+            return result
+
+        monkeypatch.setattr(subgroups, "_search_tables", spy)
+        v = certify(self.P, config)
+        assert v.status == "UNKNOWN" and v.diagnostics[-1] == self.ROOT
+        return out
+
+    def test_defaults(self, monkeypatch):
+        # no cover is certified (every finite quotient is cyclic, Baumslag
+        # 1969), and the first child's search alone would outrun li_nodes
+        config = CertifyConfig()
+        out = self.searches(monkeypatch, config)
+        assert sum(before - after for _, before, after in out) <= 2 * config.li_nodes
+        assert len(out) == 8 and sum(mine for mine, _, _ in out) == 1
+
+    def test_first_child_empties_the_pool(self, monkeypatch):
+        # the index-2 child's search takes the whole pool before the input's
+        # own search runs; that search still has its li_nodes, finds all 7
+        # covers and stops short of none
+        assert len([t for t in low_index_subgroups(self.P, 8) if t.degree > 1]) == 7
+        out = self.searches(monkeypatch, CertifyConfig(li_nodes=7000))
+        assert out[0] == (False, 7000, 0)
+        assert out[1][:2] == (True, 7000) and out[1][2] > 0
+        assert all(before == 0 for _, before, _ in out[2:])
 
 
 # ---------------------------------------------------------------------------

@@ -317,8 +317,8 @@ class TestLowIndex:
         p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
         classes, truncated = subgroup_classes(p, 4)
         assert classes == low_index_subgroups(p, 4) and not truncated
-        assert subgroup_classes(p, 4, node_budget=10 ** 6) == (classes, False)
-        cut, truncated = subgroup_classes(p, 4, node_budget=3)
+        assert subgroup_classes(p, 4, node_budget=[10 ** 6]) == (classes, False)
+        cut, truncated = subgroup_classes(p, 4, node_budget=[3])
         assert truncated and len(cut) < len(classes)
 
 
@@ -342,7 +342,8 @@ class TestCanonicalSearch:
         cut = False
         for p in CORPUS_PRESENTATIONS:
             want = per_table_minimum_classes(p, 5, node_budget)
-            assert subgroup_classes(p, 5, node_budget) == want
+            cell = None if node_budget is None else [node_budget]
+            assert subgroup_classes(p, 5, cell) == want
             assert ref_subgroup_classes(p, 5, node_budget) == want
             cut = cut or want[1]
         assert cut == (node_budget is not None)

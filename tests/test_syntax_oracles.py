@@ -10,6 +10,7 @@ output, in the same order, and the same errors.
 """
 
 import random
+import time
 from pathlib import Path
 
 import pytest
@@ -23,7 +24,7 @@ from largeness.subgroups import (MAX_SUB_LEN, CosetTable, cover_presentation,
 from largeness.words import (Presentation, concat, cyclic_reduce,
                              default_names, free_reduce, gen_of, inverse,
                              letter, parse_presentation, power, rotate)
-from oracles import schreier_generators
+from oracles import conjugated_power_by_splits, schreier_generators
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
@@ -217,7 +218,8 @@ class TestConjugatedPower:
     @given(reduced_words(3, 16))
     @settings(max_examples=400, deadline=None)
     def test_random_words(self, w):
-        assert classify_conjugated_power(w) == ref_classify_conjugated_power(w)
+        want = conjugated_power_by_splits(w)
+        assert classify_conjugated_power(w) == want == ref_classify_conjugated_power(w)
 
     @given(reduced_words(3, 6), st.sampled_from([1, -1, 2, -2, 3, -3]),
            st.integers(0, 4), st.booleans(), st.booleans(),
@@ -232,7 +234,21 @@ class TestConjugatedPower:
         b_part = power(inverse(a_part) if inverted else a_part, c)
         core, _ = cyclic_reduce(free_reduce((g,) + a_part + (-g,) + b_part))
         w = free_reduce(conj + rotate(core, k) + inverse(conj))
-        assert classify_conjugated_power(w) == ref_classify_conjugated_power(w)
+        want = conjugated_power_by_splits(w)
+        assert classify_conjugated_power(w) == want == ref_classify_conjugated_power(w)
+
+    @given(reduced_words(5, 12), st.integers(1, 5), st.integers(1, 30),
+           st.booleans(), reduced_words(5, 40), st.integers(0, 400))
+    @settings(max_examples=300, deadline=None)
+    def test_planted_shapes_against_splits(self, a_part, g, c, inverted, noise, k):
+        # g A g^-1 A^(+-c) on up to 5 generators, some with a letter or a
+        # stretch changed, against the earlier split-by-split form
+        b_part = (inverse(a_part) if inverted else a_part) * c
+        core, _ = cyclic_reduce(free_reduce((g,) + a_part + (-g,) + b_part))
+        assume(core)
+        k %= len(core)
+        for w in (rotate(core, k), free_reduce(rotate(core, k)[:-len(noise) or None] + noise)):
+            assert classify_conjugated_power(w) == conjugated_power_by_splits(w)
 
     def test_cancelling_amplitude(self):
         # A = b a b^-1 has A[0] = A[-1]^-1, so A^2 = b a^2 b^-1 is shorter
@@ -248,6 +264,24 @@ class TestConjugatedPower:
             "exponent": 1, "amplitude": (2, 1, -2)}
         # c = 0 never matches: g A g^-1 is not cyclically reduced
         assert classify_conjugated_power((3, 1, 1, -3)) is None
+
+    def test_long_relators_are_quick(self):
+        # 8000 letters: a random relator, a commutator power, and a planted
+        # shape found only at the last rotations
+        rnd = random.Random(5)
+        walk = [1]
+        while len(walk) < 8000:
+            x = rnd.choice((1, -1, 2, -2))
+            if x != -walk[-1]:
+                walk.append(x)
+        words = [tuple(walk), (1, 2, -1, -2) * 2000,
+                 rotate((2,) + (1, 3) + (-2,) + (1, 3) * 3998, 10)]
+        for w in words:
+            t0 = time.perf_counter()
+            got = classify_conjugated_power(w)
+            assert time.perf_counter() - t0 < 2.0  # the fuzz deadline
+            assert got == conjugated_power_by_splits(w)
+        assert got == {"exponent": -3998, "amplitude": (1, 3)}
 
 
 class TestExponentMatrix:
