@@ -152,9 +152,49 @@ class AbelianInvariants:
     def of_relations(matrix, ngens: int) -> "AbelianInvariants":
         """Z^ngens modulo the span of the relation vectors that are the rows,
         or the columns, of ``matrix``: either way the Smith diagonal is the
-        same."""
-        diag = smith_invariants(matrix)
-        return AbelianInvariants(ngens - sum(1 for d in diag if d),
+        same.
+
+        The rows are held sparse.  While some entry is +-1, its column is
+        cleared from the other rows and its row and column dropped: each
+        such pivot is one invariant 1.  What is left, with no entry +-1,
+        goes to ``smith_invariants``.
+        """
+        rows = []
+        for row in matrix:
+            row = {j: x for j, x in enumerate(row) if x}
+            if row:
+                rows.append(row)
+        units = 0
+        i = 0
+        while i < len(rows):
+            prow = rows[i]
+            for c, u in prow.items():
+                if u == 1 or u == -1:
+                    break
+            else:
+                i += 1
+                continue
+            del rows[i]
+            units += 1
+            keep = []
+            for row in rows:
+                f = row.get(c)
+                if f:
+                    f *= u  # u is its own inverse
+                    for j, y in prow.items():
+                        x = row.get(j, 0) - f * y
+                        if x:
+                            row[j] = x
+                        else:
+                            del row[j]
+                    if not row:
+                        continue
+                keep.append(row)
+            rows = keep
+            i = 0  # a row passed over may have gained a unit
+        cols = sorted(set().union(*rows))
+        diag = smith_invariants([[r.get(j, 0) for j in cols] for r in rows])
+        return AbelianInvariants(ngens - units - sum(1 for d in diag if d),
                                  tuple(d for d in diag if d > 1))
 
     def is_z_squared(self):

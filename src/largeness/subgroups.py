@@ -89,32 +89,40 @@ def _first_visits(table: CosetTable, base: int):
     return order, parent, via
 
 
-def _rebased_flat(table: CosetTable, base: int) -> tuple:
-    """The flat form of ``table`` renumbered by first visit from ``base``."""
-    order = _first_visits(table, base)[0]
-    new = [0] * table.degree
-    for i, c in enumerate(order):
-        new[c] = i
-    return tuple([new[perm[c]] for perm in table.action for c in order])
-
-
 def _from_flat(degree: int, flat: tuple) -> CosetTable:
     return CosetTable(degree, tuple(flat[i:i + degree]
                                     for i in range(0, len(flat), degree)))
 
 
+def _rebasings(degree: int, flat: tuple, bases: Iterable[int]):
+    """Per base in ``bases``, the table with flat form ``flat`` renumbered
+    by first visit from that base in the scan order of ``_first_visits``,
+    as a flat form."""
+    perms = [flat[i:i + degree] for i in range(0, len(flat), degree)]
+    moves = []  # g1, g1^-1, g2, g2^-1, ...
+    for perm in perms:
+        ip = [0] * degree
+        for i, j in enumerate(perm):
+            ip[j] = i
+        moves += (perm, ip)
+    for base in bases:
+        new = [-1] * degree
+        new[base] = 0
+        order = [base]
+        for c in order:
+            for move in moves:
+                t = move[c]
+                if new[t] < 0:
+                    new[t] = len(order)
+                    order.append(t)
+            if len(order) == degree:
+                break
+        yield tuple([new[perm[c]] for perm in perms for c in order])
+
+
 def canonical_rebase(table: CosetTable, base: int) -> CosetTable:
     """Renumber cosets by first visit in scan order starting from ``base``."""
-    return _from_flat(table.degree, _rebased_flat(table, base))
-
-
-def _orbit(table: CosetTable) -> set:
-    """The flat forms of the canonical tables of the conjugates of
-    ``table``'s subgroup: its rebasings at every coset."""
-    # rebase a copy, so that the inverse cached on it goes with the orbit
-    # and does not stay on a table the caller keeps
-    table = CosetTable(table.degree, table.action)
-    return {_rebased_flat(table, b) for b in range(table.degree)}
+    return _from_flat(table.degree, next(_rebasings(table.degree, table.flat(), (base,))))
 
 
 # the bound on the cosets live at once in an enumeration
@@ -432,24 +440,29 @@ def subgroup_classes(p: Presentation, max_index: int,
     visit, decremented in place, so that searches handed the same list
     share one bound; None: unbounded.
 
-    Backtracking over partial tables; partial assignments are propagated
-    through relator scans, and new cosets are introduced in scan order so
-    each subgroup is generated exactly once, as a canonical table.  So the
-    orbit of a table found is the set of tables of its class, and the class
-    is represented by the least table of that orbit.
+    The search yields each subgroup exactly once, as its canonical table,
+    and the orbit of a table, its rebasings at every coset, is the set of
+    tables of its class.  So one pass in search order keeps a class at its
+    first member, represented by the least table of the orbit, and sets the
+    other members aside until they come up; memory is one flat tuple per
+    subgroup found plus one per conjugate not met yet.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    tables, truncated = _search_tables(p, max_index, node_budget)
-    found = [(t.degree, t.flat()) for t in tables]
-    unplaced = set(found)
+    found, truncated = _search_tables(p, max_index, node_budget)
+    pending = set()
     keys = []
-    for table, key in zip(tables, found):
-        if key in unplaced:
-            orbit = _orbit(table)
-            d = table.degree
-            unplaced.difference_update((d, flat) for flat in orbit)
-            keys.append((d, min(orbit)))
+    # flats of different degrees differ in length, so a flat names its pair
+    for d, flat in found:
+        if flat in pending:
+            pending.remove(flat)
+            continue
+        # a table found is canonical: its own rebasing at coset 0
+        orbit = set(_rebasings(d, flat, range(1, d)))
+        orbit.add(flat)
+        keys.append((d, min(orbit)))
+        orbit.remove(flat)
+        pending |= orbit
     keys.sort()
     return [_from_flat(d, flat) for d, flat in keys], truncated
 
@@ -494,10 +507,12 @@ def index_two_classes(p: Presentation):
 
 def _search_tables(p: Presentation, max_index: int, node_budget=None):
     """All complete closed tables in scan-order numbering, one per subgroup
-    of index <= max_index.
+    of index <= max_index, in search order, each as a pair ``(degree,
+    flat)`` in the form of ``CosetTable.flat``.
 
     ``node_budget`` is an optional single-element list of remaining DFS
-    nodes, decremented in place; returns (tables, truncated).
+    nodes, decremented in place; returns (tables, truncated).  An empty
+    budget returns ``([], True)`` before any relator is compiled.
 
     The partial table is one flat list: with ``nd = 2 * ngens`` directions
     (g1, g1^-1, g2, ...), cell ``c*nd + d`` holds the row offset ``e*nd``
@@ -506,6 +521,8 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     empty cells, which all lie after it; so along a DFS path every cell
     before the hole stays filled, and a child searches from the next cell.
     """
+    if node_budget is not None and node_budget[0] <= 0:
+        return [], True
     nd = 2 * p.ngens
     rel_dirs = list(dict.fromkeys(tuple(2 * (abs(lt) - 1) + (lt < 0) for lt in r)
                                   for r in p.relators if r))
@@ -586,8 +603,8 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
         h = tab.index(None, pos)
         if h >= size:
             if complete_closed(size):
-                results.append(CosetTable(degree, tuple(
-                    [tuple([e // nd for e in tab[d:size:nd]]) for d in range(0, nd, 2)])))
+                results.append((degree, tuple([e // nd for d in range(0, nd, 2)
+                                               for e in tab[d:size:nd]])))
             return
         d = h % nd
         c, di = h - d, d ^ 1

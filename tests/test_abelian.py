@@ -36,6 +36,16 @@ sparse_matrices = st.tuples(st.integers(0, 6), st.integers(0, 6)).flatmap(
     lambda shape: sparse_matrix(*shape))
 
 
+def relation_matrices(entries):
+    """0 to 6 rows of 0 to 8 columns, each row zero or drawn from
+    ``entries``."""
+    return st.tuples(st.integers(0, 6), st.integers(0, 8)).flatmap(
+        lambda shape: st.lists(
+            st.one_of(st.just([0] * shape[1]),
+                      st.lists(entries, min_size=shape[1], max_size=shape[1])),
+            min_size=shape[0], max_size=shape[0]))
+
+
 def invariant_factors_oracle(m):
     """Independent Smith-diagonal oracle: d1...dk = gcd of k x k minors.
 
@@ -155,6 +165,42 @@ class TestSmith:
             right = _random_unimodular(rnd, 3)
             m2 = mat_mul(mat_mul(left, m), right)
             assert smith_normal_form(m2).diagonal == diag
+
+
+class TestUnitPivots:
+    """``of_relations`` clears the +-1 pivots of sparse rows before the
+    dense Smith form; its invariants are those of the dense diagonal and of
+    sympy's."""
+
+    @staticmethod
+    def check(m):
+        from sympy import Matrix, ZZ
+        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+        rows, cols = len(m), len(m[0]) if m else 0
+        before = [row[:] for row in m]
+        inv = AbelianInvariants.of_relations(m, cols)
+        assert m == before
+        diag = smith_invariants(m)
+        d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
+        assert diag == [abs(d[i, i]) for i in range(min(d.shape))]
+        assert inv == AbelianInvariants(cols - sum(1 for x in diag if x),
+                                        tuple(x for x in diag if x > 1))
+
+    @given(relation_matrices(st.integers(-6, 6)))
+    @settings(max_examples=200, deadline=None)
+    def test_random(self, m):
+        self.check(m)
+
+    @given(relation_matrices(st.integers(-3, 3).map(lambda x: 2 * x)))
+    @settings(max_examples=60, deadline=None)
+    def test_no_unit_pivot(self, m):
+        self.check(m)
+
+    def test_fill_in_makes_a_unit(self):
+        # the first row has no unit until the second row is cleared from it
+        m = [[2, 3, 0], [1, 1, 0], [0, 0, 4]]
+        self.check(m)
+        assert AbelianInvariants.of_relations(m, 3) == AbelianInvariants(0, (4,))
 
 
 def _random_unimodular(rnd, n):
