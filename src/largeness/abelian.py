@@ -243,8 +243,9 @@ def hermite_rows(basis):
                     piv[t] = -piv[t]
             out.append(piv)
             rows = [r for r in rows if r is not piv]
-    # entries above each pivot reduced into [0, pivot)
-    for i in reversed(range(len(out))):
+    # entries above each pivot reduced into [0, pivot); reducing by row i
+    # changes no column left of its pivot, so earlier pivots stay reduced
+    for i in range(len(out)):
         pc = next(j for j in range(cols) if out[i][j])
         for k in range(i):
             q = out[k][pc] // out[i][pc]

@@ -32,13 +32,13 @@ def _read_presentation(arg: str) -> Presentation:
 
 def _config_from_args(args) -> CertifyConfig:
     kwargs = {}
-    if getattr(args, "max_index", None) is not None:
+    if args.max_index is not None:
         kwargs["max_index"] = args.max_index
-    if getattr(args, "chi_height", None) is not None:
+    if args.chi_height is not None:
         kwargs["chi_height"] = args.chi_height
-    if getattr(args, "primes", None):
+    if args.primes:
         kwargs["primes"] = tuple(int(x) for x in args.primes.split(","))
-    if getattr(args, "budget", None) is not None:
+    if args.budget is not None:
         kwargs["budget"] = args.budget
     return CertifyConfig(**kwargs)
 
@@ -194,6 +194,12 @@ def build_parser() -> argparse.ArgumentParser:
                             help="inline '< gens | relators >' or a file path")
         sp.add_argument("--format", choices=["json", "text"], default="json")
 
+    def config_options(sp):
+        sp.add_argument("--max-index", type=int, default=None)
+        sp.add_argument("--chi-height", type=int, default=None)
+        sp.add_argument("--primes", default=None)
+        sp.add_argument("--budget", type=int, default=None)
+
     sp = sub.add_parser("ab", help="abelianization invariants")
     common(sp)
     sp.set_defaults(func=cmd_ab)
@@ -218,10 +224,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("certify", help="decide largeness with a certificate")
     common(sp)
-    sp.add_argument("--max-index", type=int, default=None)
-    sp.add_argument("--chi-height", type=int, default=None)
-    sp.add_argument("--primes", default=None)
-    sp.add_argument("--budget", type=int, default=None)
+    config_options(sp)
     sp.set_defaults(func=cmd_certify)
 
     sp = sub.add_parser("torus", help="mapping torus of a free-group endomorphism")
@@ -229,10 +232,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--endo", required=True, help="file of lines 'name -> word'")
     sp.add_argument("--witness", default=None, help="w,i,v,k")
     sp.add_argument("--certify", action="store_true")
-    sp.add_argument("--max-index", type=int, default=None)
-    sp.add_argument("--chi-height", type=int, default=None)
-    sp.add_argument("--primes", default=None)
-    sp.add_argument("--budget", type=int, default=None)
+    config_options(sp)
     sp.set_defaults(func=cmd_torus)
 
     sp = sub.add_parser("verify", help="replay a certificate file")

@@ -42,11 +42,6 @@ class StallingsGraph:
                     edges.append((order[v], lt, order[w]))
         return (len(order), tuple(edges))
 
-    def to_json(self):
-        return {"vertices": self.nvertices, "base": self.base,
-                "edges": sorted((v, lt, w) for v, d in enumerate(self.adj)
-                                for lt, w in d.items() if lt > 0)}
-
 
 def uf_find(parent: list, v: int) -> int:
     """Union-find root of ``v``, halving the path on the way."""
@@ -97,33 +92,14 @@ def _fold(nvertices, edges, base):
     return StallingsGraph(len(verts), tuple(adj), index[find(base)])
 
 
-def _core(g: StallingsGraph) -> StallingsGraph:
-    """Iteratively prune degree-1 vertices other than the base."""
-    adj = [dict(d) for d in g.adj]
-    alive = set(range(g.nvertices))
-    changed = True
-    while changed:
-        changed = False
-        for v in sorted(alive):
-            if v == g.base:
-                continue
-            if len(adj[v]) == 1:
-                (lt, w), = adj[v].items()
-                del adj[w][-lt]
-                adj[v].clear()
-                alive.discard(v)
-                changed = True
-    verts = sorted(alive)
-    index = {v: i for i, v in enumerate(verts)}
-    new_adj = [dict() for _ in verts]
-    for v in verts:
-        for lt, w in adj[v].items():
-            new_adj[index[v]][lt] = index[w]
-    return StallingsGraph(len(verts), tuple(new_adj), index[g.base])
-
-
 def fold(generators: Sequence[Word]) -> StallingsGraph:
-    """Folded core graph of the subgroup generated by the given words."""
+    """Folded core graph of the subgroup generated by the given words.
+
+    The folded graph needs no pruning to be a core: every vertex other than
+    the base lies on the image of a freely reduced loop at the base, and a
+    reduced path in a folded graph never leaves a vertex by the edge it came
+    in on, so no vertex but the base has degree 1.
+    """
     edges = []
     nv = 1
     for w in generators:
@@ -139,7 +115,7 @@ def fold(generators: Sequence[Word]) -> StallingsGraph:
                 edges.append((tgt, -lt, prev))
             prev = tgt
         nv += len(w) - 1
-    return _core(_fold(nv, edges, 0))
+    return _fold(nv, edges, 0)
 
 
 def sg_membership(g: StallingsGraph, w: Word) -> bool:
@@ -154,7 +130,9 @@ def sg_membership(g: StallingsGraph, w: Word) -> bool:
 
 def spanning_tree(g: StallingsGraph, forced_edges: Sequence[tuple] = ()):
     """BFS spanning tree containing ``forced_edges`` (each (v, lt, w) with
-    lt > 0), which must form a forest; returns (paths, tree_edge_set)."""
+    lt > 0), which must form a forest.  Returns the tree path from the base
+    to each vertex, and the edges (v, lt, w) with lt > 0 off the tree,
+    ordered by (vertex, label): the basis order of ``graph_basis``."""
     forced = list(dict.fromkeys(forced_edges))
     in_tree = set(forced)
     paths: list = [None] * g.nvertices
@@ -193,22 +171,21 @@ def spanning_tree(g: StallingsGraph, forced_edges: Sequence[tuple] = ()):
         paths[w] = paths[v] + (lt,)
         comp.add(w)
         absorb_forced()
-    return [tuple(x) for x in paths], in_tree
+    cotree = [(v, lt, g.adj[v][lt]) for v in range(g.nvertices)
+              for lt in sorted(lt for lt in g.adj[v] if lt > 0)
+              if (v, lt, g.adj[v][lt]) not in in_tree]
+    return [tuple(x) for x in paths], cotree
 
 
 def graph_basis(g: StallingsGraph, forced_edges: Sequence[tuple] = (),
                 flips: frozenset = frozenset()):
     """Free basis of the subgroup: one word per non-tree edge, ordered by
     (vertex, label).  Edges in ``flips`` contribute the inverse word."""
-    paths, tree = spanning_tree(g, forced_edges)
+    paths, cotree = spanning_tree(g, forced_edges)
     basis = []
-    for v in range(g.nvertices):
-        for lt in sorted(lt for lt in g.adj[v] if lt > 0):
-            w = g.adj[v][lt]
-            if (v, lt, w) in tree:
-                continue
-            word = free_reduce(paths[v] + (lt,) + tuple(-x for x in reversed(paths[w])))
-            basis.append(inverse(word) if (v, lt, w) in flips else word)
+    for v, lt, w in cotree:
+        word = free_reduce(paths[v] + (lt,) + tuple(-x for x in reversed(paths[w])))
+        basis.append(inverse(word) if (v, lt, w) in flips else word)
     return basis
 
 
@@ -216,15 +193,8 @@ def sg_express(g: StallingsGraph, w: Word, forced_edges: Sequence[tuple] = (),
                flips: frozenset = frozenset()) -> Optional[Word]:
     """Rewrite a subgroup element as a word in graph_basis coordinates
     (letters index the basis list); None if w is not in the subgroup."""
-    paths, tree = spanning_tree(g, forced_edges)
-    index = {}
-    k = 0
-    for v in range(g.nvertices):
-        for lt in sorted(lt for lt in g.adj[v] if lt > 0):
-            tgt = g.adj[v][lt]
-            if (v, lt, tgt) not in tree:
-                index[(v, lt, tgt)] = k
-                k += 1
+    _, cotree = spanning_tree(g, forced_edges)
+    index = {edge: k for k, edge in enumerate(cotree)}
     out = []
     v = g.base
     for lt in w:

@@ -132,17 +132,20 @@ MAX_COSETS = 20000
 def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
     """Todd-Coxeter enumeration of the subgroup generated by ``subgens``.
 
-    ``MAX_COSETS`` bounds the working set of cosets defined at any time;
-    BoundExceeded means the index may be infinite or just larger.
+    One HLT pass: after the loops of ``subgens`` are closed at the base,
+    every relator is scanned at each coset still live when its turn comes,
+    defining cosets as needed and merging the ends of a scan that does not
+    close.  A loop once closed stays closed as cosets are added or merged,
+    so the pass leaves every relator closed at every live coset and a
+    second pass would change nothing.  ``MAX_COSETS`` bounds the working
+    set of cosets defined at any time; BoundExceeded means the index may be
+    infinite or just larger.
     """
     ngens = p.ngens
     ndirs = 2 * ngens
 
     def dir_of(lt):
         return 2 * (abs(lt) - 1) + (0 if lt > 0 else 1)
-
-    def flip(d):
-        return d ^ 1
 
     neighbors = []  # per coset, list of ndirs targets (or None)
     reps = []  # union-find
@@ -182,7 +185,7 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
         if t is None:
             t = new_coset()
             neighbors[c][d] = t
-            neighbors[t][flip(d)] = c
+            neighbors[t][d ^ 1] = c
         return find(t)
 
     def scan(c, w):
@@ -190,33 +193,15 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
             c = step(c, dir_of(lt))
         return c
 
-    def probe(c, w):
-        """Trace without creating edges; None when an edge is missing."""
-        c = find(c)
-        for lt in w:
-            t = neighbors[c][dir_of(lt)]
-            if t is None:
-                return None
-            c = find(t)
-        return c
-
     base = new_coset()
     for sg in subgens:
         unify(scan(base, sg), base)
-    while True:
-        visit = 0
-        while visit < len(reps):
-            if find(visit) == visit:
-                for r in p.relators:
-                    unify(scan(visit, r), visit)
-            visit += 1
-        closed = all(probe(find(base), sg) == find(base) for sg in subgens)
-        if closed:
-            closed = all(probe(c, r) == find(c)
-                         for c in range(len(reps)) if find(c) == c
-                         for r in p.relators)
-        if closed:
-            break
+    visit = 0
+    while visit < len(reps):
+        if find(visit) == visit:
+            for r in p.relators:
+                unify(scan(visit, r), visit)
+        visit += 1
 
     live = sorted(i for i in range(len(reps)) if find(i) == i)
     index = {c: i for i, c in enumerate(live)}

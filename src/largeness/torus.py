@@ -316,18 +316,6 @@ def _fields_for(e_eff: int) -> list:
     return [QQ] if e_eff == 1 else [PrimeField(q) for q in prime_factors(1 - e_eff)]
 
 
-def _targeted_chi_cert(p0, chain, pres, kill, fields) -> Optional[Certificate]:
-    chi = solve_chi_killing(pres, kill)
-    if chi is None:
-        return None
-    hit = rank_witness(pres, chi, fields)
-    if hit is None:
-        return None
-    fld, witness = hit
-    return Certificate("alexander_zero", p0, chain,
-                       {"chi": list(chi.values), "field": fld.name, **witness})
-
-
 def _rank_one_citation(e: Endomorphism, k: int):
     img = e.images[0]
     m = len(img) if img and all(lt == 1 for lt in img) else None
@@ -353,10 +341,9 @@ def torus_bs_pipeline(e: Endomorphism, wit: PeriodicWitness,
 
 def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
                     config: CertifyConfig, want_unit: bool) -> Verdict:
-    if want_unit and abs(wit.k) != 1:
-        raise ValueError("this pipeline needs a witness exponent k = 1 or -1")
-    if not want_unit and abs(wit.k) < 2:
-        raise ValueError("this pipeline needs a witness exponent |k| >= 2")
+    if not (abs(wit.k) == 1 if want_unit else abs(wit.k) >= 2):
+        need = "k = 1 or -1" if want_unit else "|k| >= 2"
+        raise ValueError(f"this pipeline needs a witness exponent {need}")
     if not endo_is_injective(e):
         raise ValueError(
             "the endomorphism is not injective; replace it by an injective "
@@ -377,6 +364,20 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         return Verdict(UNKNOWN, None, None, tuple(diags))
     s1, basis, w, exponent, j = setup
 
+    def vanishing(chain, pres, kill, fields, where):
+        """The replayed LARGE verdict when a character of ``pres`` killing
+        the words in ``kill`` has a vanishing Alexander invariant over one
+        of ``fields``, else None."""
+        chi = solve_chi_killing(pres, kill)
+        hit = None if chi is None else rank_witness(pres, chi, fields)
+        if hit is None:
+            return None
+        fld, witness = hit
+        cert = Certificate("alexander_zero", p0, chain,
+                           {"chi": list(chi.values), "field": fld.name, **witness})
+        diags.append(f"{where} gives a vanishing Alexander invariant over {fld.name}")
+        return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
+
     tried = []
     first_link = None
     # cyclic covers <Delta, s^d>: the conjugation exponent is e^d, and the
@@ -396,14 +397,12 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         pres, (w_expr, s_expr) = cover_presentation(p0, table, [w, s_d])
         chain = (ChainLink(table, pres),)
         if d == 1:
-            first_link = (table, pres, w_expr, s_expr)
+            first_link = (table, pres, w_expr, s_expr, fields)
         kill = [w_expr, s_expr] if e_eff == 1 else [s_expr]
-        cert = _targeted_chi_cert(p0, chain, pres, kill, fields)
-        if cert is not None:
-            diags.append(
-                f"cover d={d}: character killing the pinned elements gives a "
-                f"vanishing Alexander invariant over {cert.data['field']}")
-            return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
+        found = vanishing(chain, pres, kill, fields,
+                          f"cover d={d}: character killing the pinned elements")
+        if found is not None:
+            return found
         names = ",".join(f.name for f in fields)
         tried.append(f"d={d}: no vanishing over {names}")
         if d == 1:
@@ -416,35 +415,29 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
             break  # larger cyclic covers cannot help the unit case
     # covers of the rewritten subgroup containing both pinned elements
     if first_link is not None:
-        table, pres, w_expr, s_expr = first_link
-        e_eff = exponent
-        fields = _fields_for(e_eff)
-        if fields:
-            classes, cut = subgroup_classes(pres, config.max_index, [config.li_nodes])
-            for sub_table in classes:
-                if sub_table.degree < 2:
-                    continue
-                base_ok = next(
-                    (b for b in range(sub_table.degree)
-                     if sub_table.trace(b, w_expr) == b
-                     and sub_table.trace(b, s_expr) == b), None)
-                if base_ok is None:
-                    continue
-                tab2 = canonical_rebase(sub_table, base_ok)
-                pres2, carried2 = cover_presentation(pres, tab2, [w_expr, s_expr])
-                kill = carried2 if e_eff == 1 else [carried2[1]]
-                chain = (ChainLink(table, pres), ChainLink(tab2, pres2))
-                cert = _targeted_chi_cert(p0, chain, pres2, kill, fields)
-                if cert is not None:
-                    diags.append(
-                        f"cover of index {tab2.degree} of the pinned subgroup "
-                        f"gives a vanishing Alexander invariant over "
-                        f"{cert.data['field']}")
-                    return replayed(p0, Verdict(LARGE, cert, None, tuple(diags)))
-            note = "; search truncated at the node budget" if cut else ""
-            diags.append(
-                "no finite-index subgroup with first Betti number >= 2 "
-                f"admitting the vanishing test found up to index {config.max_index}"
-                f"{note}")
+        table, pres, w_expr, s_expr, fields = first_link
+        classes, cut = subgroup_classes(pres, config.max_index, [config.li_nodes])
+        for sub_table in classes:
+            if sub_table.degree < 2:
+                continue
+            base_ok = next(
+                (b for b in range(sub_table.degree)
+                 if sub_table.trace(b, w_expr) == b
+                 and sub_table.trace(b, s_expr) == b), None)
+            if base_ok is None:
+                continue
+            tab2 = canonical_rebase(sub_table, base_ok)
+            pres2, carried2 = cover_presentation(pres, tab2, [w_expr, s_expr])
+            kill = carried2 if exponent == 1 else [carried2[1]]
+            chain = (ChainLink(table, pres), ChainLink(tab2, pres2))
+            found = vanishing(chain, pres2, kill, fields,
+                              f"cover of index {tab2.degree} of the pinned subgroup")
+            if found is not None:
+                return found
+        note = "; search truncated at the node budget" if cut else ""
+        diags.append(
+            "no finite-index subgroup with first Betti number >= 2 "
+            f"admitting the vanishing test found up to index {config.max_index}"
+            f"{note}")
     diags.extend(tried)
     return Verdict(UNKNOWN, None, None, tuple(diags))

@@ -268,7 +268,6 @@ class Presentation:
 
 
 _NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT_RE = re.compile(r"-?\d+")
 
 
 def word_to_text(w: Word, names: Sequence[str]) -> str:
@@ -289,33 +288,12 @@ def word_to_text(w: Word, names: Sequence[str]) -> str:
     return " ".join(parts)
 
 
-class _Scanner:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
-
-    def loc(self, pos=None):
-        pos = self.pos if pos is None else pos
-        line = self.text.count("\n", 0, pos) + 1
-        col = pos - (self.text.rfind("\n", 0, pos) + 1) + 1
-        return line, col
-
-    def error(self, message, pos=None):
-        line, col = self.loc(pos)
-        raise ParseError(message, line, col)
-
-    def skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
-
-    def peek(self):
-        self.skip_ws()
-        return self.text[self.pos] if self.pos < len(self.text) else ""
-
-    def expect(self, ch):
-        if self.peek() != ch:
-            self.error(f"expected '{ch}'")
-        self.pos += 1
+def _parse_error(text: str, message: str, pos: int):
+    """Raise ParseError for ``message`` at offset ``pos`` of ``text``, with
+    the 1-based line and column."""
+    line = text.count("\n", 0, pos) + 1
+    col = pos - (text.rfind("\n", 0, pos) + 1) + 1
+    raise ParseError(message, line, col)
 
 
 # the most letters a parsed word may have before free reduction, and a
@@ -323,14 +301,16 @@ class _Scanner:
 MAX_WORD_LEN = 10000
 
 
-def parse_word(text: str, names: Sequence[str], scanner: Optional[_Scanner] = None,
+def parse_word(text: str, names: Sequence[str], source: Optional[str] = None,
                offset: int = 0) -> Word:
     """Parse whitespace-separated factors over ``names``.
 
     Factors are ``name``, ``name^int``, or, for single-letter lowercase
-    names, the uppercase letter as the inverse.
+    names, the uppercase letter as the inverse.  ``text`` starts at
+    ``offset`` of ``source`` (by default ``text`` itself), where errors
+    are placed.
     """
-    sc = scanner or _Scanner(text)
+    source = text if source is None else source
     index = {n: i for i, n in enumerate(names)}
     lower_single = {n.upper(): i for i, n in enumerate(names)
                     if len(n) == 1 and n.islower()}
@@ -340,19 +320,19 @@ def parse_word(text: str, names: Sequence[str], scanner: Optional[_Scanner] = No
         pos = text.find(tok, pos)
         m = re.fullmatch(r"([A-Za-z][A-Za-z0-9_]*)(\^(-?\d+))?", tok)
         if not m:
-            sc.error(f"bad factor {tok!r}", offset + pos)
+            _parse_error(source, f"bad factor {tok!r}", offset + pos)
         name, exp = m.group(1), m.group(3) or "1"
         if name in index:
             g, sign = index[name], 1
         elif name in lower_single:
             g, sign = lower_single[name], -1
         else:
-            sc.error(f"unknown generator {name!r}", offset + pos)
+            _parse_error(source, f"unknown generator {name!r}", offset + pos)
         # leading zeros aside, an exponent with more digits than the bound
         # is over it: refused before int(), which caps the digits it reads
         size = exp.lstrip("-0") or "0"
         if len(size) > len(str(MAX_WORD_LEN)) or len(out) + int(size) > MAX_WORD_LEN:
-            sc.error(f"word longer than {MAX_WORD_LEN} letters", offset + pos)
+            _parse_error(source, f"word longer than {MAX_WORD_LEN} letters", offset + pos)
         out.extend([letter(g, -sign if exp[0] == "-" else sign)] * int(size))
         pos += len(tok)
     return free_reduce(out)
@@ -367,26 +347,28 @@ def parse_presentation(text: str) -> Presentation:
     >>> (p.ngens, p.nrels)
     (2, 1)
     """
-    sc = _Scanner(text)
-    sc.expect("<")
-    bar = text.find("|", sc.pos)
+    head = len(text) - len(text.lstrip())
+    if not text.startswith("<", head):
+        _parse_error(text, "expected '<'", head)
+    head += 1
+    bar = text.find("|", head)
     close = text.rfind(">")
     if bar < 0:
-        sc.error("expected '|'", len(text) - 1)
+        _parse_error(text, "expected '|'", len(text) - 1)
     if close < 0 or close < bar:
-        sc.error("expected '>'", len(text) - 1)
+        _parse_error(text, "expected '>'", len(text) - 1)
     names = []
-    for chunk in text[sc.pos:bar].split(","):
+    for chunk in text[head:bar].split(","):
         name = chunk.strip()
         if not _NAME_RE.fullmatch(name or ""):
-            sc.error(f"bad generator name {name!r}", text.find(chunk, sc.pos))
+            _parse_error(text, f"bad generator name {name!r}", text.find(chunk, head))
         if name in names:
-            sc.error(f"duplicate generator name {name!r}", text.find(chunk, sc.pos))
+            _parse_error(text, f"duplicate generator name {name!r}", text.find(chunk, head))
         names.append(name)
     rel_text = text[bar + 1:close]
     tail = text[close + 1:].strip()
     if tail:
-        sc.error(f"trailing input {tail!r}", close + 1)
+        _parse_error(text, f"trailing input {tail!r}", close + 1)
     relators = []
     if rel_text.strip():
         pos = bar + 1
@@ -394,17 +376,17 @@ def parse_presentation(text: str) -> Presentation:
             start = text.find(chunk, pos) if chunk else pos
             pos = start + len(chunk)
             if not chunk.strip():
-                sc.error("empty relator", start)
+                _parse_error(text, "empty relator", start)
             if "=" in chunk:
                 lhs, _, rhs = chunk.partition("=")
-                u = parse_word(lhs, names, sc, start)
-                v = parse_word(rhs, names, sc, start + len(lhs) + 1)
+                u = parse_word(lhs, names, text, start)
+                v = parse_word(rhs, names, text, start + len(lhs) + 1)
                 r = concat(u, inverse(v))
                 if len(r) > MAX_WORD_LEN:
-                    sc.error(f"relator longer than {MAX_WORD_LEN} letters", start)
+                    _parse_error(text, f"relator longer than {MAX_WORD_LEN} letters", start)
                 relators.append(r)
             else:
-                relators.append(parse_word(chunk, names, sc, start))
+                relators.append(parse_word(chunk, names, text, start))
     return Presentation(tuple(names), tuple(relators))
 
 

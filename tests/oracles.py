@@ -1,9 +1,13 @@
 """Reference implementations that only the tests use: group ring
 arithmetic, integer matrix products and determinants, subgroup counts, the
-Schreier generators of a coset table as words in the ambient group, and
-the conjugated-power match split by split."""
+Schreier generators of a coset table as words in the ambient group, the
+conjugated-power match split by split, and coset enumeration with its
+earlier closure probe."""
 
-from largeness.subgroups import canonical_rebase, low_index_subgroups
+from largeness import subgroups
+from largeness.stallings import uf_find
+from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
+                                 low_index_subgroups)
 from largeness.words import concat, cyclic_reduce, inverse
 
 # group ring elements: dict word -> nonzero integer coefficient
@@ -128,3 +132,97 @@ def conjugated_power_by_splits(w):
             if b_part == inverse(a_part) * c:
                 return {"exponent": c, "amplitude": a_part}
     return None
+
+
+def probe_coset_enumerate(p, subgens):
+    """``coset_enumerate`` in its earlier form: after each scan pass, trace
+    the subgroup generators at the base and every relator at every live
+    coset without defining cosets, and stop when all of them close.  Reads
+    ``subgroups.MAX_COSETS`` at call time."""
+    bound = subgroups.MAX_COSETS
+    ndirs = 2 * p.ngens
+    neighbors = []
+    reps = []
+    live_count = [0]
+
+    def find(c):
+        return uf_find(reps, c)
+
+    def dir_of(lt):
+        return 2 * (abs(lt) - 1) + (0 if lt > 0 else 1)
+
+    def new_coset():
+        if live_count[0] >= bound or len(reps) >= 16 * bound + 64:
+            raise BoundExceeded(f"coset bound {bound} exceeded")
+        reps.append(len(reps))
+        neighbors.append([None] * ndirs)
+        live_count[0] += 1
+        return len(reps) - 1
+
+    def unify(a, b):
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
+            a, b = find(a), find(b)
+            if a == b:
+                continue
+            a, b = min(a, b), max(a, b)
+            reps[b] = a
+            live_count[0] -= 1
+            for d in range(ndirs):
+                t = neighbors[b][d]
+                if t is None:
+                    continue
+                if neighbors[a][d] is None:
+                    neighbors[a][d] = t
+                else:
+                    stack.append((neighbors[a][d], t))
+
+    def scan(c, w):
+        for lt in w:
+            c, d = find(c), dir_of(lt)
+            if neighbors[c][d] is None:
+                t = new_coset()
+                neighbors[c][d] = t
+                neighbors[t][d ^ 1] = c
+            c = find(neighbors[c][d])
+        return c
+
+    def probe(c, w):
+        c = find(c)
+        for lt in w:
+            t = neighbors[c][dir_of(lt)]
+            if t is None:
+                return None
+            c = find(t)
+        return c
+
+    base = new_coset()
+    for sg in subgens:
+        unify(scan(base, sg), base)
+    while True:
+        visit = 0
+        while visit < len(reps):
+            if find(visit) == visit:
+                for r in p.relators:
+                    unify(scan(visit, r), visit)
+            visit += 1
+        closed = all(probe(find(base), sg) == find(base) for sg in subgens)
+        if closed:
+            closed = all(probe(c, r) == find(c)
+                         for c in range(len(reps)) if find(c) == c
+                         for r in p.relators)
+        if closed:
+            break
+    live = sorted(i for i in range(len(reps)) if find(i) == i)
+    index = {c: i for i, c in enumerate(live)}
+    action = []
+    for g in range(p.ngens):
+        perm = []
+        for c in live:
+            t = neighbors[c][2 * g]
+            if t is None:
+                raise BoundExceeded("table incomplete after enumeration")
+            perm.append(index[find(t)])
+        action.append(tuple(perm))
+    return canonical_rebase(CosetTable(len(live), tuple(action)), index[find(0)])

@@ -323,11 +323,60 @@ class TestImageSpan:
         assert image_span_rank(p, words) == (want, want < betti)
 
 
+def maximal_minors(rows, r, cols):
+    """The r x r minors of ``rows`` on the columns ``cols``, over every
+    choice of r rows."""
+    return [determinant([[rows[i][j] for j in cols] for i in chosen])
+            for chosen in combinations(range(len(rows)), r)]
+
+
 class TestHermite:
     def test_deterministic_and_primitive(self):
         # lattice spanned by (2,4) and (3,5) has index 2 in Z^2
         rows = hermite_rows([[2, 4], [3, 5]])
         assert rows == [[1, 1], [0, 2]]
+
+    def test_entries_above_later_pivots_stay_reduced(self):
+        # reducing the top row by the second row pushes -5 back above 36
+        # when the rows are reduced from the bottom up
+        assert hermite_rows([[-2, -5, 1], [6, 1, 1], [4, 0, 6]]) == [
+            [2, 1, 31], [0, 2, 20], [0, 0, 36]]
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(0, 5).flatmap(lambda n: st.integers(1, 5).flatmap(
+        lambda m: st.lists(st.lists(st.integers(-6, 6), min_size=m, max_size=m),
+                           min_size=n, max_size=n))))
+    def test_hermite_normal_form(self, basis):
+        out = hermite_rows(basis)
+        pivots = []
+        for row in out:
+            pc = next(j for j, x in enumerate(row) if x)
+            assert row[pc] > 0
+            assert not pivots or pc > pivots[-1]
+            pivots.append(pc)
+        # every entry above a pivot lies in [0, pivot)
+        for i, pc in enumerate(pivots):
+            for k in range(i):
+                assert 0 <= out[k][pc] < out[i][pc]
+        # every input row lies in the lattice of the output rows
+        for row in basis:
+            rest = list(row)
+            for piv_row, pc in zip(out, pivots):
+                q, rem = divmod(rest[pc], piv_row[pc])
+                assert rem == 0
+                rest = [a - q * b for a, b in zip(rest, piv_row)]
+            assert not any(rest)
+        # the output rows span the whole input lattice: the gcd of the
+        # maximal minors is the same on both sides, and on the pivot
+        # columns it is the product of the pivots
+        r = len(out)
+        every = list(combinations(range(len(basis[0]) if basis else 0), r))
+        assert (gcd(*(m for cols in every for m in maximal_minors(basis, r, cols)))
+                == gcd(*(m for cols in every for m in maximal_minors(out, r, cols))))
+        product = 1
+        for row, pc in zip(out, pivots):
+            product *= row[pc]
+        assert gcd(*maximal_minors(basis, r, pivots)) == product
 
 
 class TestCoverBettiMonotone:

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, strategies as st
 
 from largeness.stallings import (fold, graph_basis, hall_overgroup,
                                  is_covering, pin_loop_basis, rank,
@@ -74,6 +75,18 @@ class TestFold:
     def test_trivial_subgroup(self):
         g = fold([])
         assert g.nvertices == 1 and rank(g) == 0
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.lists(
+        st.lists(st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)]),
+                 max_size=9).map(tuple), max_size=4)))
+    def test_folded_graph_is_a_core(self, gens):
+        # words need not be reduced or cyclically reduced; still no vertex
+        # but the base is left with a single incident edge
+        g = fold(gens)
+        for v in range(g.nvertices):
+            assert v == g.base or len(g.adj[v]) >= 2
+        for w in gens:
+            assert sg_membership(g, free_reduce(w))
 
 
 class TestBasis:

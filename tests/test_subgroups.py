@@ -5,6 +5,7 @@ import itertools
 import random
 import tracemalloc
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings, strategies as st
@@ -19,7 +20,8 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  rewrite_word, subgroup_classes, tietze_simplify)
 from largeness.words import (Presentation, default_names, free_reduce,
                              parse_presentation, parse_word)
-from oracles import schreier_generators, subgroup_count_by_index
+from oracles import (probe_coset_enumerate, schreier_generators,
+                     subgroup_count_by_index)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())
@@ -188,6 +190,25 @@ class TestCosetEnumerate:
         p = parse_presentation("< a | a^3 >")
         t = coset_enumerate(p, [])
         assert CosetTable.from_json(t.to_json()) == t
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+        presentations(n),
+        st.lists(st.lists(st.sampled_from([s * g for g in range(1, n + 1) for s in (1, -1)]),
+                          max_size=6).map(tuple), max_size=3))))
+    def test_same_as_closure_probe(self, case):
+        # stopping after a pass that changes nothing gives the table, or the
+        # bound message, of the earlier rule that probed for closure
+        p, subgens = case
+
+        def outcome(enumerate_):
+            try:
+                return enumerate_(p, subgens)
+            except BoundExceeded as exc:
+                return str(exc)
+
+        with mock.patch.object(subgroups, "MAX_COSETS", 200):
+            assert outcome(coset_enumerate) == outcome(probe_coset_enumerate)
 
 
 class TestCosetTable:

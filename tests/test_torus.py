@@ -2,7 +2,9 @@ import random
 
 import pytest
 
-from largeness.certify import CertifyConfig, verify_certificate
+from largeness import torus
+from largeness.certify import (CertifyConfig, dumps, verdict_to_json,
+                               verify_certificate)
 from largeness.stallings import fold, graph_basis, sg_membership
 from largeness.torus import (Endomorphism, PeriodicWitness, endo_apply,
                              endo_is_injective, endo_power, mapping_torus,
@@ -306,3 +308,34 @@ class TestPipelines:
             assert v.status in ("LARGE", "UNKNOWN")
             if v.certificate is not None:
                 assert verify_certificate(mapping_torus(e), v.certificate)
+
+
+class TestWhiteheadFallback:
+    # when the witness loop cannot be pinned into a spanning-tree basis of
+    # Delta, a primitive basis is searched for by Whitehead moves; the coset
+    # tables are canonical, so the basis chosen for Delta changes no byte
+    @pytest.mark.parametrize("e, wit", [
+        (IDENTITY2, PeriodicWitness((1, 2), 1, (), 1)),
+        (IDENTITY2, PeriodicWitness((1, 1, 2), 1, (), 1)),
+        (IDENTITY2, PeriodicWitness((2, 1, -2, 1), 1, (), 1)),
+        (SHEAR, PeriodicWitness((2, 1, -2), 1, (), 1)),
+        (Endomorphism(((1,), (2,), (3,))), PeriodicWitness((1, 2, 3), 1, (), 1)),
+        (Endomorphism(((2, 1, 1, 1, -2), (2,))), PeriodicWitness((1,), 1, (2,), 3)),
+        (Endomorphism(((1, 1), (2,))), PeriodicWitness((1,), 1, (), 2)),
+    ])
+    def test_same_bytes_as_the_pinned_basis(self, monkeypatch, e, wit):
+        pipeline = torus_zz_pipeline if abs(wit.k) == 1 else torus_bs_pipeline
+        fast = CertifyConfig(max_index=4, budget=1)
+        pinned = pipeline(e, wit, fast)
+        assert pinned.status == "LARGE"
+        calls = []
+
+        def spy(delta, w, *args):
+            calls.append(w)
+            return whitehead_primitive_basis(delta, w, *args)
+
+        monkeypatch.setattr(torus, "pin_loop_basis", lambda graph, w: None)
+        monkeypatch.setattr(torus, "whitehead_primitive_basis", spy)
+        fallback = pipeline(e, wit, fast)
+        assert calls
+        assert dumps(verdict_to_json(fallback)) == dumps(verdict_to_json(pinned))
