@@ -11,8 +11,9 @@ Extracts REV into a temporary directory with ``git archive`` and runs
 pair.  Pair i uses seed K + i for both sides; the side that runs first
 alternates, the base first in even pairs.  Writes ``BENCH_<W>_<L>.json`` at
 the repository root: every run's metrics and output digest, each side's
-median and quartiles per end-to-end metric of ``BENCHMARK.json``, and per
-metric the pairs the working tree won and lost (ties count for neither).
+set of digests and whether the two sets match, each side's median and
+quartiles per end-to-end metric of ``BENCHMARK.json``, and per metric the
+pairs the working tree won and lost (ties count for neither).
 The temporary directory is removed at the end.
 """
 
@@ -77,6 +78,18 @@ def summarize(runs: list, end_to_end: list) -> dict:
     return out
 
 
+def check_digests(runs: list) -> tuple:
+    """Each side's sorted set of output digests, and whether the two sets
+    are equal; prints one line naming both when they are not."""
+    digests = {side: sorted({r["digest"] for r in runs if r["side"] == side})
+               for side in SIDES}
+    match = digests["base"] == digests["change"]
+    if not match:
+        print(f"digests differ: base {digests['base']} change {digests['change']}",
+              flush=True)
+    return digests, match
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
@@ -109,12 +122,12 @@ def main(argv=None) -> int:
                 print(f"pair {i} seed {seed} {side:6s} ops_per_s_ref {rate:.4g} "
                       f"digest {(result['digest'] or '')[:8]}", flush=True)
 
+    digests, match = check_digests(runs)
     report = {
         "workload": args.workload, "seconds": args.seconds,
         "base": base_rev, "change": head_rev + (" with uncommitted changes" if dirty else ""),
         "machine": f"python {platform.python_version()}, {platform.machine()}",
-        "digests": {side: sorted({r["digest"] for r in runs if r["side"] == side})
-                    for side in SIDES},
+        "digests": digests, "digests_match": match,
         "summary": summarize(runs, end_to_end), "runs": runs,
     }
     out = ROOT / f"BENCH_{args.workload}_{args.label}.json"

@@ -149,21 +149,19 @@ class AbelianInvariants:
     torsion: tuple
 
     @staticmethod
-    def of_relations(matrix, ngens: int) -> "AbelianInvariants":
-        """Z^ngens modulo the span of the relation vectors that are the rows,
-        or the columns, of ``matrix``: either way the Smith diagonal is the
-        same.
+    def of_relations(rows, ngens: int) -> "AbelianInvariants":
+        """Z^ngens modulo the span of the relation vectors that are the
+        ``rows``, or the columns, of a matrix: either way the Smith diagonal
+        is the same.
 
-        The rows are held sparse.  While some entry is +-1, its column is
-        cleared from the other rows and its row and column dropped: each
-        such pivot is one invariant 1.  What is left, with no entry +-1,
-        goes to ``smith_invariants``.
+        Rows are sparse, each a dict from column to nonzero entry, as
+        ``sparse_rows`` makes them from a dense matrix; they are changed in
+        place.  While some entry is +-1, its column is cleared from the
+        other rows and its row and column dropped: each such pivot is one
+        invariant 1.  What is left, with no entry +-1, goes to
+        ``smith_invariants``.
         """
-        rows = []
-        for row in matrix:
-            row = {j: x for j, x in enumerate(row) if x}
-            if row:
-                rows.append(row)
+        rows = [row for row in rows if row]
         units = 0
         i = 0
         while i < len(rows):
@@ -205,6 +203,12 @@ class AbelianInvariants:
         return " x ".join(parts) if parts else "1"
 
 
+def sparse_rows(matrix) -> list:
+    """The rows of a dense matrix as ``of_relations`` takes them: dicts of
+    their nonzero entries by column."""
+    return [{j: x for j, x in enumerate(row) if x} for row in matrix]
+
+
 def exponent_matrix(p: Presentation):
     """n x m matrix of signed generator counts, one column per relator."""
     cols = [exponent_vector(r, p.ngens) for r in p.relators]
@@ -212,7 +216,7 @@ def exponent_matrix(p: Presentation):
 
 
 def abelianization(p: Presentation) -> AbelianInvariants:
-    return AbelianInvariants.of_relations(exponent_matrix(p), p.ngens)
+    return AbelianInvariants.of_relations(sparse_rows(exponent_matrix(p)), p.ngens)
 
 
 def hermite_rows(basis):
@@ -301,7 +305,7 @@ def image_span_rank(p: Presentation, words: Sequence[Word]):
     span has infinite index (rank < betti): the rank is b1(G) minus b1 of G
     with the words added as relators."""
     rels = [exponent_vector(r, p.ngens) for r in p.relators]
-    betti = AbelianInvariants.of_relations(rels, p.ngens).betti
+    betti = AbelianInvariants.of_relations(sparse_rows(rels), p.ngens).betti
     rels += [exponent_vector(w, p.ngens) for w in words]
-    rank = betti - AbelianInvariants.of_relations(rels, p.ngens).betti
+    rank = betti - AbelianInvariants.of_relations(sparse_rows(rels), p.ngens).betti
     return rank, rank < betti

@@ -52,8 +52,9 @@ class CertifyConfig:
         for p in self.primes:
             if not is_prime(p):
                 raise ValueError(f"{p} is not prime")
-        if self.li_nodes < 0:
-            raise ValueError("li_nodes must be >= 0")
+        for name in ("max_index", "chi_height", "budget", "li_nodes"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 @dataclass(frozen=True)
@@ -387,7 +388,7 @@ def replayed(p: Presentation, verdict: Verdict) -> Verdict:
 
 
 def decide(p: Presentation, config: CertifyConfig = CertifyConfig(),
-           pool: Optional[list] = None) -> Verdict:
+           pool: Optional[list] = None, searched: Optional[list] = None) -> Verdict:
     """The routes of ``certify`` without the final replay: for searches that
     lift the verdict into a larger certificate and replay that instead.
 
@@ -397,6 +398,12 @@ def decide(p: Presentation, config: CertifyConfig = CertifyConfig(),
     at any depth, draws from one shared pool of ``li_nodes`` more.  A child
     call's own search and its descendants' use the ``pool`` it is handed, a
     one-element list of nodes left, decremented in place.
+
+    ``searched``, a list, gets one item ``(classes, truncated)`` when the
+    low-index route runs its own search of ``p``: the result of
+    ``subgroup_classes(p, max_index, cell)`` on that search's cell, which
+    at top level is a fresh ``[li_nodes]``.  It stays empty when the call
+    returns before that search.
     """
     if pool is None:
         own, pool = [config.li_nodes], [config.li_nodes]
@@ -414,7 +421,7 @@ def decide(p: Presentation, config: CertifyConfig = CertifyConfig(),
     if verdict is None:
         verdict = _route_chi_sweep(p, config, diags)
     if verdict is None:
-        verdict = _route_low_index(p, config, diags, wits, own, pool)
+        verdict = _route_low_index(p, config, diags, wits, own, pool, searched)
     if verdict is None:
         verdict = Verdict(UNKNOWN, None, None, tuple(diags))
     return verdict
@@ -576,7 +583,7 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     return None
 
 
-def _cover_tables(p: Presentation, config, truncated, nodes):
+def _cover_tables(p: Presentation, config, truncated, nodes, searched):
     """The tables the low-index route tries, in (degree, flat) order and
     lazily: the index-2 covers, from the maps onto Z/2, then the classes of
     degree 3 to ``max_index`` from a search run only once they are needed.
@@ -584,7 +591,8 @@ def _cover_tables(p: Presentation, config, truncated, nodes):
     The index-2 stage takes at most ``li_nodes`` tables, and the search the
     DFS nodes left in the one-element list ``nodes``; either sets
     ``truncated[0]`` when it stops short.  The index-2 covers are all there
-    even when the search stops short.
+    even when the search stops short.  The search's whole result, every
+    degree, is appended to ``searched`` unless that is None.
     """
     twos = index_two_classes(p)
     yield from islice(twos, config.li_nodes)
@@ -592,12 +600,14 @@ def _cover_tables(p: Presentation, config, truncated, nodes):
         truncated[0] = True
     if config.max_index > 2:
         classes, cut = subgroup_classes(p, config.max_index, nodes)
+        if searched is not None:
+            searched.append((classes, cut))
         truncated[0] |= cut
         yield from (t for t in classes if t.degree > 2)
 
 
 def _route_low_index(p: Presentation, config, diags, wits, own,
-                     pool) -> Optional[Verdict]:
+                     pool, searched) -> Optional[Verdict]:
     if config.budget < 1:
         diags.append("low-index route: recursion budget exhausted")
         return None
@@ -605,7 +615,7 @@ def _route_low_index(p: Presentation, config, diags, wits, own,
         diags.append("low-index route: max index < 2")
         return None
     truncated = [False]
-    tables = _cover_tables(p, config, truncated, own)
+    tables = _cover_tables(p, config, truncated, own, searched)
     if wits and p.deficiency == 1:
         # a commutator relator upstairs plus a cover whose abelianization
         # is not Z x Z gives largeness outright: every cover is checked

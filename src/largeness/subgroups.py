@@ -314,16 +314,20 @@ def cover_abelianization(p: Presentation, table: CosetTable) -> AbelianInvariant
     for g, (perm, ip, ids) in enumerate(zip(table.action, table.inverse, edge_index), 1):
         moves[g] = [(t, k - 1) for t, k in zip(perm, ids)]
         moves[-g] = [(t, ids[t] - 1) for t in ip]
-    rows = []
+    rows = []  # sparse, as of_relations takes them
     for r in p.relators:
         steps = [(moves[lt], 1 if lt > 0 else -1) for lt in r]
         for start in range(table.degree):
-            row = [0] * nsub
+            row = {}
             c = start
             for move, sign in steps:
                 c, k = move[c]
                 if k >= 0:
-                    row[k] += sign
+                    x = row.get(k, 0) + sign
+                    if x:
+                        row[k] = x
+                    else:
+                        del row[k]
             if c != start:
                 raise ValueError("coset table is not closed under the relators")
             rows.append(row)
@@ -505,6 +509,12 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     fills its hole, the first empty cell, and propagation can only fill
     empty cells, which all lie after it; so along a DFS path every cell
     before the hole stays filled, and a child searches from the next cell.
+
+    A complete table is closed under the relators with no further check.
+    Every edge is set with its reverse, and both half-edges are queued.  Of
+    any relator cycle at any coset, some edge is set last; when one of its
+    half-edges is popped, the scan of the rotation that starts there walks
+    the whole cycle, every edge set by then, and fails unless it closes.
     """
     if node_budget is not None and node_budget[0] <= 0:
         return [], True
@@ -565,16 +575,6 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
                     queue += ((f, d, b), (b, e, f))
         return True
 
-    def complete_closed(size):
-        for dirs in rel_dirs:
-            for c in range(0, size, nd):
-                f = c
-                for d in dirs:
-                    f = tab[f + d]
-                if f != c:
-                    return False
-        return True
-
     results = []
     truncated = [False]
 
@@ -587,9 +587,8 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
         size = degree * nd
         h = tab.index(None, pos)
         if h >= size:
-            if complete_closed(size):
-                results.append((degree, tuple([e // nd for d in range(0, nd, 2)
-                                               for e in tab[d:size:nd]])))
+            results.append((degree, tuple([e // nd for d in range(0, nd, 2)
+                                           for e in tab[d:size:nd]])))
             return
         d = h % nd
         c, di = h - d, d ^ 1

@@ -380,6 +380,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
 
     tried = []
     first_link = None
+    searched = []  # decide's own search of the d = 1 cover, if it ran one
     # cyclic covers <Delta, s^d>: the conjugation exponent is e^d, and the
     # d = 2 cover repairs the exponent-2 case, where 1 - e has no prime
     for d in range(1, max(2, config.max_index) + 1):
@@ -406,7 +407,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         names = ",".join(f.name for f in fields)
         tried.append(f"d={d}: no vanishing over {names}")
         if d == 1:
-            child = decide(pres, config)
+            child = decide(pres, config, searched=searched)
             if child.is_large:
                 diags.extend(child.diagnostics[-1:])
                 cert = child.certificate.lift(p0, chain)
@@ -416,7 +417,9 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
     # covers of the rewritten subgroup containing both pinned elements
     if first_link is not None:
         table, pres, w_expr, s_expr, fields = first_link
-        classes, cut = subgroup_classes(pres, config.max_index, [config.li_nodes])
+        # the same search as decide's own, from the same fresh cell
+        classes, cut = (searched[0] if searched else
+                        subgroup_classes(pres, config.max_index, [config.li_nodes]))
         for sub_table in classes:
             if sub_table.degree < 2:
                 continue

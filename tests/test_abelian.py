@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 from largeness.abelian import (AbelianInvariants, abelianization,
                                exponent_matrix, hermite_rows, hom_to_Z_basis,
                                image_span_rank, smith_invariants,
-                               smith_normal_form, transpose)
+                               smith_normal_form, sparse_rows, transpose)
 from largeness.words import (Presentation, default_names, exponent_vector,
                              free_reduce, parse_presentation, parse_word)
 from oracles import determinant, mat_mul
@@ -150,8 +150,8 @@ class TestSmith:
         # rows or columns: Z^n modulo the relation vectors either way
         n = (len(m[0]) if m else 0) + extra
         rows = [row + [0] * extra for row in m]
-        inv = AbelianInvariants.of_relations(rows, n)
-        assert inv == AbelianInvariants.of_relations(transpose(rows), n)
+        inv = AbelianInvariants.of_relations(sparse_rows(rows), n)
+        assert inv == AbelianInvariants.of_relations(sparse_rows(transpose(rows)), n)
         diag = smith_normal_form(rows).diagonal
         assert inv.betti == n - sum(1 for x in diag if x)
         assert inv.torsion == tuple(x for x in diag if x > 1)
@@ -178,7 +178,7 @@ class TestUnitPivots:
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
         rows, cols = len(m), len(m[0]) if m else 0
         before = [row[:] for row in m]
-        inv = AbelianInvariants.of_relations(m, cols)
+        inv = AbelianInvariants.of_relations(sparse_rows(m), cols)
         assert m == before
         diag = smith_invariants(m)
         d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
@@ -200,7 +200,7 @@ class TestUnitPivots:
         # the first row has no unit until the second row is cleared from it
         m = [[2, 3, 0], [1, 1, 0], [0, 0, 4]]
         self.check(m)
-        assert AbelianInvariants.of_relations(m, 3) == AbelianInvariants(0, (4,))
+        assert AbelianInvariants.of_relations(sparse_rows(m), 3) == AbelianInvariants(0, (4,))
 
 
 def _random_unimodular(rnd, n):

@@ -160,6 +160,12 @@ class TestBoundDiagnostics:
         with pytest.raises(ValueError, match="li_nodes"):
             CertifyConfig(li_nodes=-1)
 
+    @pytest.mark.parametrize("name", ["max_index", "chi_height", "budget"])
+    def test_negative_setting_is_refused(self, name):
+        with pytest.raises(ValueError, match=f"{name} must be >= 0"):
+            CertifyConfig(**{name: -1})
+        assert getattr(CertifyConfig(**{name: 0}), name) == 0
+
 
 class TestSoundness:
     def test_large_always_verifiable(self):
@@ -437,9 +443,11 @@ INDEX_TWO_LARGE = "< x, y | x y^3 x y^-1 >"
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
-def ref_route_low_index(p, config, diags, wits, own, pool):
+def ref_route_low_index(p, config, diags, wits, own, pool, searched):
     """The low-index route in its earlier form: one search to ``max_index``,
-    and every cover presentation built before the first one is tried."""
+    and every cover presentation built before the first one is tried.
+    ``searched`` is taken and left empty, so a torus pipeline runs its own
+    search as it did before reusing the route's."""
     if config.budget < 1:
         diags.append("low-index route: recursion budget exhausted")
         return None
@@ -547,6 +555,36 @@ class TestLowIndexRoute:
             return pipeline(e, wit, LI_FAST)
 
         self._same_bytes(monkeypatch, run, torus_cases(40))
+
+    def test_torus_searches_each_cover_once(self, monkeypatch):
+        # decide's own search of the d = 1 cover is the pinned-subgroup
+        # stage's too; a second call repeats every search, so nothing is
+        # kept between calls
+        calls = []
+        search = subgroups._search_tables
+        monkeypatch.setattr(subgroups, "_search_tables",
+                            lambda p, k, *a: calls.append((p, k)) or search(p, k, *a))
+        cases = torus_cases(40)
+
+        def searches():
+            """Per case, the (presentation, max_index) of every search its
+            pipeline runs."""
+            out = []
+            for e, wit in cases:
+                pipeline = torus_zz_pipeline if abs(wit.k) == 1 else torus_bs_pipeline
+                start = len(calls)
+                pipeline(e, wit, LI_FAST)
+                out.append(calls[start:])
+            return out
+
+        first = searches()
+        assert all(len(set(mine)) == len(mine) for mine in first)
+        assert sum(map(len, first)) >= 3
+        assert searches() == first
+        # the reference route hands out no classes: the pinned-subgroup
+        # stage then searches the d = 1 cover again
+        monkeypatch.setattr(C, "_route_low_index", ref_route_low_index)
+        assert any(len(set(mine)) < len(mine) for mine in searches())
 
     def test_index_two_cover_needs_no_search(self, monkeypatch):
         searches, covers, at_replay = [], [], []

@@ -138,6 +138,14 @@ class TestCertify:
                                 "--max-index", "4", "--budget", "1")
         assert code == 0 and doc["status"] == "UNKNOWN"
 
+    @pytest.mark.parametrize("flag,value", [
+        ("--max-index", "-3"), ("--chi-height", "-2"), ("--budget", "-1"),
+        ("--primes", "4")])
+    def test_bad_setting_is_input_error(self, capsys, flag, value):
+        code, out, err = run(capsys, "certify", "< a, b | a^2 b^3 >", flag, value)
+        assert code == 1 and out == ""
+        assert err.startswith("error: ") and err.count("\n") == 1
+
     def test_threads_is_unrecognized(self, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["certify", "< a | >", "--threads", "4"])

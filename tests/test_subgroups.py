@@ -19,7 +19,7 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  index_two_classes, low_index_subgroups, reidemeister_schreier,
                                  rewrite_word, subgroup_classes, tietze_simplify)
 from largeness.words import (Presentation, default_names, free_reduce,
-                             parse_presentation, parse_word)
+                             inverse, parse_presentation, parse_word)
 from oracles import (probe_coset_enumerate, schreier_generators,
                      subgroup_count_by_index)
 
@@ -28,12 +28,13 @@ CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())
                         for f in sorted(CORPUS.glob("*.pres"))]
 
 
+def letter_lists(ngens, min_size, max_size):
+    letters = [s * g for g in range(1, ngens + 1) for s in (1, -1)]
+    return st.lists(st.sampled_from(letters), min_size=min_size, max_size=max_size)
+
 
 def presentations(ngens):
-    letters = [s * g for g in range(1, ngens + 1) for s in (1, -1)]
-    return st.lists(
-        st.lists(st.sampled_from(letters), min_size=1, max_size=6),
-        min_size=0, max_size=2).map(
+    return st.lists(letter_lists(ngens, 1, 6), min_size=0, max_size=2).map(
             lambda rels: Presentation(default_names(ngens),
                                       tuple(free_reduce(tuple(r)) for r in rels)))
 
@@ -499,6 +500,24 @@ class TestSearchOracle:
     @settings(max_examples=40, deadline=None)
     def test_three_generators(self, p):
         self.check(p, 3)
+
+    @given(st.integers(2, 3).flatmap(lambda n: st.tuples(
+               st.just(n),
+               # relators u x^k u^-1: single letters, proper powers, and
+               # words that are not cyclically reduced
+               st.lists(st.tuples(letter_lists(n, 1, 4), st.integers(1, 3),
+                                  letter_lists(n, 0, 2)), min_size=1, max_size=3))),
+           st.one_of(st.none(), st.integers(0, 300)))
+    @settings(max_examples=150, deadline=None)
+    def test_every_table_is_closed(self, shape, nodes):
+        # the search keeps a complete table with no closure check of its own
+        n, parts = shape
+        rels = tuple(free_reduce(tuple(u) + tuple(x) * k + inverse(tuple(u)))
+                     for x, k, u in parts)
+        p = Presentation(default_names(n), rels)
+        tables, _ = search_tables(p, 4, None if nodes is None else [nodes])
+        for t in tables:
+            assert t.is_closed_under(p.relators), (p, t)
 
     def test_long_relator(self):
         # 300 distinct rotations of 300 letters: the relator scans hold about
