@@ -155,13 +155,13 @@ class AbelianInvariants:
         is the same.
 
         Rows are sparse, each a dict from column to nonzero entry, as
-        ``sparse_rows`` makes them from a dense matrix; they are changed in
-        place.  While some entry is +-1, its column is cleared from the
+        ``sparse_rows`` makes them from a dense matrix; they are copied, not
+        changed.  While some entry is +-1, its column is cleared from the
         other rows and its row and column dropped: each such pivot is one
         invariant 1.  What is left, with no entry +-1, goes to
         ``smith_invariants``.
         """
-        rows = [row for row in rows if row]
+        rows = [dict(row) for row in rows if row]
         units = 0
         i = 0
         while i < len(rows):

@@ -177,9 +177,10 @@ class TestUnitPivots:
         from sympy import Matrix, ZZ
         from sympy.matrices.normalforms import smith_normal_form as sympy_snf
         rows, cols = len(m), len(m[0]) if m else 0
-        before = [row[:] for row in m]
-        inv = AbelianInvariants.of_relations(sparse_rows(m), cols)
-        assert m == before
+        sparse = sparse_rows(m)
+        before = [dict(row) for row in sparse]
+        inv = AbelianInvariants.of_relations(sparse, cols)
+        assert sparse == before
         diag = smith_invariants(m)
         d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
         assert diag == [abs(d[i, i]) for i in range(min(d.shape))]
