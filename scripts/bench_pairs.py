@@ -11,7 +11,8 @@ Extracts REV into a temporary directory with ``git archive`` and runs
 pair.  Pair i uses seed K + i for both sides; the side that runs first
 alternates, the base first in even pairs.  Writes ``BENCH_<W>_<L>.json`` at
 the repository root: every run's metrics and output digest, each side's
-set of digests and whether the two sets match, each side's median and
+set of digests and whether the two sets match, each side's operations
+attempted and failed and the runs not correct, each side's median and
 quartiles per end-to-end metric of ``BENCHMARK.json``, and per metric the
 pairs the working tree won and lost (ties count for neither).
 The temporary directory is removed at the end.
@@ -90,6 +91,27 @@ def check_digests(runs: list) -> tuple:
     return digests, match
 
 
+def check_failures(runs: list) -> dict:
+    """Per side, the operations attempted and failed summed over its runs,
+    their ratio, and the pairs whose run reports ``correct`` false; prints
+    one line per such run, and one line when the change fails a larger
+    share of its operations than the base."""
+    out = {}
+    for side in SIDES:
+        mine = [r for r in runs if r["side"] == side]
+        attempted = sum(r["attempted"] for r in mine)
+        failed = sum(r["failed"] for r in mine)
+        out[side] = {"attempted": attempted, "failed": failed,
+                     "failed_share": failed / attempted if attempted else 0.0,
+                     "incorrect_pairs": [r["pair"] for r in mine if not r["correct"]]}
+        for pair in out[side]["incorrect_pairs"]:
+            print(f"pair {pair} {side}: run not correct", flush=True)
+    base, change = out["base"]["failed_share"], out["change"]["failed_share"]
+    if change > base:
+        print(f"failed share: change {change:.4g} above base {base:.4g}", flush=True)
+    return out
+
+
 def main(argv=None) -> int:
     ap = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     ap.add_argument("--base", required=True, help="git revision to compare against")
@@ -123,11 +145,12 @@ def main(argv=None) -> int:
                       f"digest {(result['digest'] or '')[:8]}", flush=True)
 
     digests, match = check_digests(runs)
+    failures = check_failures(runs)
     report = {
         "workload": args.workload, "seconds": args.seconds,
         "base": base_rev, "change": head_rev + (" with uncommitted changes" if dirty else ""),
         "machine": f"python {platform.python_version()}, {platform.machine()}",
-        "digests": digests, "digests_match": match,
+        "digests": digests, "digests_match": match, "failures": failures,
         "summary": summarize(runs, end_to_end), "runs": runs,
     }
     out = ROOT / f"BENCH_{args.workload}_{args.label}.json"

@@ -20,7 +20,8 @@ from .subgroups import (BoundExceeded, cover_abelianization, low_index_subgroups
                         reidemeister_schreier, tietze_simplify)
 from .torus import (Endomorphism, PeriodicWitness, mapping_torus,
                     torus_bs_pipeline, torus_zz_pipeline, witness_verify)
-from .words import ParseError, Presentation, parse_presentation, parse_word
+from .words import (NAME_RE, ParseError, Presentation, parse_presentation,
+                    parse_word)
 
 
 def _read_presentation(arg: str) -> Presentation:
@@ -132,13 +133,19 @@ def _parse_endo(path: str) -> Endomorphism:
     names = []
     raw_images = []
     for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
-        line = line.strip()
-        if not line or line.startswith("#"):
+        text = line.strip()
+        if not text or text.startswith("#"):
             continue
-        if "->" not in line:
-            raise ParseError(f"expected 'name -> word'", line_no, 1)
-        lhs, _, rhs = line.partition("->")
-        names.append(lhs.strip())
+        if "->" not in text:
+            raise ParseError("expected 'name -> word'", line_no, 1)
+        lhs, _, rhs = text.partition("->")
+        name = lhs.strip()
+        col = len(line) - len(line.lstrip()) + len(lhs) - len(lhs.lstrip()) + 1
+        if not NAME_RE.fullmatch(name):
+            raise ParseError(f"bad generator name {name!r}", line_no, col)
+        if name in names:
+            raise ParseError(f"duplicate generator name {name!r}", line_no, col)
+        names.append(name)
         raw_images.append(rhs)
     images = tuple(parse_word(raw, names) for raw in raw_images)
     return Endomorphism(images, tuple(names))

@@ -51,45 +51,80 @@ def uf_find(parent: list, v: int) -> int:
     return v
 
 
-def _fold(nvertices, edges, base):
-    """Quotient until no vertex carries duplicate signed labels.
+class BoundExceeded(RuntimeError):
+    """A bounded fold or enumeration ran out of room; the index may be
+    infinite."""
 
-    ``edges`` is a list of (v, lt, w) with lt > 0.
+
+def fold_loops(loops: Sequence[Word], relators: Sequence[Word] = (),
+               bound: Optional[int] = None) -> StallingsGraph:
+    """Folded graph of the loops at the base, closed under ``relators``.
+
+    Each loop is scanned from the base, a vertex made for each missing
+    edge, and the scan's end merged into the base.  Merging two vertices
+    merges, in turn, the targets of their equal labels, which keeps the
+    graph folded.  With relators, one HLT pass then scans every relator at
+    each vertex still live when its turn comes, merging the ends of a scan
+    that does not close: Todd-Coxeter enumeration, whose table is complete
+    when the result covers the bouquet.  A loop once closed stays closed as
+    vertices are added or merged, so the pass leaves every relator closed
+    at every live vertex.  The surviving vertices are numbered in id order,
+    so the base is 0.  ``bound`` caps the vertices live at once, and 16
+    times it plus 64 the vertices ever made; BoundExceeded when passed.
     """
-    parent = list(range(nvertices))
+    adj = []  # per vertex ever made, signed letter -> vertex id
+    parent = []  # union-find over vertex ids; the smaller id is the root
     find = partial(uf_find, parent)
+    live = 0
 
-    work = list(edges)
-    while True:
-        adj = {}
-        merged = False
-        pending = []
-        for v, lt, w in work:
-            v, w = find(v), find(w)
-            for src, lab, dst in ((v, lt, w), (w, -lt, v)):
-                cur = adj.setdefault(src, {})
-                if lab in cur and find(cur[lab]) != dst:
-                    pending.append((cur[lab], dst))
-                    merged = True
-                else:
-                    cur[lab] = dst
-        if not merged:
-            break
-        for a, b in pending:
+    def new_vertex(edges):
+        nonlocal live
+        if bound is not None and (live >= bound or len(parent) >= 16 * bound + 64):
+            raise BoundExceeded(f"coset bound {bound} exceeded")
+        parent.append(len(parent))
+        adj.append(edges)
+        live += 1
+        return len(parent) - 1
+
+    def scan(v, w):
+        for lt in w:
+            v = find(v)
+            t = adj[v].get(lt)
+            if t is None:
+                t = adj[v][lt] = new_vertex({-lt: v})
+            v = t
+        return find(v)
+
+    def merge(a, b):
+        nonlocal live
+        stack = [(a, b)]
+        while stack:
+            a, b = stack.pop()
             a, b = find(a), find(b)
-            if a != b:
-                parent[max(a, b)] = min(a, b)
-        work = [(find(v), lt, find(w)) for v, lt, w in work]
-        work = list(dict.fromkeys(work))
-    # dedupe edges after the final relabeling
-    final = sorted({(find(v), lt, find(w)) for v, lt, w in work})
-    verts = sorted({x for v, _, w in final for x in (v, w)} | {find(base)})
-    index = {v: i for i, v in enumerate(verts)}
-    adj = [dict() for _ in verts]
-    for v, lt, w in final:
-        adj[index[v]][lt] = index[w]
-        adj[index[w]][-lt] = index[v]
-    return StallingsGraph(len(verts), tuple(adj), index[find(base)])
+            if a == b:
+                continue
+            if b < a:
+                a, b = b, a
+            parent[b] = a
+            live -= 1
+            for lt, t in adj[b].items():
+                u = adj[a].setdefault(lt, t)
+                if u != t:
+                    stack.append((u, t))
+
+    new_vertex({})
+    for w in loops:
+        merge(scan(0, w), 0)
+    v = 0
+    while relators and v < len(parent):
+        if parent[v] == v:
+            for r in relators:
+                merge(scan(v, r), v)
+        v += 1
+    ids = [v for v in range(len(parent)) if parent[v] == v]
+    index = {v: i for i, v in enumerate(ids)}
+    return StallingsGraph(len(ids), tuple({lt: index[find(t)] for lt, t in adj[v].items()}
+                                          for v in ids))
 
 
 def fold(generators: Sequence[Word]) -> StallingsGraph:
@@ -100,22 +135,7 @@ def fold(generators: Sequence[Word]) -> StallingsGraph:
     reduced path in a folded graph never leaves a vertex by the edge it came
     in on, so no vertex but the base has degree 1.
     """
-    edges = []
-    nv = 1
-    for w in generators:
-        w = free_reduce(w)
-        if not w:
-            continue
-        prev = 0
-        for i, lt in enumerate(w):
-            tgt = 0 if i == len(w) - 1 else nv + i
-            if lt > 0:
-                edges.append((prev, lt, tgt))
-            else:
-                edges.append((tgt, -lt, prev))
-            prev = tgt
-        nv += len(w) - 1
-    return _fold(nv, edges, 0)
+    return fold_loops([free_reduce(w) for w in generators])
 
 
 def sg_membership(g: StallingsGraph, w: Word) -> bool:

@@ -8,16 +8,12 @@ subgroup itself as coset 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partial
+from functools import cached_property
 from typing import Iterable, Optional, Sequence
 
 from .abelian import AbelianInvariants
-from .stallings import uf_find
+from .stallings import BoundExceeded, fold_loops, is_covering
 from .words import Presentation, Word, cyclic_reduce, exponent_vector, inverse
-
-
-class BoundExceeded(RuntimeError):
-    """Coset enumeration ran out of room; the index may be infinite."""
 
 
 @dataclass(frozen=True)
@@ -130,93 +126,15 @@ MAX_COSETS = 20000
 
 
 def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
-    """Todd-Coxeter enumeration of the subgroup generated by ``subgens``.
-
-    One HLT pass: after the loops of ``subgens`` are closed at the base,
-    every relator is scanned at each coset still live when its turn comes,
-    defining cosets as needed and merging the ends of a scan that does not
-    close.  A loop once closed stays closed as cosets are added or merged,
-    so the pass leaves every relator closed at every live coset and a
-    second pass would change nothing.  ``MAX_COSETS`` bounds the working
-    set of cosets defined at any time; BoundExceeded means the index may be
-    infinite or just larger.
-    """
-    ngens = p.ngens
-    ndirs = 2 * ngens
-
-    def dir_of(lt):
-        return 2 * (abs(lt) - 1) + (0 if lt > 0 else 1)
-
-    neighbors = []  # per coset, list of ndirs targets (or None)
-    reps = []  # union-find
-    live_count = [0]
-    find = partial(uf_find, reps)
-
-    def new_coset():
-        if live_count[0] >= MAX_COSETS or len(reps) >= 16 * MAX_COSETS + 64:
-            raise BoundExceeded(f"coset bound {MAX_COSETS} exceeded")
-        reps.append(len(reps))
-        neighbors.append([None] * ndirs)
-        live_count[0] += 1
-        return len(reps) - 1
-
-    def unify(a, b):
-        stack = [(a, b)]
-        while stack:
-            a, b = stack.pop()
-            a, b = find(a), find(b)
-            if a == b:
-                continue
-            a, b = min(a, b), max(a, b)
-            reps[b] = a
-            live_count[0] -= 1
-            for d in range(ndirs):
-                t = neighbors[b][d]
-                if t is None:
-                    continue
-                if neighbors[a][d] is None:
-                    neighbors[a][d] = t
-                else:
-                    stack.append((neighbors[a][d], t))
-
-    def step(c, d):
-        c = find(c)
-        t = neighbors[c][d]
-        if t is None:
-            t = new_coset()
-            neighbors[c][d] = t
-            neighbors[t][d ^ 1] = c
-        return find(t)
-
-    def scan(c, w):
-        for lt in w:
-            c = step(c, dir_of(lt))
-        return c
-
-    base = new_coset()
-    for sg in subgens:
-        unify(scan(base, sg), base)
-    visit = 0
-    while visit < len(reps):
-        if find(visit) == visit:
-            for r in p.relators:
-                unify(scan(visit, r), visit)
-        visit += 1
-
-    live = sorted(i for i in range(len(reps)) if find(i) == i)
-    index = {c: i for i, c in enumerate(live)}
-    action = []
-    for g in range(ngens):
-        d = 2 * g
-        perm = []
-        for c in live:
-            t = neighbors[c][d]
-            if t is None:
-                raise BoundExceeded("table incomplete after enumeration")
-            perm.append(index[find(t)])
-        action.append(tuple(perm))
-    table = CosetTable(len(live), tuple(action))
-    return canonical_rebase(table, index[find(0)])
+    """Todd-Coxeter enumeration of the subgroup generated by ``subgens``:
+    ``fold_loops`` of them under the relators, with at most ``MAX_COSETS``
+    cosets live at once.  BoundExceeded means the index may be infinite or
+    just larger."""
+    g = fold_loops(subgens, p.relators, MAX_COSETS)
+    if not is_covering(g, p.ngens):
+        raise BoundExceeded("table incomplete after enumeration")
+    action = tuple(tuple(d[lt] for d in g.adj) for lt in range(1, p.ngens + 1))
+    return canonical_rebase(CosetTable(g.nvertices, action), 0)
 
 
 # ---------------------------------------------------------------------------

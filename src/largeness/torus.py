@@ -126,7 +126,11 @@ def preimage_subgroup(e: Endomorphism, cover: StallingsGraph) -> StallingsGraph:
     return out
 
 
-def stable_pullback(e: Endomorphism, cover: StallingsGraph, max_iter: int = 64):
+# the most preimages a stable pullback takes before it gives up
+MAX_PULLBACKS = 64
+
+
+def stable_pullback(e: Endomorphism, cover: StallingsGraph):
     """Iterate preimages until a subgroup repeats: returns (Delta, j) with
     theta^j(Delta) <= Delta, verified on every basis element."""
     if not endo_is_injective(e):
@@ -134,7 +138,7 @@ def stable_pullback(e: Endomorphism, cover: StallingsGraph, max_iter: int = 64):
     seen = {}
     history = []
     cur = cover
-    for step in range(max_iter + 1):
+    for step in range(MAX_PULLBACKS + 1):
         key = cur.canonical_key()
         if key in seen:
             a = seen[key]
@@ -147,7 +151,7 @@ def stable_pullback(e: Endomorphism, cover: StallingsGraph, max_iter: int = 64):
         seen[key] = step
         history.append(cur)
         cur = preimage_subgroup(e, cur)
-    raise BoundExceeded(f"no repetition within {max_iter} pullbacks")
+    raise BoundExceeded(f"no repetition within {MAX_PULLBACKS} pullbacks")
 
 
 @dataclass(frozen=True)
@@ -208,11 +212,15 @@ def _whitehead_autos(r: int):
                     yield imgs, move(-a, set(extra))
 
 
-def whitehead_primitive_basis(graph: StallingsGraph, w: Word,
-                              budget: int = 10000) -> Optional[list]:
+# the most Whitehead moves the primitivity search tries
+WHITEHEAD_BUDGET = 10000
+
+
+def whitehead_primitive_basis(graph: StallingsGraph, w: Word) -> Optional[list]:
     """A free basis (as ambient words) of the subgroup containing ``w``,
-    found by bounded greedy Whitehead reduction; None when the budget runs
-    out or w is not primitive in the subgroup."""
+    found by greedy Whitehead reduction of at most ``WHITEHEAD_BUDGET``
+    moves; None when the budget runs out or w is not primitive in the
+    subgroup."""
     base_words = graph_basis(graph)
     r = len(base_words)
     if r == 0:
@@ -224,11 +232,11 @@ def whitehead_primitive_basis(graph: StallingsGraph, w: Word,
     cur = coords
     spent = 0
     improved = True
-    while len(cur) > 1 and improved and spent < budget:
+    while len(cur) > 1 and improved and spent < WHITEHEAD_BUDGET:
         improved = False
         for imgs, inv in _whitehead_autos(r):
             spent += 1
-            if spent >= budget:
+            if spent >= WHITEHEAD_BUDGET:
                 break
             cand = substitute(cur, imgs)
             if len(cand) < len(cur):

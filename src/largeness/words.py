@@ -267,7 +267,8 @@ class Presentation:
         return f"< {', '.join(self.generators)} | {rels} >"
 
 
-_NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
+# the grammar's rule for a generator name
+NAME_RE = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
 
 
 def word_to_text(w: Word, names: Sequence[str]) -> str:
@@ -360,7 +361,7 @@ def parse_presentation(text: str) -> Presentation:
     names = []
     for chunk in text[head:bar].split(","):
         name = chunk.strip()
-        if not _NAME_RE.fullmatch(name or ""):
+        if not NAME_RE.fullmatch(name):
             _parse_error(text, f"bad generator name {name!r}", text.find(chunk, head))
         if name in names:
             _parse_error(text, f"duplicate generator name {name!r}", text.find(chunk, head))

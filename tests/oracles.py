@@ -1,14 +1,14 @@
 """Reference implementations that only the tests use: group ring
 arithmetic, integer matrix products and determinants, subgroup counts, the
 Schreier generators of a coset table as words in the ambient group, the
-conjugated-power match split by split, and coset enumeration with its
-earlier closure probe."""
+conjugated-power match split by split, coset enumeration with its
+earlier closure probe, and Stallings folding in its earlier batch form."""
 
 from largeness import subgroups
-from largeness.stallings import uf_find
+from largeness.stallings import StallingsGraph, uf_find
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  low_index_subgroups)
-from largeness.words import concat, cyclic_reduce, inverse
+from largeness.words import concat, cyclic_reduce, free_reduce, inverse
 
 # group ring elements: dict word -> nonzero integer coefficient
 
@@ -226,3 +226,54 @@ def probe_coset_enumerate(p, subgens):
             perm.append(index[find(t)])
         action.append(tuple(perm))
     return canonical_rebase(CosetTable(len(live), tuple(action)), index[find(0)])
+
+
+def batch_fold(generators):
+    """``stallings.fold`` in its earlier form: lay each freely reduced word
+    out as a loop of new vertices at the base, then merge, round by round,
+    the targets of equal labels at a vertex, rebuilding the adjacency each
+    round, and number the surviving vertices by their least original id."""
+    edges = []  # (v, lt, w) with lt > 0
+    nv = 1
+    for w in generators:
+        w = free_reduce(w)
+        if not w:
+            continue
+        prev = 0
+        for i, lt in enumerate(w):
+            tgt = 0 if i == len(w) - 1 else nv + i
+            edges.append((prev, lt, tgt) if lt > 0 else (tgt, -lt, prev))
+            prev = tgt
+        nv += len(w) - 1
+    parent = list(range(nv))
+
+    def find(v):
+        return uf_find(parent, v)
+
+    work = edges
+    while True:
+        adj = {}
+        pending = []
+        for v, lt, w in work:
+            v, w = find(v), find(w)
+            for src, lab, dst in ((v, lt, w), (w, -lt, v)):
+                cur = adj.setdefault(src, {})
+                if lab in cur and find(cur[lab]) != dst:
+                    pending.append((cur[lab], dst))
+                else:
+                    cur[lab] = dst
+        if not pending:
+            break
+        for a, b in pending:
+            a, b = find(a), find(b)
+            if a != b:
+                parent[max(a, b)] = min(a, b)
+        work = list(dict.fromkeys((find(v), lt, find(w)) for v, lt, w in work))
+    final = sorted({(find(v), lt, find(w)) for v, lt, w in work})
+    verts = sorted({x for v, _, w in final for x in (v, w)} | {find(0)})
+    index = {v: i for i, v in enumerate(verts)}
+    adj = [dict() for _ in verts]
+    for v, lt, w in final:
+        adj[index[v]][lt] = index[w]
+        adj[index[w]][-lt] = index[v]
+    return StallingsGraph(len(verts), tuple(adj), index[find(0)])

@@ -27,3 +27,37 @@ def test_digests_differ(capsys):
     assert not match and digests == {"base": ["aa"], "change": ["aa", "bb"]}
     assert capsys.readouterr().out == (
         "digests differ: base ['aa'] change ['aa', 'bb']\n")
+
+
+def tallies(base, change):
+    """One run per (attempted, failed) tally, pair by pair."""
+    return [{"pair": i, "side": side, "attempted": a, "failed": f, "correct": f == 0}
+            for i, pair in enumerate(zip(base, change))
+            for side, (a, f) in zip(bench_pairs.SIDES, pair)]
+
+
+def test_no_failures(capsys):
+    out = bench_pairs.check_failures(tallies([(10, 0), (12, 0)], [(11, 0), (9, 0)]))
+    assert out == {
+        "base": {"attempted": 22, "failed": 0, "failed_share": 0.0, "incorrect_pairs": []},
+        "change": {"attempted": 20, "failed": 0, "failed_share": 0.0, "incorrect_pairs": []}}
+    assert capsys.readouterr().out == ""
+
+
+def test_change_fails_more(capsys):
+    out = bench_pairs.check_failures(tallies([(10, 1), (10, 0)], [(10, 0), (10, 4)]))
+    assert out["base"] == {"attempted": 20, "failed": 1, "failed_share": 0.05,
+                           "incorrect_pairs": [0]}
+    assert out["change"] == {"attempted": 20, "failed": 4, "failed_share": 0.2,
+                             "incorrect_pairs": [1]}
+    assert capsys.readouterr().out == (
+        "pair 0 base: run not correct\n"
+        "pair 1 change: run not correct\n"
+        "failed share: change 0.2 above base 0.05\n")
+
+
+def test_change_fails_less(capsys):
+    bench_pairs.check_failures(tallies([(10, 2)], [(10, 1)]))
+    assert capsys.readouterr().out == (
+        "pair 0 base: run not correct\n"
+        "pair 0 change: run not correct\n")

@@ -241,6 +241,20 @@ class TestTorus:
                            "--witness", "x,1,,1", "--certify")
         assert code == 1 and "error" in err
 
+    @pytest.mark.parametrize("text, message", [
+        (" -> \n", "bad generator name '' (line 1, column 2)"),
+        ("x^2 -> x^2\n", "bad generator name 'x^2' (line 1, column 1)"),
+        ("# rank 2\nx -> x\n  x -> x y\n",
+         "duplicate generator name 'x' (line 3, column 3)"),
+    ])
+    def test_bad_generator_name(self, capsys, tmp_path, text, message):
+        # an endomorphism file names its generators by the presentation
+        # grammar's rule, so the mapping torus prints as readable text
+        endo = tmp_path / "endo.txt"
+        endo.write_text(text)
+        code, out, err = run(capsys, "torus", "--endo", str(endo))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
 
 class TestVerify:
     def _emit_cert(self, capsys, tmp_path, pres):

@@ -1,12 +1,13 @@
 import random
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
-from largeness.stallings import (fold, graph_basis, hall_overgroup,
-                                 is_covering, pin_loop_basis, rank,
-                                 sg_express, sg_membership)
+from largeness.stallings import (BoundExceeded, fold, fold_loops, graph_basis,
+                                 hall_overgroup, is_covering, pin_loop_basis,
+                                 rank, sg_express, sg_membership)
 from largeness.words import free_reduce
+from oracles import batch_fold
 
 
 def random_word(rnd, n, max_len):
@@ -87,6 +88,43 @@ class TestFold:
             assert v == g.base or len(g.adj[v]) >= 2
         for w in gens:
             assert sg_membership(g, free_reduce(w))
+
+
+@st.composite
+def word_lists(draw):
+    """1-5 generators, 0-6 words of 0-25 letters, neither reduced nor
+    cyclically reduced; now and then the last word is the inverse of the
+    first."""
+    n = draw(st.integers(1, 5))
+    letters = [s * g for g in range(1, n + 1) for s in (1, -1)]
+    words = draw(st.lists(st.lists(st.sampled_from(letters), max_size=25).map(tuple),
+                          max_size=6))
+    if len(words) >= 2 and draw(st.booleans()):
+        words[-1] = tuple(-x for x in reversed(words[0]))
+    return words
+
+
+class TestFoldLoops:
+    @settings(max_examples=500)
+    @given(word_lists())
+    @example([(), (1, 2), (-2, -1)])
+    @example([(1, -1), ()])
+    def test_same_as_batch_fold(self, gens):
+        # the incremental fold builds the graph of the earlier batch fold,
+        # vertex numbers and base included
+        g, ref = fold(gens), batch_fold(gens)
+        assert (g.nvertices, g.adj, g.base) == (ref.nvertices, ref.adj, ref.base)
+
+    def test_bound_exceeded(self):
+        # <a> has infinite index in Z^2 = < a, b | a b a^-1 b^-1 >
+        with pytest.raises(BoundExceeded) as info:
+            fold_loops([(1,)], [(1, 2, -1, -2)], bound=50)
+        assert str(info.value) == "coset bound 50 exceeded"
+
+    def test_relators_close_the_graph(self):
+        # < a | a^3 >: the trivial subgroup has index 3
+        g = fold_loops([], [(1, 1, 1)], bound=50)
+        assert is_covering(g, 1) and g.nvertices == 3 and g.base == 0
 
 
 class TestBasis:

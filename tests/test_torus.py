@@ -5,7 +5,7 @@ import pytest
 from largeness import torus
 from largeness.certify import (CertifyConfig, dumps, verdict_to_json,
                                verify_certificate)
-from largeness.stallings import fold, graph_basis, sg_membership
+from largeness.stallings import BoundExceeded, fold, graph_basis, sg_membership
 from largeness.torus import (Endomorphism, PeriodicWitness, endo_apply,
                              endo_is_injective, endo_power, mapping_torus,
                              preimage_subgroup, stable_pullback,
@@ -119,6 +119,16 @@ class TestStablePullback:
             delta, j = stable_pullback(e, evenx)
             for b in graph_basis(delta):
                 assert sg_membership(delta, endo_apply(e, b, j))
+
+
+    def test_no_repetition(self, monkeypatch):
+        # preimages that never repeat end in the bound's diagnostic
+        steps = iter(range(2, 200))
+        monkeypatch.setattr(torus, "preimage_subgroup",
+                            lambda e, cover: fold([(1,) * next(steps)]))
+        with pytest.raises(BoundExceeded) as info:
+            stable_pullback(IDENTITY2, fold([(1,), (2,)]))
+        assert str(info.value) == "no repetition within 64 pullbacks"
 
 
 class TestWitness:
