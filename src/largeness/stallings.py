@@ -52,8 +52,8 @@ def uf_find(parent: list, v: int) -> int:
 
 
 class BoundExceeded(RuntimeError):
-    """A bounded fold or enumeration ran out of room; the index may be
-    infinite."""
+    """A computation hit a fixed bound before it finished; for a fold under
+    relators, the index may be infinite or just larger."""
 
 
 def fold_loops(loops: Sequence[Word], relators: Sequence[Word] = (),

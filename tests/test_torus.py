@@ -120,7 +120,6 @@ class TestStablePullback:
             for b in graph_basis(delta):
                 assert sg_membership(delta, endo_apply(e, b, j))
 
-
     def test_no_repetition(self, monkeypatch):
         # preimages that never repeat end in the bound's diagnostic
         steps = iter(range(2, 200))
