@@ -10,12 +10,12 @@ column prefix has the rank it has in the coordinate form, where chi is 1
 on one pivot generator and 0 on the others.  The coordinate form is still
 built for ``alexander_matrix`` and ``alexander_polynomial``.
 
-The matrix is built once over Z[t, t^-1] for each character.  Its exact
-integer maximal minors at t = 0 and t = oo (after scaling each row to a
-polynomial) and at t = 1 and t = -1 are computed once, as the fields need
-them, and shared: a minor that is nonzero (prime to p) proves full rank
-over Q(t) (F_p(t)).  A field left unproven is tried at a few units modulo
-a prime, and only then eliminated over F(t).
+The matrix is built once over Z[t, t^-1] for each character.  One exact
+maximal minor over Z[t], packed into a single integer by Kronecker
+substitution, is shared by all fields: nonzero, it proves full rank over
+Q(t), and with a coefficient prime to p, over F_p(t).  A field left
+unproven is tried at a few units modulo a prime, and only then eliminated
+over F(t).
 """
 
 from __future__ import annotations
@@ -405,8 +405,9 @@ def _fox_rows(relators, chi_values) -> list:
     |chi|: entry [i][j] is chi(d r_j / d x_g), g the i-th other generator,
     as an integer Laurent polynomial (dict exponent -> nonzero int).  With
     |chi| = 1 there, the maximal minors are those of the coordinate form up
-    to a unit; a value c multiplies them by (t^c - 1) / (t - 1), which
-    vanishes at some of the points the full-rank proofs evaluate.
+    to a unit; a value c multiplies them by (t^c - 1) / (t - 1), which is
+    monic, so a minor is nonzero over F(t) exactly when the coordinate
+    form's is, for every field F.
 
     One pass per relator carries chi of the prefix read so far instead of
     building the prefix words.  Reduced to any field, entry [i][j] equals
@@ -507,11 +508,7 @@ def lp_matrix_rank(rows, field) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# full-rank proofs by evaluation
-#
-# Each evaluation below is a ring map, after scaling each row by a unit, so
-# it sends every vanishing maximal minor to zero: full row rank at a point
-# proves full row rank over F(t), and a rank drop proves nothing.
+# full-rank proofs by an exact packed minor, then by evaluation at units
 
 
 def _bareiss(mat, q: int = 0) -> int:
@@ -541,25 +538,43 @@ def _bareiss(mat, q: int = 0) -> int:
     return 0
 
 
-def _point_matrices(rows, least: int):
-    """The integer rows, none of them zero, at t = 0 and at t = oo, after
-    scaling each row by the power of t that makes its lowest (highest) term
-    constant, then at t = 1 and at t = -1; lazily, each with the factor its
-    maximal minors are known to carry: ``least``, the least nonzero |chi|,
-    at t = 1 (see ``_fox_rows``), else 1.  Entries are sums of
-    coefficients, small whatever the exponents."""
-    ends = [(min(ex), max(ex)) for ex in ([e for entry in row for e in entry]
-                                          for row in rows)]
-    for k in (0, 1):
-        yield 1, [[entry.get(end[k], 0) for entry in row] for row, end in zip(rows, ends)]
-    yield least, [[sum(entry.values()) for entry in row] for row in rows]
-    yield 1, [[sum(-c if e % 2 else c for e, c in entry.items()) for entry in row]
-              for row in rows]
+# the most bits, b times the widest row span plus one times the rows, of a
+# packed minor; a character near CHI_BOUND on long relators needs ~10**9
+PACKED_BITS = 2 ** 16
 
 
-# A field the minors leave unproven is tried modulo a prime q at a few
-# units: over F_p, q = p and those of t = -1, -2, -3 that are units; over Q,
-# q = 2**61 - 1 and three fixed units far from the small roots that
+def _packed_minor(rows):
+    """The integer coefficients, lowest first, of the maximal minor on the
+    pivot columns over Q(t) of the rows, none of them zero, each shifted to
+    a polynomial; [] when the rank drops; None above PACKED_BITS.
+
+    Kronecker substitution at t = 2^b, 2^b above twice the product P of
+    the rows' l1 norms: every Bareiss intermediate is a minor, with
+    coefficients at most P in absolute value, so it is 0 exactly when its
+    value at 2^b is.  ``_bareiss`` over Z thus takes the pivots it would
+    over Q[t], and its last pivot's balanced base-2^b digits are the
+    minor's coefficients."""
+    lows, span, bound = [], 0, 2
+    for row in rows:
+        exps = [e for entry in row for e in entry]
+        lows.append(min(exps))
+        span = max(span, max(exps) - lows[-1])
+        bound *= sum(abs(c) for entry in row for c in entry.values())
+    b = bound.bit_length()
+    if b * (span + 1) * len(rows) > PACKED_BITS:
+        return None
+    d = _bareiss([[sum(c << b * (e - low) for e, c in entry.items()) for entry in row]
+                  for row, low in zip(rows, lows)])
+    half, coeffs = 1 << (b - 1), []
+    while d:
+        coeffs.append((d + half) % (1 << b) - half)
+        d = (d - coeffs[-1]) >> b
+    return coeffs
+
+
+# A field the packed minor leaves unproven is tried modulo a prime q at a
+# few units: over F_p, q = p and those of t = -1, -2, -3 that are units;
+# over Q, q = 2**61 - 1 and three fixed units far from the small roots that
 # Alexander polynomials have.
 _Q_MODULUS = 2 ** 61 - 1
 _Q_UNITS = (0x1F83D9ABFB41BD6B, 0x1E3779B97F4A7C15, 0x0A09E667F3BCC909)
@@ -589,10 +604,11 @@ def rank_witness(p: Presentation, chi: Chi, fields):
 
     The rows are the Fox Jacobian of ``p`` itself (see ``_fox_rows``), whose
     column prefixes have the ranks of the coordinate form, so the witness
-    is the same.  They are built once over Z; a field is passed over when
-    the shared minors or an evaluation at a unit prove full rank, and for
-    the others the rank and the pivot columns come from ``lp_matrix_rank``
-    over field(t).
+    is the same.  They are built once over Z.  A field is passed over when
+    the packed minor (``_packed_minor``, shared by all fields) or, where
+    that leaves it open, an evaluation at a unit proves full rank; for the
+    others the rank and the pivot columns come from ``lp_matrix_rank`` over
+    field(t).
     """
     if any(abs(v) > CHI_BOUND for v in chi.values):
         return None
@@ -604,22 +620,14 @@ def rank_witness(p: Presentation, chi: Chi, fields):
     if len(rows[0]) < nrows:
         return fields[0], {"rank": 0, "rows": nrows, "pivot_cols": [],
                            "reason": "fewer relators than module generators"}
-    unproven = list(fields)
-    no_zero_row = all(any(row) for row in rows)  # else rank drops everywhere
-    least = min(abs(v) for v in chi.values if v)
-    for factor, mat in _point_matrices(rows, least) if no_zero_row else ():
-        d = _bareiss(mat)  # a minor shared by all fields
-        if d % factor == 0:
-            # each minor is (t^c - 1) / (t - 1), c = least, which is monic,
-            # times an integer Laurent polynomial, of value d / c at t = 1:
-            # where that is nonzero mod p, so is the minor over F_p(t)
-            d //= factor
-        unproven = [f for f in unproven
-                    if (d % f.p == 0 if isinstance(f, PrimeField) else d == 0)]
-        if not unproven:
-            return None
+    # a zero row, or a packed minor of [], drops the rank over every field,
+    # and then no evaluation can prove full rank; a coefficient prime to p
+    # keeps the minor nonzero over F_p(t)
+    coeffs = _packed_minor(rows) if all(any(row) for row in rows) else []
+    unproven = [f for f in fields if not coeffs or (
+        isinstance(f, PrimeField) and not any(c % f.p for c in coeffs))]
     for field in unproven:
-        if no_zero_row and _full_rank_at_a_point(rows, field):
+        if coeffs != [] and _full_rank_at_a_point(rows, field):
             continue
         rank, pivots = lp_matrix_rank(_reduce(rows, field), field)
         if rank < nrows:

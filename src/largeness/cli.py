@@ -130,24 +130,27 @@ def cmd_certify(args) -> int:
 
 
 def _parse_endo(path: str) -> Endomorphism:
+    source = Path(path).read_text()
     names = []
-    raw_images = []
-    for line_no, line in enumerate(Path(path).read_text().splitlines(), 1):
+    images_at = []  # (right-hand side, its offset in source)
+    start = 0
+    for line_no, line in enumerate(source.split("\n"), 1):
+        line_start, start = start, start + len(line) + 1
         text = line.strip()
         if not text or text.startswith("#"):
             continue
         if "->" not in text:
             raise ParseError("expected 'name -> word'", line_no, 1)
-        lhs, _, rhs = text.partition("->")
+        lhs, _, rhs = line.partition("->")
         name = lhs.strip()
-        col = len(line) - len(line.lstrip()) + len(lhs) - len(lhs.lstrip()) + 1
+        col = len(lhs) - len(lhs.lstrip()) + 1
         if not NAME_RE.fullmatch(name):
             raise ParseError(f"bad generator name {name!r}", line_no, col)
         if name in names:
             raise ParseError(f"duplicate generator name {name!r}", line_no, col)
         names.append(name)
-        raw_images.append(rhs)
-    images = tuple(parse_word(raw, names) for raw in raw_images)
+        images_at.append((rhs, line_start + len(lhs) + 2))
+    images = tuple(parse_word(raw, names, source, at) for raw, at in images_at)
     return Endomorphism(images, tuple(names))
 
 

@@ -22,9 +22,9 @@ from .stallings import (StallingsGraph, fold, graph_basis, hall_overgroup,
                         sg_membership)
 from .subgroups import (BoundExceeded, canonical_rebase, coset_enumerate,
                         cover_presentation, subgroup_classes)
-from .words import (Presentation, Word, concat, conjugator_between,
-                    default_names, free_reduce, inverse, is_proper_power,
-                    letter, power, substitute)
+from .words import (MAX_WORD_LEN, Presentation, Word, concat,
+                    conjugator_between, default_names, free_reduce, inverse,
+                    is_proper_power, letter, power, substitute)
 
 
 @dataclass(frozen=True)
@@ -172,10 +172,27 @@ class PeriodicWitness:
             raise ValueError("witness exponent k must be nonzero")
 
 
+# the largest witness power i that ``witness_verify`` replays
+MAX_WITNESS_POWER = 64
+
+
 def witness_verify(e: Endomorphism, wit: PeriodicWitness) -> bool:
-    lhs = endo_apply(e, wit.w, wit.i)
-    rhs = concat(wit.v, power(wit.w, wit.k), inverse(wit.v))
-    return lhs == rhs
+    """Whether theta^i(w) = v w^k v^-1.  ValueError, before the word is
+    built, when i is above MAX_WITNESS_POWER, or when v w^k v^-1, or some
+    theta^j(w), j <= i, before free reduction, needs more than
+    MAX_WORD_LEN letters."""
+    if wit.i > MAX_WITNESS_POWER:
+        raise ValueError(f"witness power {wit.i} is above the bound {MAX_WITNESS_POWER}")
+    if len(wit.w) * abs(wit.k) + 2 * len(wit.v) > MAX_WORD_LEN:
+        raise ValueError(f"v w^k v^-1 is longer than {MAX_WORD_LEN} letters")
+    # a letter with no image counts 0 here; substitute refuses it
+    sizes = {s * (g + 1): len(img) for g, img in enumerate(e.images) for s in (1, -1)}
+    lhs = wit.w
+    for j in range(1, wit.i + 1):
+        if sum(sizes.get(lt, 0) for lt in lhs) > MAX_WORD_LEN:
+            raise ValueError(f"theta^{j}(w) needs more than {MAX_WORD_LEN} letters")
+        lhs = substitute(lhs, e.images)
+    return lhs == concat(wit.v, power(wit.w, wit.k), inverse(wit.v))
 
 
 # ---------------------------------------------------------------------------

@@ -1,4 +1,5 @@
 import functools
+from unittest import mock
 from fractions import Fraction
 from itertools import permutations
 from math import gcd
@@ -434,6 +435,16 @@ class TestIntegerPath:
             return hit and (hit[0], hit[1]["rank"])
         assert outcome(q, psi) == outcome(p, chi)
 
+    @given(presentation_and_character() | large_character() | cover_character())
+    @settings(max_examples=100, deadline=None)
+    def test_above_the_packing_bound_the_units_decide(self, case):
+        # with no room for a packed minor, every field is tried at units
+        # and then eliminated, with the same witness
+        p, chi = case
+        with mock.patch.object(alexander, "PACKED_BITS", 0):
+            assert alexander._packed_minor([[{0: 1}]]) is None
+            assert rank_witness(p, chi, FIELDS) == full_elimination_witness(p, chi, FIELDS)
+
     def test_character_bound(self):
         free2 = parse_presentation("< a, b | >")
         assert CHI_BOUND == 2 ** 10
@@ -449,16 +460,21 @@ class TestIntegerPath:
         assert rank_witness(p, Chi((1, 0)), [QQ, F3]) is None
         assert rank_witness(p, Chi((1, 0)), []) is None
 
-    def test_minor_at_one_is_divided_by_the_least_value(self, monkeypatch):
+    def test_packed_minor_proves_f2_through_the_monic_factor(self, monkeypatch):
         # no value of chi is +-1, so the minors carry (t^2 - 1) / (t - 1)
-        # and are even at t = 1; divided by 2 the minor there is odd, which
-        # proves full rank over F2 with no elimination over F2(t)
+        # = t + 1; it is monic, so it leaves an odd coefficient odd, and the
+        # packed minor proves full rank over F2 with no work over F2(t)
         p = parse_presentation("< x0, x1, y1 | x1 y1 x0^3 x1 y1 x0^-2, "
                                "y1 x0 x1^3 y1 x0 x1^-2 >")
         chi = Chi((2, 2, -3))
+        coeffs = alexander._packed_minor(alexander._fox_rows(p.relators, chi.values))
+        assert sum(c * (-1) ** i for i, c in enumerate(coeffs)) == 0  # t = -1
+        assert any(c % 2 for c in coeffs)
         calls = []
         monkeypatch.setattr(alexander, "lp_matrix_rank",
                             lambda *a: calls.append(a) or lp_matrix_rank(*a))
+        monkeypatch.setattr(alexander, "_full_rank_at_a_point",
+                            lambda *a: calls.append(a))
         assert rank_witness(p, chi, [F2]) is None and calls == []
         assert full_elimination_witness(p, chi, [F2]) is None
 
@@ -527,6 +543,84 @@ class TestRankPath:
 
 laurent_entries = st.dictionaries(st.integers(-2, 2), st.integers(-3, 3).filter(bool),
                                   max_size=3)
+
+
+def scaled(entry, factor):
+    """The product of two integer Laurent polynomials as dicts."""
+    out = {}
+    for e1, c1 in entry.items():
+        for e2, c2 in factor.items():
+            out[e1 + e2] = out.get(e1 + e2, 0) + c1 * c2
+    return {e: c for e, c in out.items() if c}
+
+
+@st.composite
+def integer_rows(draw):
+    """1-3 integer Laurent rows, none zero, of width 1-4; with some chance
+    the last is a Laurent multiple of the first, so the rank drops."""
+    n = draw(st.integers(1, 3))
+    m = draw(st.integers(n, 4))
+    entry = st.dictionaries(st.integers(-3, 4), st.integers(-40, 40).filter(bool),
+                            max_size=4)
+    rows = draw(st.lists(st.lists(entry, min_size=m, max_size=m).filter(any),
+                         min_size=n, max_size=n))
+    if n > 1 and draw(st.booleans()):
+        factor = draw(st.dictionaries(st.integers(-2, 2), st.integers(-5, 5).filter(bool),
+                                      min_size=1, max_size=3))
+        rows[-1] = [scaled(e, factor) for e in rows[0]]
+    return rows
+
+
+class TestPackedMinor:
+    @given(integer_rows())
+    @settings(max_examples=200, deadline=None)
+    def test_decoded_minor_is_the_determinant_on_the_pivot_columns(self, rows):
+        # sympy over Z[t]: the pivot columns of the rows, each shifted to a
+        # polynomial, over Q(t), and the determinant on them
+        from sympy import Poly, S, ZZ as SZZ, symbols
+        from sympy.polys.matrices import DomainMatrix
+        t = symbols("t")
+        ring = SZZ[t]
+        shifted = []
+        for row in rows:
+            low = min(e for entry in row for e in entry)
+            shifted.append([ring.from_sympy(sum((c * t ** (e - low) for e, c in entry.items()),
+                                                S.Zero)) for entry in row])
+        mat = DomainMatrix(shifted, (len(rows), len(rows[0])), ring)
+        _, pivots = mat.convert_to(ring.get_field()).rref()
+        got = alexander._packed_minor(rows)
+        if len(pivots) < len(rows):
+            assert got == []
+        else:
+            det = ring.to_sympy(mat.extract(range(len(rows)), list(pivots)).det())
+            want = [int(c) for c in reversed(Poly(det, t).all_coeffs())]
+            assert got in (want, [-c for c in want])
+
+    def test_rank_drop_and_bound(self, monkeypatch):
+        assert alexander._packed_minor([[{0: 1, 1: -1}], [{1: 1, 2: -1}]]) == []
+        rows = [[{0: 3, 5: -2}, {1: 1}]]
+        assert alexander._packed_minor(rows) == [3, 0, 0, 0, 0, -2]
+        # l1 norm 6, so b = 4 bits; span 5, one row: 24 bits in all
+        monkeypatch.setattr(alexander, "PACKED_BITS", 24)
+        assert alexander._packed_minor(rows) == [3, 0, 0, 0, 0, -2]
+        monkeypatch.setattr(alexander, "PACKED_BITS", 23)
+        assert alexander._packed_minor(rows) is None
+        # the widest row sets the span: b = 4 bits, span 4, two rows
+        rows = [[{0: 1, 4: 1}, {0: 1}], [{0: 1}, {1: 1}]]
+        monkeypatch.setattr(alexander, "PACKED_BITS", 4 * 5 * 2 - 1)
+        assert alexander._packed_minor(rows) is None
+
+    def test_a_rank_drop_skips_the_units(self, monkeypatch):
+        # a repeated relator: the packed minor is 0, so the rank drops over
+        # every field, which no evaluation at a unit could contradict
+        p = parse_presentation("< a, b, c | a b A c, a b A c >")
+        chi = Chi((1, 0, 0))
+        want = full_elimination_witness(p, chi, [F2, QQ])
+        calls = []
+        monkeypatch.setattr(alexander, "_full_rank_at_a_point",
+                            lambda *a: calls.append(a))
+        assert rank_witness(p, chi, [F2, QQ]) == want and want[1]["rank"] == 1
+        assert calls == []
 
 
 class TestRankOracle:

@@ -256,6 +256,27 @@ class TestTorus:
         assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
+    def test_image_error_is_placed_in_the_file(self, capsys, tmp_path):
+        endo = tmp_path / "endo.txt"
+        endo.write_text("# c\n  y -> y x\n")
+        code, out, err = run(capsys, "torus", "--endo", str(endo))
+        assert (code, out, err) == (
+            1, "", "error: unknown generator 'x' (line 2, column 10)\n")
+
+    @pytest.mark.parametrize("witness, message", [
+        ("x,40,,2", "theta^14(w) needs more than 10000 letters"),
+        ("x,1,,100000000000", "v w^k v^-1 is longer than 10000 letters"),
+        ("x,65,,1", "witness power 65 is above the bound 64"),
+    ])
+    def test_oversized_witness_is_input_error(self, capsys, tmp_path, witness, message):
+        endo = tmp_path / "endo.txt"
+        endo.write_text("x -> x^2\n")
+        t0 = time.perf_counter()
+        code, out, err = run(capsys, "torus", "--endo", str(endo), "--witness", witness)
+        assert time.perf_counter() - t0 < 2.0
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
 class TestVerify:
     def _emit_cert(self, capsys, tmp_path, pres):
         code, doc, _ = run_json(capsys, "certify", pres)

@@ -6,13 +6,13 @@ from largeness import torus
 from largeness.certify import (CertifyConfig, dumps, verdict_to_json,
                                verify_certificate)
 from largeness.stallings import BoundExceeded, fold, graph_basis, sg_membership
-from largeness.torus import (Endomorphism, PeriodicWitness, endo_apply,
-                             endo_is_injective, endo_power, mapping_torus,
-                             preimage_subgroup, stable_pullback,
+from largeness.torus import (MAX_WITNESS_POWER, Endomorphism, PeriodicWitness,
+                             endo_apply, endo_is_injective, endo_power,
+                             mapping_torus, preimage_subgroup, stable_pullback,
                              torus_bs_pipeline, torus_zz_pipeline,
                              whitehead_primitive_basis, witness_verify,
                              _whitehead_autos)
-from largeness.words import free_reduce, inverse, substitute
+from largeness.words import MAX_WORD_LEN, free_reduce, inverse, substitute
 
 IDENTITY2 = Endomorphism(((1,), (2,)))
 SHEAR = Endomorphism(((1,), (2, 1)))        # x -> x, y -> y x
@@ -143,6 +143,20 @@ class TestWitness:
         # theta: x -> y x y^-1 has theta(x) = y x y^-1
         e = Endomorphism(((2, 1, -2), (2,)))
         assert witness_verify(e, PeriodicWitness((1,), 1, (2,), 1))
+
+    def test_bounds_refuse_before_building(self):
+        double = Endomorphism(((1, 1),), ("x",))
+        assert witness_verify(double, PeriodicWitness((1,), 13, (), 2 ** 13))
+        with pytest.raises(ValueError, match=r"theta\^14\(w\) needs more"):
+            witness_verify(double, PeriodicWitness((1,), 14, (), 2))
+        longest = Endomorphism(((1,) * MAX_WORD_LEN,), ("x",))
+        assert witness_verify(longest, PeriodicWitness((1,), 1, (), MAX_WORD_LEN))
+        with pytest.raises(ValueError, match=r"v w\^k v\^-1 is longer"):
+            witness_verify(longest, PeriodicWitness((1,), 1, (1,), MAX_WORD_LEN - 1))
+        identity = Endomorphism(((1,),), ("x",))
+        assert witness_verify(identity, PeriodicWitness((1,), MAX_WITNESS_POWER, (), 1))
+        with pytest.raises(ValueError, match="witness power 65 is above the bound 64"):
+            witness_verify(identity, PeriodicWitness((1,), MAX_WITNESS_POWER + 1, (), 1))
 
     def test_invalid_construction(self):
         with pytest.raises(ValueError):
