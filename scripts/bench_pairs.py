@@ -14,7 +14,10 @@ the repository root: every run's metrics and output digest, each side's
 set of digests and whether the two sets match, each side's operations
 attempted and failed and the runs not correct, each side's median and
 quartiles per end-to-end metric of ``BENCHMARK.json``, and per metric the
-pairs the working tree won and lost (ties count for neither).
+pairs the working tree won and lost (ties count for neither) and a verdict:
+"gain" (at least 9 pairs in 10 won, and a median gap above the base's
+quartile spread), "worse" (a median worse by more than the metric's bound,
+a fraction of the base's median) or "flat".
 The temporary directory is removed at the end.
 """
 
@@ -64,8 +67,25 @@ def spread(values: list) -> dict:
     return {"median": statistics.median(values), "q1": q1, "q3": q3}
 
 
+def verdict(s: dict, bound: float) -> str:
+    """One metric's verdict from its ``summarize`` entry: "gain" when the
+    change won at least 9 pairs in 10 and its median is better than the
+    base's by more than the base's quartile spread; "worse" when its median
+    is worse than the base's by more than ``bound`` times the base's; else
+    "flat"."""
+    sign = 1 if s["better"] == "higher" else -1
+    base = s["base"]
+    gap = sign * (s["change"]["median"] - base["median"])
+    if 10 * s["wins"] >= 9 * s["pairs"] and gap > base["q3"] - base["q1"]:
+        return "gain"
+    if gap < -bound * abs(base["median"]):
+        return "worse"
+    return "flat"
+
+
 def summarize(runs: list, end_to_end: list) -> dict:
-    """Per end-to-end metric: each side's spread and the pair wins."""
+    """Per end-to-end metric: each side's spread, the pair wins and the
+    verdict against the metric's bound."""
     pairs = sorted({r["pair"] for r in runs})
     out = {}
     for m in end_to_end:
@@ -73,9 +93,10 @@ def summarize(runs: list, end_to_end: list) -> dict:
         value = {(r["pair"], r["side"]): r["metrics"][name]["value"] for r in runs}
         wins = sum(sign * (value[i, "change"] - value[i, "base"]) > 0 for i in pairs)
         losses = sum(sign * (value[i, "change"] - value[i, "base"]) < 0 for i in pairs)
-        out[name] = {"unit": m["unit"], "better": m["better"],
+        out[name] = {"unit": m["unit"], "better": m["better"], "bound": m["bound"],
                      **{side: spread([value[i, side] for i in pairs]) for side in SIDES},
                      "wins": wins, "losses": losses, "pairs": len(pairs)}
+        out[name]["verdict"] = verdict(out[name], m["bound"])
     return out
 
 
@@ -159,7 +180,7 @@ def main(argv=None) -> int:
         print(f"{name}: base {s['base']['median']:.4g} [{s['base']['q1']:.4g}, "
               f"{s['base']['q3']:.4g}] change {s['change']['median']:.4g} "
               f"[{s['change']['q1']:.4g}, {s['change']['q3']:.4g}] "
-              f"wins {s['wins']}/{s['pairs']} losses {s['losses']}")
+              f"wins {s['wins']}/{s['pairs']} losses {s['losses']} {s['verdict']}")
     print(f"wrote {out}")
     return 0
 

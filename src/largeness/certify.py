@@ -24,8 +24,8 @@ from . import abelian
 from .alexander import (PrimeField, QQ, field_by_name, is_prime,
                         prime_factors, rank_witness)
 from .abelian import Chi, abelianization, image_span_rank
-from .subgroups import (CosetTable, cover_abelianization, cover_presentation,
-                        index_two_classes, subgroup_classes)
+from .subgroups import (BoundExceeded, CosetTable, cover_abelianization,
+                        cover_presentation, index_two_classes, subgroup_classes)
 from .words import (MAX_WORD_LEN, Presentation, SearchCapExceeded, Word,
                     commutator, conjugator_between, cyclic_reduce, gen_of,
                     inverse, is_commutator, is_proper_power, parse_word, power,
@@ -399,9 +399,9 @@ def decide(p: Presentation, config: CertifyConfig = CertifyConfig(),
     call's own search and its descendants' use the ``pool`` it is handed, a
     one-element list of nodes left, decremented in place.
 
-    ``searched``, a list, gets one item ``(classes, truncated)`` when the
+    ``searched``, a list, gets one item ``(classes, note)`` when the
     low-index route runs its own search of ``p``: the result of
-    ``subgroup_classes(p, max_index, cell)`` on that search's cell, which
+    ``search_classes(p, max_index, cell)`` on that search's cell, which
     at top level is a fresh ``[li_nodes]``.  It stays empty when the call
     returns before that search.
     """
@@ -583,6 +583,16 @@ def _route_chi_sweep(p: Presentation, config, diags) -> Optional[Verdict]:
     return None
 
 
+def search_classes(p: Presentation, max_index: int, nodes: list):
+    """``subgroup_classes(p, max_index, nodes)`` and where the search fell
+    short: "at the node budget", "at the scan bound" (BoundExceeded) or ""."""
+    try:
+        classes, cut = subgroup_classes(p, max_index, nodes)
+    except BoundExceeded:
+        return [], "at the scan bound"
+    return classes, "at the node budget" if cut else ""
+
+
 def _cover_tables(p: Presentation, config, truncated, nodes, searched):
     """The tables the low-index route tries, in (degree, flat) order and
     lazily: the index-2 covers, from the maps onto Z/2, then the classes of
@@ -590,19 +600,19 @@ def _cover_tables(p: Presentation, config, truncated, nodes, searched):
 
     The index-2 stage takes at most ``li_nodes`` tables, and the search the
     DFS nodes left in the one-element list ``nodes``; either sets
-    ``truncated[0]`` when it stops short.  The index-2 covers are all there
-    even when the search stops short.  The search's whole result, every
-    degree, is appended to ``searched`` unless that is None.
+    ``truncated[0]``, if unset, to where it fell short.  The index-2 covers
+    are all there even when the search stops short.  The search's whole
+    result, every degree, is appended to ``searched`` unless that is None.
     """
     twos = index_two_classes(p)
     yield from islice(twos, config.li_nodes)
     if next(twos, None) is not None:
-        truncated[0] = True
+        truncated[0] = "at the node budget"
     if config.max_index > 2:
-        classes, cut = subgroup_classes(p, config.max_index, nodes)
+        classes, cut = search_classes(p, config.max_index, nodes)
         if searched is not None:
             searched.append((classes, cut))
-        truncated[0] |= cut
+        truncated[0] = truncated[0] or cut
         yield from (t for t in classes if t.degree > 2)
 
 
@@ -614,7 +624,7 @@ def _route_low_index(p: Presentation, config, diags, wits, own,
     if config.max_index < 2:
         diags.append("low-index route: max index < 2")
         return None
-    truncated = [False]
+    truncated = [""]
     tables = _cover_tables(p, config, truncated, own, searched)
     if wits and p.deficiency == 1:
         # a commutator relator upstairs plus a cover whose abelianization
@@ -651,7 +661,7 @@ def _route_low_index(p: Presentation, config, diags, wits, own,
                 f"cover of index {table.degree} certified large "
                 f"({child.certificate.kind})")
             return Verdict(LARGE, cert, None, tuple(diags))
-    note = "; search truncated at the node budget" if truncated[0] else ""
+    note = f"; search truncated {truncated[0]}" if truncated[0] else ""
     diags.append(
         f"low-index route: {tried} proper covers up to index "
         f"{config.max_index} tried (budget {config.budget}){note}; none certified")

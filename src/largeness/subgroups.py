@@ -412,21 +412,33 @@ def index_two_classes(p: Presentation):
                                   for g in range(n)))
 
 
+# the most relator scan entries a search compiles: 2L(L - 1) per L-letter relator
+MAX_SCAN_ENTRIES = 2_000_000
+
+
 def _search_tables(p: Presentation, max_index: int, node_budget=None):
     """All complete closed tables in scan-order numbering, one per subgroup
     of index <= max_index, in search order, each as a pair ``(degree,
-    flat)`` in the form of ``CosetTable.flat``.
-
-    ``node_budget`` is an optional single-element list of remaining DFS
-    nodes, decremented in place; returns (tables, truncated).  An empty
-    budget returns ``([], True)`` before any relator is compiled.
+    flat)`` in the form of ``CosetTable.flat``, and whether the search was
+    cut short.  ``node_budget``, an optional one-element list of the DFS
+    nodes left, is decremented by the nodes visited; an empty one returns
+    ``([], True)`` before any relator is compiled, and relator scans of more
+    than ``MAX_SCAN_ENTRIES`` entries raise BoundExceeded before any is.
 
     The partial table is one flat list: with ``nd = 2 * ngens`` directions
     (g1, g1^-1, g2, ...), cell ``c*nd + d`` holds the row offset ``e*nd``
-    of the coset that direction d leads to from coset c, or None.  Each node
-    fills its hole, the first empty cell, and propagation can only fill
-    empty cells, which all lie after it; so along a DFS path every cell
-    before the hole stays filled, and a child searches from the next cell.
+    of the coset that direction d leads to from coset c, or None; rows are
+    added as cosets open.  Each node fills its hole, the first empty cell,
+    and propagation fills only empty cells, all after it; so along the DFS
+    path, a stack, every cell before the hole stays filled.
+
+    Propagation computes the least closure of the table under one rule: a
+    relator cycle with one missing edge forces that edge.  It stops at a
+    contradiction: a complete cycle that does not close, or a forced edge
+    whose reverse cell is taken.  Every edge it sets is forced, and when it
+    stops without one no cycle has one missing edge; so that closure is
+    unique, and the order of the queue and of the scans changes no node and
+    no table of the search.
 
     A complete table is closed under the relators with no further check.
     Every edge is set with its reverse, and both half-edges are queued.  Of
@@ -439,89 +451,99 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     nd = 2 * p.ngens
     rel_dirs = list(dict.fromkeys(tuple(2 * (abs(lt) - 1) + (lt < 0) for lt in r)
                                   for r in p.relators if r))
+    entries = sum(2 * len(r) * (len(r) - 1) for r in rel_dirs)
+    if entries > MAX_SCAN_ENTRIES:
+        raise BoundExceeded(f"relator scans of {entries} entries exceed {MAX_SCAN_ENTRIES}")
     # per direction, one scan per distinct relator rotation that starts with
-    # it, so a new edge only triggers scans of cycles that actually cross it:
-    # the rest of the rotation, read on from the edge's target, as pairs
-    # (direction, m) with m the letters after that direction; and the rest
-    # reversed and inverted, read back from the edge's source for the m
-    # letters after the gap where the forward read stopped
+    # it, shortest relators first: the rest of the rotation, read on from
+    # the edge's target, and the rest reversed and inverted, read back from
+    # its source, as slices of pairs (direction, place in the relator
+    # written twice); reads that stop at one place meet at one missing edge
     scans = [{} for _ in range(nd)]
-    pairs = {}  # one tuple per distinct pair, shared by all rotations
-    for dirs in rel_dirs:
+    for dirs in sorted(rel_dirs, key=len):
         n = len(dirs)
+        twice = dirs + dirs
+        fwd = tuple(zip(twice, range(2 * n)))
+        back = tuple(zip([d ^ 1 for d in reversed(twice)], range(2 * n - 1, -1, -1)))
         for k in range(n):
-            rot = dirs[k:] + dirs[:k]
-            fwd = tuple(pairs.setdefault(x, x)
-                        for x in zip(rot[1:], range(n - 2, -1, -1)))
-            if fwd not in scans[rot[0]]:
-                scans[rot[0]][fwd] = tuple(d ^ 1 for d in reversed(rot[1:]))
-    scans = [list(s.items()) for s in scans]
-    # the cell past the last row stays empty, so a hole is always found
-    tab = [None] * (max_index * nd + 1)
-
-    def propagate(queue, undo):
-        """Scan relator cycles crossing newly set half-edges (source, dir,
-        target); False on contradiction.  Deductions are queued too."""
-        while queue:
-            a, d0, f0 = queue.pop()
-            for fwd, back in scans[d0]:
-                f = f0
-                for d, m in fwd:
-                    t = tab[f + d]
-                    if t is None:
-                        break
-                    f = t
-                else:
-                    if f != a:
-                        return False
-                    continue
-                b = a
-                for e in back[:m]:
-                    t = tab[b + e]
-                    if t is None:
-                        break
-                    b = t
-                else:
-                    # the traces meet at one missing edge f --d--> b; if b
-                    # has a d^-1 edge already, two cosets would coincide
-                    e = d ^ 1
-                    if tab[b + e] is not None:
-                        return False
-                    tab[f + d] = b
-                    tab[b + e] = f
-                    undo += (f + d, b + e)
-                    queue += ((f, d, b), (b, e, f))
-        return True
-
+            scans[dirs[k]].setdefault(twice[k + 1:k + n],
+                                      (fwd[k + 1:k + n], back[n - k:2 * n - k - 1]))
+    scans = [list(s.values()) for s in scans]
+    tab = [None] * (nd + 1)
     results = []
-    truncated = [False]
-
-    def dfs(pos, degree):
-        if node_budget is not None:
-            if node_budget[0] <= 0:
-                truncated[0] = True
-                return
-            node_budget[0] -= 1
+    left = node_budget[0] if node_budget is not None else -1
+    stack = []  # per node on the path: [hole, coset, dir, degree, candidates, cells set]
+    pos, degree, undo = 0, 1, ()
+    while left:
+        left -= 1
         size = degree * nd
         h = tab.index(None, pos)
-        if h >= size:
+        if h == size:
             results.append((degree, tuple([e // nd for d in range(0, nd, 2)
                                            for e in tab[d:size:nd]])))
-            return
-        d = h % nd
-        c, di = h - d, d ^ 1
-        # candidates: each coset with no di edge yet, then a new coset (its
-        # row is empty) while there is room for one
-        for e in range(0, size + nd if degree < max_index else size, nd):
-            if tab[e + di] is not None:
+        elif degree < max_index and len(tab) == size + 1:
+            tab += [None] * nd
+        # candidates: each coset with no d^-1 edge yet, then a new coset
+        # (its row is empty) while there is room for one; none at a leaf
+        last = size + nd if degree < max_index else size
+        cands = () if h == size else iter(range(0, last, nd))
+        c, d = (h, 0) if h == size else (h - h % nd, h % nd)
+        stack.append([h, c, d, degree, cands, undo])
+        while True:
+            di = d ^ 1
+            for e in cands:
+                if tab[e + di] is not None:
+                    continue
+                tab[h], tab[e + di] = e, c
+                undo = [h, e + di]
+                # propagate from the half-edges (source, dir, target)
+                queue = [(c, d, e), (e, di, c)]
+                while queue:
+                    a, d0, f0 = queue.pop()
+                    for fwd, back in scans[d0]:
+                        f = f0
+                        for x, m in fwd:
+                            t = tab[f + x]
+                            if t is None:
+                                break
+                            f = t
+                        else:
+                            if f != a:
+                                break
+                            continue
+                        b = a
+                        for y, i in back:
+                            t = tab[b + y]
+                            if t is None:
+                                break
+                            b = t
+                        else:
+                            break
+                        if i < m:
+                            break  # past the gap: two cosets would coincide
+                        if i > m:
+                            continue  # a second gap
+                        tab[f + x], tab[b + y] = b, f  # the one missing edge f --x--> b
+                        undo += (f + x, b + y)
+                        queue += ((f, x, b), (b, y, f))
+                    else:
+                        continue
+                    break  # a contradiction
+                else:
+                    break
+                for x in undo:
+                    tab[x] = None
+            else:
+                for x in stack.pop()[5]:
+                    tab[x] = None
+                if not stack:
+                    break
+                h, c, d, degree, cands, undo = stack[-1]
                 continue
-            tab[h] = e
-            tab[e + di] = c
-            undo = [h, e + di]
-            if propagate([(c, d, e), (e, di, c)], undo):
-                dfs(h + 1, degree + (e == size))
-            for x in undo:
-                tab[x] = None
-
-    dfs(0, 1)
-    return results, truncated[0]
+            pos, degree = h + 1, degree + (e == degree * nd)
+            break
+        if not stack:
+            break  # the search is over
+    if node_budget is not None:
+        node_budget[0] = left
+    return results, bool(stack)

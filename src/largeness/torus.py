@@ -16,12 +16,12 @@ from typing import Optional
 from .alexander import PrimeField, QQ, prime_factors, rank_witness
 from .certify import (Certificate, CertifyConfig, ChainLink, LARGE,
                       NOT_LARGE_KNOWN, UNKNOWN, Verdict, decide, replayed,
-                      solve_chi_killing)
+                      search_classes, solve_chi_killing)
 from .stallings import (StallingsGraph, fold, graph_basis, hall_overgroup,
                         is_covering, pin_loop_basis, rank, sg_express,
                         sg_membership)
 from .subgroups import (BoundExceeded, canonical_rebase, coset_enumerate,
-                        cover_presentation, subgroup_classes)
+                        cover_presentation)
 from .words import (MAX_WORD_LEN, Presentation, Word, concat,
                     conjugator_between, default_names, free_reduce, inverse,
                     is_proper_power, letter, power, substitute)
@@ -292,6 +292,14 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, diags: list):
     is hit; either way the steps taken are appended to ``diags``.
     """
     w, i, v, k = wit.w, wit.i, wit.v, wit.k
+    # refuse theta^i below (theta^2i and theta^i(v) when k = -1) past MAX_WORD_LEN
+    sizes = [1] * e.rank
+    for j in range(1, (2 * i if k == -1 else i) + 1):
+        sizes = [sum(sizes[abs(lt) - 1] for lt in img) for img in e.images]
+        if max(sizes) > MAX_WORD_LEN or (
+                k == -1 and j == i and sum(sizes[abs(lt) - 1] for lt in v) > MAX_WORD_LEN):
+            diags.append(f"theta^{j} needs more than {MAX_WORD_LEN} letters")
+            return None
     if k == -1:
         # square the witness: theta^2i(w) = theta^i(v) v w v^-1 theta^i(v)^-1
         v = free_reduce(concat(endo_apply(e, v, i), v))
@@ -444,7 +452,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         table, pres, w_expr, s_expr, fields = first_link
         # the same search as decide's own, from the same fresh cell
         classes, cut = (searched[0] if searched else
-                        subgroup_classes(pres, config.max_index, [config.li_nodes]))
+                        search_classes(pres, config.max_index, [config.li_nodes]))
         for sub_table in classes:
             if sub_table.degree < 2:
                 continue
@@ -462,7 +470,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
                               f"cover of index {tab2.degree} of the pinned subgroup")
             if found is not None:
                 return found
-        note = "; search truncated at the node budget" if cut else ""
+        note = f"; search truncated {cut}" if cut else ""
         diags.append(
             "no finite-index subgroup with first Betti number >= 2 "
             f"admitting the vanishing test found up to index {config.max_index}"

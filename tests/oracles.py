@@ -2,7 +2,8 @@
 arithmetic, integer matrix products and determinants, subgroup counts, the
 Schreier generators of a coset table as words in the ambient group, the
 conjugated-power match split by split, coset enumeration with its
-earlier closure probe, and Stallings folding in its earlier batch form."""
+earlier closure probe, Stallings folding in its earlier batch form, and the
+low-index search in its earlier recursive form."""
 
 from largeness import subgroups
 from largeness.stallings import StallingsGraph, uf_find
@@ -277,3 +278,102 @@ def batch_fold(generators):
         adj[index[v]][lt] = index[w]
         adj[index[w]][-lt] = index[v]
     return StallingsGraph(len(verts), tuple(adj), index[find(0)])
+
+
+def search_tables(p, max_index: int, node_budget=None):
+    """``subgroups._search_tables`` in its earlier form: a recursive DFS
+    on a table of ``max_index`` rows made up front, whose back read takes
+    the slice of the letters after the forward read's gap and checks the
+    reverse cell of a deduced edge on its own.  Same arguments, result and
+    budget decrement."""
+    if node_budget is not None and node_budget[0] <= 0:
+        return [], True
+    nd = 2 * p.ngens
+    rel_dirs = list(dict.fromkeys(tuple(2 * (abs(lt) - 1) + (lt < 0) for lt in r)
+                                  for r in p.relators if r))
+    # per direction, one scan per distinct relator rotation that starts with
+    # it, so a new edge only triggers scans of cycles that actually cross it:
+    # the rest of the rotation, read on from the edge's target, as pairs
+    # (direction, m) with m the letters after that direction; and the rest
+    # reversed and inverted, read back from the edge's source for the m
+    # letters after the gap where the forward read stopped
+    scans = [{} for _ in range(nd)]
+    pairs = {}  # one tuple per distinct pair, shared by all rotations
+    for dirs in rel_dirs:
+        n = len(dirs)
+        for k in range(n):
+            rot = dirs[k:] + dirs[:k]
+            fwd = tuple(pairs.setdefault(x, x)
+                        for x in zip(rot[1:], range(n - 2, -1, -1)))
+            if fwd not in scans[rot[0]]:
+                scans[rot[0]][fwd] = tuple(d ^ 1 for d in reversed(rot[1:]))
+    scans = [list(s.items()) for s in scans]
+    # the cell past the last row stays empty, so a hole is always found
+    tab = [None] * (max_index * nd + 1)
+
+    def propagate(queue, undo):
+        """Scan relator cycles crossing newly set half-edges (source, dir,
+        target); False on contradiction.  Deductions are queued too."""
+        while queue:
+            a, d0, f0 = queue.pop()
+            for fwd, back in scans[d0]:
+                f = f0
+                for d, m in fwd:
+                    t = tab[f + d]
+                    if t is None:
+                        break
+                    f = t
+                else:
+                    if f != a:
+                        return False
+                    continue
+                b = a
+                for e in back[:m]:
+                    t = tab[b + e]
+                    if t is None:
+                        break
+                    b = t
+                else:
+                    # the traces meet at one missing edge f --d--> b; if b
+                    # has a d^-1 edge already, two cosets would coincide
+                    e = d ^ 1
+                    if tab[b + e] is not None:
+                        return False
+                    tab[f + d] = b
+                    tab[b + e] = f
+                    undo += (f + d, b + e)
+                    queue += ((f, d, b), (b, e, f))
+        return True
+
+    results = []
+    truncated = [False]
+
+    def dfs(pos, degree):
+        if node_budget is not None:
+            if node_budget[0] <= 0:
+                truncated[0] = True
+                return
+            node_budget[0] -= 1
+        size = degree * nd
+        h = tab.index(None, pos)
+        if h >= size:
+            results.append((degree, tuple([e // nd for d in range(0, nd, 2)
+                                           for e in tab[d:size:nd]])))
+            return
+        d = h % nd
+        c, di = h - d, d ^ 1
+        # candidates: each coset with no di edge yet, then a new coset (its
+        # row is empty) while there is room for one
+        for e in range(0, size + nd if degree < max_index else size, nd):
+            if tab[e + di] is not None:
+                continue
+            tab[h] = e
+            tab[e + di] = c
+            undo = [h, e + di]
+            if propagate([(c, d, e), (e, di, c)], undo):
+                dfs(h + 1, degree + (e == size))
+            for x in undo:
+                tab[x] = None
+
+    dfs(0, 1)
+    return results, truncated[0]

@@ -61,3 +61,50 @@ def test_change_fails_less(capsys):
     assert capsys.readouterr().out == (
         "pair 0 base: run not correct\n"
         "pair 0 change: run not correct\n")
+
+
+def metric_runs(base, change, better="higher"):
+    """Runs of one metric, ``m``, pair by pair, and its summary entry."""
+    runs = [{"pair": i, "side": side, "metrics": {"m": {"value": v}}}
+            for i, pair in enumerate(zip(base, change))
+            for side, v in zip(bench_pairs.SIDES, pair)]
+    metric = {"name": "m", "unit": "1/s", "better": better, "bound": 0.2}
+    return bench_pairs.summarize(runs, [metric])["m"]
+
+
+BASE = [10.0, 10.2, 9.8, 10.1, 9.9, 10.0, 10.3, 9.7, 10.0, 10.1]
+
+
+def test_gain():
+    s = metric_runs(BASE, [v + 1 for v in BASE])
+    assert (s["wins"], s["losses"], s["verdict"]) == (10, 0, "gain")
+
+
+def test_nine_wins_are_enough():
+    change = [v + 1 for v in BASE]
+    change[3] = BASE[3] - 0.5
+    assert metric_runs(BASE, change)["verdict"] == "gain"
+
+
+def test_eight_wins_are_flat():
+    change = [v + 1 for v in BASE]
+    change[3] = change[4] = 9.0
+    s = metric_runs(BASE, change)
+    assert (s["wins"], s["verdict"]) == (8, "flat")
+
+
+def test_gap_within_the_spread_is_flat():
+    # every pair won, but by less than the base's quartile spread
+    s = metric_runs(BASE, [v + 0.05 for v in BASE])
+    assert s["wins"] == 10 and s["verdict"] == "flat"
+
+
+def test_worse_beyond_the_bound():
+    assert metric_runs(BASE, [v * 0.75 for v in BASE])["verdict"] == "worse"
+    assert metric_runs(BASE, [v * 0.85 for v in BASE])["verdict"] == "flat"
+
+
+def test_lower_is_better():
+    # a metric to be kept low gains when it falls and is worse when it rises
+    assert metric_runs(BASE, [v - 1 for v in BASE], "lower")["verdict"] == "gain"
+    assert metric_runs(BASE, [v * 1.25 for v in BASE], "lower")["verdict"] == "worse"

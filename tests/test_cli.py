@@ -122,6 +122,15 @@ class TestSubgroupsAndRewrite:
         assert code == 1 and "error" in err
 
 
+    def test_scan_bound_is_a_resource_bound(self, capsys):
+        # 2 * 1200 * 1199 scan entries are above subgroups.MAX_SCAN_ENTRIES
+        code, out, err = run(capsys, "subgroups", "< a, b | a^600 b^600 >",
+                             "--max-index", "2")
+        assert (code, out) == (2, "")
+        assert err == ("resource bound exceeded: relator scans of 2877600 "
+                       "entries exceed 2000000\n")
+
+
 class TestCertify:
     def test_bs12_not_large(self, capsys):
         code, doc, _ = run_json(capsys, "certify", "< x, y | x y x^-1 y^-2 >")
@@ -275,6 +284,22 @@ class TestTorus:
         code, out, err = run(capsys, "torus", "--endo", str(endo), "--witness", witness)
         assert time.perf_counter() - t0 < 2.0
         assert (code, out, err) == (1, "", f"error: {message}\n")
+
+
+    @pytest.mark.parametrize("power, status", [(12, "LARGE"), (16, "UNKNOWN"), (64, "UNKNOWN")])
+    def test_setup_bounds_the_powers_it_builds(self, capsys, tmp_path, power, status):
+        # theta^i(y) = y passes the witness check, but theta^i(x) = x^(2^i)
+        # is built next: past MAX_WORD_LEN letters the pipeline stops first
+        endo = tmp_path / "endo.txt"
+        endo.write_text("x -> x^2\ny -> y\n")
+        t0 = time.perf_counter()
+        code, doc, _ = run_json(capsys, "torus", "--endo", str(endo),
+                                "--witness", f"y,{power},,1", "--certify")
+        assert time.perf_counter() - t0 < 10.0
+        assert code == 0 and doc["verdict"]["status"] == status
+        if status == "UNKNOWN":
+            assert doc["verdict"]["diagnostics"][-1] == (
+                f"theta^14 needs more than {MAX_WORD_LEN} letters")
 
 
 class TestVerify:

@@ -12,6 +12,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from largeness import subgroups
 from largeness.abelian import abelianization
+from largeness.certify import CertifyConfig, certify
 from largeness.cli import main
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  coset_enumerate, cover_abelianization,
@@ -21,6 +22,7 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
 from largeness.words import (Presentation, default_names, free_reduce,
                              inverse, parse_presentation, parse_word)
 from oracles import (probe_coset_enumerate, schreier_generators,
+                     search_tables as recursive_search_tables,
                      subgroup_count_by_index)
 
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
@@ -434,6 +436,105 @@ class TestSearchNodes:
         tables, truncated = search_tables(cover, 8, cell)
         assert [t.degree for t in tables] == list(range(1, 9))
         assert truncated and cell == [0]
+
+
+class TestSearchKernel:
+    """The search against its earlier recursive form: the same tables, the
+    same truncation and the same nodes, with no recursion and no table made
+    up front."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.just(n), st.lists(letter_lists(n, 1, 14), min_size=1, max_size=3))),
+           st.integers(1, 6),
+           st.one_of(st.none(), st.just(0), st.integers(1, 40), st.integers(500, 3000)))
+    @settings(max_examples=150, deadline=None)
+    def test_matches_recursive_search(self, shape, max_index, nodes):
+        n, rels = shape
+        p = Presentation(default_names(n), tuple(free_reduce(tuple(r)) for r in rels))
+        if nodes is None:
+            # an unbounded search of a free group of rank 3 to index 6 is huge
+            max_index = min(max_index, 3)
+        cells = [None if nodes is None else [nodes] for _ in range(2)]
+        assert (subgroups._search_tables(p, max_index, cells[0])
+                == recursive_search_tables(p, max_index, cells[1]))
+        assert cells[0] == cells[1]
+
+    def test_corpus_certify_counts(self, monkeypatch):
+        # the searches of a certify pass over the corpus at the default
+        # config: the nodes they visit, the tables they find and how many
+        # stop short
+        counts = [0, 0, 0]
+        search = subgroups._search_tables
+
+        def spy(p, max_index, cell=None):
+            before = cell[0]
+            tables, truncated = search(p, max_index, cell)
+            counts[0] += before - cell[0]
+            counts[1] += len(tables)
+            counts[2] += truncated
+            return tables, truncated
+
+        monkeypatch.setattr(subgroups, "_search_tables", spy)
+        for p in CORPUS_PRESENTATIONS:
+            certify(p, CertifyConfig())
+        assert counts == [138219, 519, 7]
+
+    @pytest.mark.parametrize("nodes", [None, 1, 2])
+    def test_no_generators(self, nodes):
+        # the trivial group: one table, of degree 1, at a leaf with no hole
+        p = Presentation((), ())
+        cells = [None if nodes is None else [nodes] for _ in range(2)]
+        assert subgroups._search_tables(p, 3, cells[0]) == ([(1, ())], False)
+        assert recursive_search_tables(p, 3, cells[1]) == ([(1, ())], False)
+        assert cells[0] == cells[1]
+
+    def test_deep_path(self):
+        # a path of thousands of nodes; the earlier recursive search raised
+        # RecursionError here
+        p = parse_presentation("< a, b | a b a B B >")
+        cell = [5000]
+        tables, truncated = subgroups._search_tables(p, 2000, cell)
+        assert truncated and cell == [0] and len(tables) == 1874
+        assert max(d for d, _ in tables) == 1875
+        # the search order is the same: a smaller budget finds a prefix
+        prefix, _ = recursive_search_tables(p, 2000, [500])
+        assert tables[:len(prefix)] == prefix
+
+    def test_huge_index_allocates_nothing_up_front(self):
+        # the earlier search made a table of max_index rows first: 3.2 GB
+        p = parse_presentation("< a, b | a b a B B >")
+        cell = [1000]
+        tracemalloc.start()
+        try:
+            tables, truncated = subgroups._search_tables(p, 10 ** 8, cell)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truncated and cell == [0] and len(tables) == 374
+        assert peak < 4 * 2 ** 20
+
+    def test_scan_bound(self):
+        # 2 * 1001 * 1000 entries pass MAX_SCAN_ENTRIES; 1000 letters do not
+        assert 2 * 1000 * 999 <= subgroups.MAX_SCAN_ENTRIES < 2 * 1001 * 1000
+        over = parse_presentation("< a, b | a^501 b^500 >")
+        tracemalloc.start()
+        try:
+            with pytest.raises(BoundExceeded, match="2002000 entries"):
+                subgroups._search_tables(over, 2, [10])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 2 ** 20
+        # an empty budget still returns before the count
+        assert subgroups._search_tables(over, 2, [0]) == ([], True)
+        under = parse_presentation("< a, b | a^500 b^500 >")
+        assert subgroups._search_tables(under, 2, [10])[1]
+
+    def test_scan_bound_truncates_the_route(self):
+        p = parse_presentation("< a, b | a^600 b^600, a^2 b^3 >")
+        v = certify(p, CertifyConfig(max_index=3, budget=1))
+        assert v.status == "UNKNOWN"
+        assert "search truncated at the scan bound" in v.diagnostics[-1]
 
 
 class TestIndexTwoClasses:
