@@ -436,9 +436,8 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     relator cycle with one missing edge forces that edge.  It stops at a
     contradiction: a complete cycle that does not close, or a forced edge
     whose reverse cell is taken.  Every edge it sets is forced, and when it
-    stops without one no cycle has one missing edge; so that closure is
-    unique, and the order of the queue and of the scans changes no node and
-    no table of the search.
+    stops without one no cycle has one missing edge; so the closure is
+    unique, and the order of queue and scans changes no node and no table.
 
     A complete table is closed under the relators with no further check.
     Every edge is set with its reverse, and both half-edges are queued.  Of
@@ -454,11 +453,10 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     entries = sum(2 * len(r) * (len(r) - 1) for r in rel_dirs)
     if entries > MAX_SCAN_ENTRIES:
         raise BoundExceeded(f"relator scans of {entries} entries exceed {MAX_SCAN_ENTRIES}")
-    # per direction, one scan per distinct relator rotation that starts with
-    # it, shortest relators first: the rest of the rotation, read on from
-    # the edge's target, and the rest reversed and inverted, read back from
-    # its source, as slices of pairs (direction, place in the relator
-    # written twice); reads that stop at one place meet at one missing edge
+    # per direction, one scan per distinct relator rotation starting with it,
+    # shortest relators first: the rest of the rotation read on from the
+    # edge's target and, reversed and inverted, back from its source, as
+    # slices of pairs (direction, place in the relator written twice)
     scans = [{} for _ in range(nd)]
     for dirs in sorted(rel_dirs, key=len):
         n = len(dirs)
@@ -485,8 +483,7 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
             tab += [None] * nd
         # candidates: each coset with no d^-1 edge yet, then a new coset
         # (its row is empty) while there is room for one; none at a leaf
-        last = size + nd if degree < max_index else size
-        cands = () if h == size else iter(range(0, last, nd))
+        cands = () if h == size else iter(range(0, size + nd * (degree < max_index), nd))
         c, d = (h, 0) if h == size else (h - h % nd, h % nd)
         stack.append([h, c, d, degree, cands, undo])
         while True:
@@ -496,10 +493,10 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
                     continue
                 tab[h], tab[e + di] = e, c
                 undo = [h, e + di]
-                # propagate from the half-edges (source, dir, target)
-                queue = [(c, d, e), (e, di, c)]
-                while queue:
-                    a, d0, f0 = queue.pop()
+                # propagate from half-edges (source, dir, target), the hole's first
+                a, d0, f0 = e, di, c
+                queue = [(c, d, e)]
+                while True:
                     for fwd, back in scans[d0]:
                         f = f0
                         for x, m in fwd:
@@ -527,12 +524,15 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
                         undo += (f + x, b + y)
                         queue += ((f, x, b), (b, y, f))
                     else:
-                        continue
-                    break  # a contradiction
-                else:
+                        if queue:
+                            a, d0, f0 = queue.pop()
+                            continue
+                        break
+                    for x in undo:  # a contradiction
+                        tab[x] = None
                     break
-                for x in undo:
-                    tab[x] = None
+                if tab[h] is not None:  # closed, not undone
+                    break
             else:
                 for x in stack.pop()[5]:
                     tab[x] = None
