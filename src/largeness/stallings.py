@@ -276,13 +276,13 @@ def pin_loop_basis(graph: StallingsGraph, w: Word):
     return None
 
 
-def hall_overgroup(w: Word, ambient_rank: int) -> tuple:
+def hall_overgroup(w: Word, ambient_rank: int) -> StallingsGraph:
     """Finite-index overgroup with ``w`` as a basis element.
 
     The loop of ``w`` is completed to a covering of the rank-n bouquet by
     matching label-deficient vertices greedily (lowest id first).  Returns
-    ``(graph, forced_edges, flips)``; a spanning tree honoring the forced
-    edges yields a basis containing w verbatim.
+    the graph; ``pin_loop_basis(graph, w)`` gives the spanning-tree data
+    whose basis contains w verbatim.
     """
     w = free_reduce(w)
     if not w:
@@ -296,12 +296,7 @@ def hall_overgroup(w: Word, ambient_rank: int) -> tuple:
         for src, dst in zip(missing_out, missing_in):
             adj[src][g] = dst
             adj[dst][-g] = src
-    graph = StallingsGraph(nv, tuple(adj), g0.base)
-    pinned = pin_loop_basis(graph, w)
-    if pinned is None:
-        raise ValueError("could not pin the loop edge out of the tree")
-    forced, flips = pinned
-    return graph, forced, flips
+    return StallingsGraph(nv, tuple(adj), g0.base)
 
 
 def _is_forest(edges, nvertices) -> bool:

@@ -198,14 +198,10 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
     """
     edge_index = _edge_index(table)
     names = []
-    taken = set()
     for c in range(table.degree):
         for g in range(p.ngens):
             if edge_index[g][c]:
                 name = p.generators[g] if table.degree == 1 else f"{p.generators[g]}_{c}"
-                while name in taken:
-                    name += "_"
-                taken.add(name)
                 names.append(name)
     try:
         relators = [rewrite_word(table, edge_index, r, c)

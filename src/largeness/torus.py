@@ -316,7 +316,7 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, diags: list):
     phi = endo_compose_inner(endo_power(e, i), v)
     if endo_apply(phi, w, 1) != power(w, k):
         raise ValueError("conjugated witness fails verification")
-    hall, _, _ = hall_overgroup(w, e.rank)
+    hall = hall_overgroup(w, e.rank)
     try:
         delta, j = stable_pullback(phi, hall)
     except BoundExceeded as exc:
@@ -349,15 +349,6 @@ def _fields_for(e_eff: int) -> list:
     return [QQ] if e_eff == 1 else [PrimeField(q) for q in prime_factors(1 - e_eff)]
 
 
-def _rank_one_citation(e: Endomorphism, k: int):
-    img = e.images[0]
-    m = len(img) if img and all(lt == 1 for lt in img) else None
-    if img == (1,) and k == 1:
-        return {"reason": "ZxZ"}
-    return {"reason": "BS_coprime", "l": 1,
-            "m": m if m is not None else -len(img)}
-
-
 def torus_zz_pipeline(e: Endomorphism, wit: PeriodicWitness,
                       config: CertifyConfig = CertifyConfig()) -> Verdict:
     """Largeness for a mapping torus containing a commuting pair, from a
@@ -386,7 +377,7 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
         raise ValueError("witness fails verification")
     p0 = mapping_torus(e)
     if e.rank == 1:
-        citation = _rank_one_citation(e, wit.k)
+        citation = decide(p0, config).citation
         name = "Z x Z" if citation["reason"] == "ZxZ" else "a soluble Baumslag-Solitar group"
         return Verdict(NOT_LARGE_KNOWN, None, citation,
                        (f"rank-1 base: the mapping torus is {name}",))

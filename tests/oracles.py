@@ -2,14 +2,19 @@
 arithmetic, integer matrix products and determinants, subgroup counts, the
 Schreier generators of a coset table as words in the ambient group, the
 conjugated-power match split by split, coset enumeration with its
-earlier closure probe, Stallings folding in its earlier batch form, and the
-low-index search in its earlier recursive form."""
+earlier closure probe, Stallings folding in its earlier batch form, the
+low-index search in its earlier recursive form, and the one-relator
+verdicts on two generators built from the shapes they name."""
+
+import json
+from math import gcd
 
 from largeness import subgroups
 from largeness.stallings import StallingsGraph, uf_find
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  low_index_subgroups)
-from largeness.words import concat, cyclic_reduce, free_reduce, inverse
+from largeness.words import (concat, cyclic_reduce, free_reduce, inverse,
+                             rotate)
 
 # group ring elements: dict word -> nonzero integer coefficient
 
@@ -377,3 +382,52 @@ def search_tables(p, max_index: int, node_budget=None):
 
     dfs(0, 1)
     return results, truncated[0]
+
+
+def one_relator_verdicts(max_len: int) -> dict:
+    """The one-relator verdicts of ``< a, b | r >`` for every relator r of
+    at most ``max_len`` letters that has a syntactic shape, built from the
+    shapes rather than matched against them.
+
+    The shapes, each taken with every rotation of itself and of its
+    inverse: a single letter (Z, "cyclic" of infinite order); the
+    commutator [x, y] of letters of distinct generators (Z x Z); and
+    x^n y^l x^-n y^-m for distinct generators x, y, n >= 1 and l, m nonzero,
+    which is large when n > 1 or gcd(l, m) > 1 and else "BS_coprime".  A
+    commutator relator is cited as Z x Z, not as BS(1, 1).  Maps r to
+    ``(status, texts)``: the JSON texts, keys sorted, of the citations or
+    ``cited_family`` data that describe it; a relator of the last shape has
+    one text per description (x, y, n, l, m) it has.
+    """
+    names = ("a", "b")
+    out, first = {}, {}
+
+    def add(into, word, status, obj):
+        text = json.dumps(obj, sort_keys=True)
+        for w in (word, inverse(word)):
+            for k in range(len(w)):
+                into.setdefault(rotate(w, k), (status, set()))[1].add(text)
+
+    for x, y in ((1, 2), (2, 1)):
+        for n in range(1, max_len // 2):
+            for l in range(-max_len, max_len + 1):
+                for m in range(-max_len, max_len + 1):
+                    if not l or not m or 2 * n + abs(l) + abs(m) > max_len:
+                        continue
+                    word = ((x,) * n + (y if l > 0 else -y,) * abs(l)
+                            + (-x,) * n + (-y if m > 0 else y,) * abs(m))
+                    if n > 1 or gcd(l, m) > 1:
+                        add(out, word, "LARGE", {
+                            "relator_index": 0, "n": n, "l": l, "m": m,
+                            "conj_gen": names[x - 1], "base_gen": names[y - 1]})
+                    else:
+                        add(out, word, "NOT_LARGE_KNOWN",
+                            {"reason": "BS_coprime", "l": l, "m": m})
+    letters = (1, -1, 2, -2)
+    for x in letters:
+        add(first, (x,), "NOT_LARGE_KNOWN", {"reason": "cyclic", "order": "infinite"})
+        for y in letters:
+            if abs(x) != abs(y):
+                add(first, (x, y, -x, -y), "NOT_LARGE_KNOWN", {"reason": "ZxZ"})
+    out.update(first)
+    return out

@@ -7,6 +7,7 @@ import sys
 import tempfile
 import time
 from dataclasses import replace
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -14,10 +15,12 @@ from hypothesis import given, settings, strategies as st
 
 from largeness import subgroups
 from largeness.alexander import QQ, rank_witness
-from largeness.certify import (Certificate, CertifyConfig, certificate_from_json,
-                               certificate_to_json, certify,
+from largeness.abelian import abelianization
+from largeness.certify import (Certificate, CertifyConfig, ChainLink,
+                               certificate_from_json, certificate_to_json, certify,
                                classify_bs_shape, classify_conjugated_power,
-                               automatic_primes, dumps, replayed, solve_chi_killing,
+                               automatic_primes, decide, dumps, replayed,
+                               solve_chi_killing,
                                sweep_vectors, verdict_to_json,
                                verify_certificate, verify_citation)
 from largeness.cli import main
@@ -27,6 +30,7 @@ from largeness.torus import (Endomorphism, PeriodicWitness, endo_is_injective,
                              mapping_torus, torus_bs_pipeline, torus_zz_pipeline)
 from largeness.words import (MAX_WORD_LEN, Presentation, free_reduce,
                              parse_presentation, parse_word, word_to_text)
+from oracles import one_relator_verdicts
 
 FAST = CertifyConfig(max_index=5, budget=1)
 
@@ -160,6 +164,12 @@ class TestBoundDiagnostics:
         with pytest.raises(ValueError, match="li_nodes"):
             CertifyConfig(li_nodes=-1)
 
+    def test_index_below_two(self):
+        p = parse_presentation("< x, y | x y x y^-1 x^-1 y^-1 >")  # trefoil
+        v = decide(p, CertifyConfig(max_index=1))
+        assert v.status == "UNKNOWN"
+        assert v.diagnostics[-1] == "low-index route: max index < 2"
+
     @pytest.mark.parametrize("name", ["max_index", "chi_height", "budget"])
     def test_negative_setting_is_refused(self, name):
         with pytest.raises(ValueError, match=f"{name} must be >= 0"):
@@ -203,6 +213,13 @@ class TestSoundness:
         assert chi is not None
         assert rank_witness(p, chi, [QQ]) is not None
 
+    def test_no_character_kills_the_words(self):
+        # first Betti number 0, then a kernel with nothing in it
+        assert solve_chi_killing(parse_presentation("< a, b | a, b^2 >"), []) is None
+        free = parse_presentation("< a, b | >")
+        assert solve_chi_killing(free, [(1,), (2,)]) is None
+        assert solve_chi_killing(free, [(1,)]).values == (0, 1)
+
 
 class TestVerifier:
     def _large_cert(self):
@@ -239,6 +256,36 @@ class TestVerifier:
         p, cert = self._large_cert()
         bad = Certificate("nonsense", cert.presentation, cert.chain, cert.data)
         assert not verify_certificate(p, bad)
+
+    def test_proper_power_needs_deficiency_one(self):
+        data = {"relator_index": 0, "root": "a", "exponent": 3}
+        p = parse_presentation("< a, b | a^3 >")
+        assert verify_certificate(p, Certificate("proper_power", p, (), data))
+        q = parse_presentation("< a, b | a^3, b^2 >")
+        assert not verify_certificate(q, Certificate("proper_power", q, (), data))
+
+    def test_big_cover_needs_a_deficiency_one_parent(self):
+        # the relator twice: the same group and cover, deficiency 0
+        p = parse_presentation("< a, b | a b a b^-2 a^-2 b >")
+        cert = certify(p).certificate
+        assert cert.kind == "big_cover_abelianization"
+        table = cert.chain[0].table
+        q = Presentation(p.generators, p.relators * 2)
+        sub, _ = cover_presentation(q, table)
+        inv = abelianization(sub)
+        assert (inv.betti, list(inv.torsion)) == (cert.data["betti"], cert.data["torsion"])
+        moved = Certificate(cert.kind, q, (ChainLink(table, sub),), cert.data)
+        assert not verify_certificate(q, moved)
+
+    def test_big_cover_refuses_a_zxz_cover(self):
+        # every finite-index subgroup of Z x Z is Z x Z
+        p = parse_presentation("< a, b | a b A B >")
+        table = next(index_two_classes(p))
+        sub, _ = cover_presentation(p, table)
+        cert = Certificate("big_cover_abelianization", p, (ChainLink(table, sub),),
+                           {"parent_relator_index": 0, "u": "a", "v": "b",
+                            "betti": 2, "torsion": []})
+        assert not verify_certificate(p, cert)
 
     @staticmethod
     def _mutations(value):
@@ -338,7 +385,8 @@ class TestCitations:
         assert not verify_citation(bs, {"reason": "BS_coprime", "l": 1, "m": 5})
         assert not verify_citation(bs, {"reason": "ZxZ"})
         z = parse_presentation("< a | a^5 >")
-        assert verify_citation(z, {"reason": "cyclic"})
+        # never emitted: a cyclic citation always states its order
+        assert not verify_citation(z, {"reason": "cyclic"})
         assert not verify_citation(bs, {"reason": "cyclic"})
 
     @pytest.mark.parametrize("text,order", [
@@ -951,6 +999,111 @@ def test_mutated_citations(data):
     assert isinstance(verify_citation(p, citation), bool)
 
 
+# x -> x, x^3, x^-1, x^-2: the rank-1 bases of the torus pipelines
+RANK_ONE_IMAGES = ((1,), (1, 1, 1), (-1,), (-1, -1))
+
+
+@functools.lru_cache(maxsize=None)
+def emitted_citations():
+    """(presentation, citation) for each citation ``certify`` emits on the
+    corpus, then for each rank-1 torus base, witness x with k = +-|image|."""
+    out = []
+    for f in sorted(CORPUS.glob("*.pres")):
+        p = parse_presentation(f.read_text())
+        v = certify(p, LI_FAST)
+        if v.citation is not None:
+            out.append((p, v.citation))
+    for img in RANK_ONE_IMAGES:
+        e = Endomorphism((img,), ("x",))
+        k = len(img) if img[0] > 0 else -len(img)
+        pipeline = torus_zz_pipeline if abs(k) == 1 else torus_bs_pipeline
+        out.append((mapping_torus(e), pipeline(e, PeriodicWitness((1,), 1, (), k)).citation))
+    return tuple(out)
+
+
+def changed_maps(obj: dict):
+    """``obj`` with one key dropped, one value changed, or one key added.
+    A number also becomes its string, and its float, which Python's ``==``
+    would take for it."""
+    for key in obj:
+        yield {k: v for k, v in obj.items() if k != key}
+    for key, value in obj.items():
+        if isinstance(value, int):
+            changed = [value + 1, -value - 1, str(value), float(value)]
+        else:
+            changed = [value + "x", "", "ZxZ" if value != "ZxZ" else "cyclic"]
+        for new in changed:
+            yield {**obj, key: new}
+    for key in ("order", "l", "note"):
+        if key not in obj:
+            yield {**obj, key: 1}
+
+
+class TestCitationContract:
+    """What ``certify`` and the torus pipelines emit verifies, and nothing
+    else near it does: the replay compares against the one-relator route's
+    own output."""
+
+    def test_emitted_citations_verify(self):
+        got = emitted_citations()
+        assert len(got) >= 8
+        assert [c for _, c in got[-4:]] == [
+            {"reason": "ZxZ"}, {"reason": "BS_coprime", "l": 1, "m": 3},
+            {"reason": "BS_coprime", "l": 1, "m": -1},
+            {"reason": "BS_coprime", "l": 1, "m": -2}]
+        for p, citation in got:
+            assert verify_citation(p, citation), citation
+
+    def test_changed_citations_are_refused(self):
+        for p, citation in emitted_citations():
+            for bad in changed_maps(citation):
+                assert not verify_citation(p, bad), (citation, bad)
+
+    def test_bs_one_one_on_a_commutator_is_refused(self):
+        # BS(1, 1) is Z x Z, and the route cites a commutator relator so
+        zxz = parse_presentation("< a, b | a b A B >")
+        assert not verify_citation(zxz, {"reason": "BS_coprime", "l": 1, "m": 1})
+
+    def test_changed_cited_family_data_is_refused(self):
+        for text in ("< x, y | x y^2 x^-1 y^-4 >", "< x, y | x^2 y x^-2 y^-1 >"):
+            p = parse_presentation(text)
+            cert = certify(p).certificate
+            assert cert.kind == "cited_family"
+            for bad in changed_maps(cert.data):
+                assert not verify_certificate(p, replace(cert, data=bad)), bad
+
+
+class TestOneRelatorOracle:
+    """``certify`` on ``< a, b | r >`` against ``oracles.one_relator_verdicts``
+    for every cyclically reduced r of at most 8 letters.  The syntactic
+    route runs second whatever the config, so a config with no character
+    and no cover keeps the other routes short."""
+
+    CHEAP = CertifyConfig(max_index=0, chi_height=0, budget=0)
+
+    @staticmethod
+    def _relators(max_len):
+        for size in range(1, max_len + 1):
+            for w in product((1, -1, 2, -2), repeat=size):
+                if free_reduce(w) == w and (size == 1 or w[0] != -w[-1]):
+                    yield w
+
+    def test_every_short_relator(self):
+        expected = one_relator_verdicts(8)
+        matched = 0
+        for r in self._relators(8):
+            v = certify(Presentation(("a", "b"), (r,)), self.CHEAP)
+            cert = v.certificate
+            cited = v.citation if v.citation is not None else (
+                cert.data if cert is not None and cert.kind == "cited_family" else None)
+            if r in expected:
+                status, texts = expected[r]
+                assert v.status == status, (r, v.status)
+                assert json.dumps(cited, sort_keys=True) in texts, (r, cited)
+                matched += 1
+            else:
+                assert cited is None, (r, cited)
+        assert matched == len(expected)
 # ---------------------------------------------------------------------------
 # the JSON writer
 

@@ -151,19 +151,22 @@ class TestBasis:
 
 class TestHallOvergroup:
     def test_basis_generator(self):
-        g, forced, flips = hall_overgroup((1,), 2)
+        g = hall_overgroup((1,), 2)
+        forced, flips = pin_loop_basis(g, (1,))
         assert is_covering(g, 2) and g.nvertices == 1
         assert (1,) in graph_basis(g, forced, flips)
 
     def test_square(self):
-        g, forced, flips = hall_overgroup((1, 1), 2)
+        g = hall_overgroup((1, 1), 2)
+        forced, flips = pin_loop_basis(g, (1, 1))
         basis = graph_basis(g, forced, flips)
         assert is_covering(g, 2) and g.nvertices == 2
         assert sorted(basis) == sorted([(1, 1), (2,), (1, 2, -1)])
 
     def test_commutator(self):
         w = (1, 2, -1, -2)
-        g, forced, flips = hall_overgroup(w, 2)
+        g = hall_overgroup(w, 2)
+        forced, flips = pin_loop_basis(g, w)
         assert is_covering(g, 2)
         assert w in graph_basis(g, forced, flips)
         assert sg_membership(g, w)
@@ -176,7 +179,8 @@ class TestHallOvergroup:
             w = free_reduce(random_word(rnd, n, 12))
             if not w:
                 continue
-            g, forced, flips = hall_overgroup(w, n)
+            g = hall_overgroup(w, n)
+            forced, flips = pin_loop_basis(g, w)
             assert is_covering(g, n)
             basis = graph_basis(g, forced, flips)
             assert w in basis

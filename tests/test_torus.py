@@ -2,7 +2,7 @@ import random
 
 import pytest
 
-from largeness import torus
+from largeness import subgroups, torus
 from largeness.certify import (CertifyConfig, dumps, verdict_to_json,
                                verify_certificate)
 from largeness.stallings import BoundExceeded, fold, graph_basis, sg_membership
@@ -331,6 +331,37 @@ class TestPipelines:
             assert v.status in ("LARGE", "UNKNOWN")
             if v.certificate is not None:
                 assert verify_certificate(mapping_torus(e), v.certificate)
+
+
+class TestUnknownExits:
+    """Each bounded stage of the pipeline ends UNKNOWN with its diagnostic
+    when its bound is hit."""
+
+    WIT = PeriodicWitness((1,), 1, (), 1)
+
+    def test_pullback_bound(self, monkeypatch):
+        monkeypatch.setattr(torus, "MAX_PULLBACKS", 0)
+        v = torus_zz_pipeline(SHEAR, self.WIT)
+        assert v.status == "UNKNOWN"
+        assert v.diagnostics == (
+            "stable pullback bound: no repetition within 0 pullbacks",)
+
+    def test_primitivity_not_established(self, monkeypatch):
+        monkeypatch.setattr(torus, "pin_loop_basis", lambda graph, w: None)
+        monkeypatch.setattr(torus, "whitehead_primitive_basis", lambda graph, w: None)
+        v = torus_zz_pipeline(SHEAR, self.WIT)
+        assert v.status == "UNKNOWN"
+        assert v.diagnostics[-1] == (
+            "primitivity of the witness word in the pulled-back subgroup "
+            "not established within budget")
+
+    def test_coset_bound(self, monkeypatch):
+        monkeypatch.setattr(subgroups, "MAX_COSETS", 1)
+        v = torus_zz_pipeline(SHEAR, self.WIT, CertifyConfig(max_index=2))
+        assert v.status == "UNKNOWN"
+        assert v.diagnostics[1:] == (
+            "d=1: coset enumeration bound (coset bound 1 exceeded)",
+            "d=2: coset enumeration bound (coset bound 1 exceeded)")
 
 
 class TestWhiteheadFallback:
