@@ -1,14 +1,18 @@
 """Command-line front end: parse inputs, dispatch, emit JSON on stdout.
 
 Exit codes: 0 = a result was produced (UNKNOWN and failed verifications
-included), 1 = input error, 2 = resource bound exceeded.
+included), 1 = input error, an unreadable input file included, or stdout
+closed by its reader before the output was written, 2 = resource bound
+exceeded.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
+from collections.abc import Iterator
 from pathlib import Path
 
 from .abelian import Chi, abelianization
@@ -44,11 +48,48 @@ def _config_from_args(args) -> CertifyConfig:
     return CertifyConfig(**kwargs)
 
 
-def _emit(obj, args) -> None:
-    if getattr(args, "format", "json") == "text":
-        print(_textualize(obj))
-    else:
-        print(dumps(obj))
+def _emit(obj: dict, args) -> None:
+    """Print ``dumps(obj)``, or ``_textualize(obj)`` for ``--format text``,
+    one top-level key at a time, and flush, so that a closed stdout raises
+    here and not at exit.  An iterator value stands for the list of its
+    entries and is rendered one entry at a time, so the whole text is never
+    held."""
+    text = getattr(args, "format", "json") == "text"
+    sys.stdout.writelines((_text_pieces if text else _json_pieces)(obj))
+    sys.stdout.flush()
+
+
+def _json_pieces(obj: dict):
+    # dumps escapes every newline in a string, so indenting its lines
+    # renders a value at any depth
+    for n, k in enumerate(sorted(obj)):
+        v = obj[k]
+        yield ("," if n else "{") + f"\n  {dumps(k)}: "
+        if not isinstance(v, Iterator):
+            yield dumps(v).replace("\n", "\n  ")
+            continue
+        lead = "["
+        for x in v:
+            yield lead + "\n    " + dumps(x).replace("\n", "\n    ")
+            lead = ","
+        yield "[]" if lead == "[" else "\n  ]"
+    yield "\n}\n"
+
+
+def _text_pieces(obj: dict):
+    for k in sorted(obj):
+        v = obj[k]
+        if not isinstance(v, Iterator):
+            nested = isinstance(v, (dict, list))
+            yield f"{k}:\n{_textualize(v, 1)}\n" if nested else f"{k}: {v}\n"
+            continue
+        yield f"{k}:\n"
+        empty = True
+        for x in v:
+            yield _textualize(x, 1) + "\n"
+            empty = False
+        if empty:
+            yield "  (none)\n"
 
 
 def _textualize(obj, indent=0) -> str:
@@ -95,14 +136,16 @@ def cmd_alex(args) -> int:
 
 def cmd_subgroups(args) -> int:
     p = _read_presentation(args.presentation)
-    out = []
-    for table in low_index_subgroups(p, args.max_index):
+    classes = low_index_subgroups(p, args.max_index)
+
+    def entry(table):
         inv = cover_abelianization(p, table)
-        out.append({"index": table.degree, "table": table.to_json(),
-                    "abelianization": {"betti": inv.betti,
-                                       "torsion": list(inv.torsion),
-                                       "display": str(inv)}})
-    _emit({"classes": out, "count": len(out)}, args)
+        return {"index": table.degree, "table": table.to_json(),
+                "abelianization": {"betti": inv.betti,
+                                   "torsion": list(inv.torsion),
+                                   "display": str(inv)}}
+
+    _emit({"classes": map(entry, classes), "count": len(classes)}, args)
     return 0
 
 
@@ -258,7 +301,12 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ParseError, FileNotFoundError, ValueError, KeyError) as exc:
+    except BrokenPipeError:
+        # the reader closed stdout: what is still buffered goes nowhere, so
+        # the flush at exit raises nothing
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
+    except (ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except BoundExceeded as exc:

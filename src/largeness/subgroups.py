@@ -333,6 +333,32 @@ def cover_presentation(p: Presentation, table: CosetTable,
 # low-index subgroup enumeration
 
 
+class _ClassKeys:
+    """Takes the tables of a search by ``append`` as it finds them, and
+    keeps ``keys``, one ``(degree, flat form)`` per conjugacy class, as
+    ``subgroup_classes`` describes; ``len`` is the number of tables taken."""
+
+    def __init__(self):
+        self.keys, self.pending, self.taken = [], set(), 0
+
+    def __len__(self):
+        return self.taken
+
+    def append(self, table):
+        # flats of different degrees differ in length, so a flat names its pair
+        self.taken += 1
+        d, flat = table
+        if flat in self.pending:
+            self.pending.remove(flat)
+            return
+        # a table found is canonical: its own rebasing at coset 0
+        orbit = set(_rebasings(d, flat, range(1, d)))
+        orbit.add(flat)
+        self.keys.append((d, min(orbit)))
+        orbit.remove(flat)
+        self.pending |= orbit
+
+
 def subgroup_classes(p: Presentation, max_index: int,
                      node_budget: Optional[list] = None):
     """One canonical coset table per conjugacy class of subgroups of index
@@ -345,29 +371,15 @@ def subgroup_classes(p: Presentation, max_index: int,
 
     The search yields each subgroup exactly once, as its canonical table,
     and the orbit of a table, its rebasings at every coset, is the set of
-    tables of its class.  So one pass in search order keeps a class at its
-    first member, represented by the least table of the orbit, and sets the
-    other members aside until they come up; memory is one flat tuple per
-    subgroup found plus one per conjugate not met yet.
+    tables of its class.  So taking the tables as the search finds them
+    keeps a class at its first member, represented by the least table of
+    the orbit, and sets the other members aside until they come up; memory
+    is one key per class plus one flat tuple per conjugate not met yet.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    found, truncated = _search_tables(p, max_index, node_budget)
-    pending = set()
-    keys = []
-    # flats of different degrees differ in length, so a flat names its pair
-    for d, flat in found:
-        if flat in pending:
-            pending.remove(flat)
-            continue
-        # a table found is canonical: its own rebasing at coset 0
-        orbit = set(_rebasings(d, flat, range(1, d)))
-        orbit.add(flat)
-        keys.append((d, min(orbit)))
-        orbit.remove(flat)
-        pending |= orbit
-    keys.sort()
-    return [_from_flat(d, flat) for d, flat in keys], truncated
+    found, truncated = _search_tables(p, max_index, node_budget, _ClassKeys())
+    return [_from_flat(d, flat) for d, flat in sorted(found.keys)], truncated
 
 
 def low_index_subgroups(p: Presentation, max_index: int) -> list:
@@ -412,14 +424,17 @@ def index_two_classes(p: Presentation):
 MAX_SCAN_ENTRIES = 2_000_000
 
 
-def _search_tables(p: Presentation, max_index: int, node_budget=None):
+def _search_tables(p: Presentation, max_index: int, node_budget=None,
+                   results=None):
     """All complete closed tables in scan-order numbering, one per subgroup
     of index <= max_index, in search order, each as a pair ``(degree,
     flat)`` in the form of ``CosetTable.flat``, and whether the search was
-    cut short.  ``node_budget``, an optional one-element list of the DFS
-    nodes left, is decremented by the nodes visited; an empty one returns
-    ``([], True)`` before any relator is compiled, and relator scans of more
-    than ``MAX_SCAN_ENTRIES`` entries raise BoundExceeded before any is.
+    cut short.  Each pair goes to ``results.append`` as soon as it is found,
+    ``results`` a new list when None, and ``(results, truncated)`` comes
+    back.  ``node_budget``, an optional one-element list of the DFS nodes
+    left, is decremented by the nodes visited; an empty one returns
+    ``(results, True)`` before any relator is compiled, and relator scans of
+    more than ``MAX_SCAN_ENTRIES`` entries raise BoundExceeded before any is.
 
     The partial table is one flat list: with ``nd = 2 * ngens`` directions
     (g1, g1^-1, g2, ...), cell ``c*nd + d`` holds the row offset ``e*nd``
@@ -441,8 +456,10 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
     half-edges is popped, the scan of the rotation that starts there walks
     the whole cycle, every edge set by then, and fails unless it closes.
     """
+    if results is None:
+        results = []
     if node_budget is not None and node_budget[0] <= 0:
-        return [], True
+        return results, True
     nd = 2 * p.ngens
     rel_dirs = list(dict.fromkeys(tuple(2 * (abs(lt) - 1) + (lt < 0) for lt in r)
                                   for r in p.relators if r))
@@ -464,7 +481,6 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None):
                                       (fwd[k + 1:k + n], back[n - k:2 * n - k - 1]))
     scans = [list(s.values()) for s in scans]
     tab = [None] * (nd + 1)
-    results = []
     left = node_budget[0] if node_budget is not None else -1
     stack = []  # per node on the path: [hole, coset, dir, degree, candidates, cells set]
     pos, degree, undo = 0, 1, ()

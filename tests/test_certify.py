@@ -711,9 +711,9 @@ class TestNodeBudget:
         out = []
         search = subgroups._search_tables
 
-        def spy(p, max_index, cell):
+        def spy(p, max_index, cell, results=None):
             before = cell[0]
-            result = search(p, max_index, cell)
+            result = search(p, max_index, cell, results)
             out.append((p == self.P, before, cell[0]))
             return result
 

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -7,8 +8,15 @@ from pathlib import Path
 
 import pytest
 
-from largeness.cli import main
-from largeness.words import MAX_WORD_LEN
+from largeness.cli import _emit, main
+from largeness.subgroups import cover_abelianization, low_index_subgroups
+from largeness.words import MAX_WORD_LEN, parse_presentation
+
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
+# the corpus files `largeness subgroups` is benchmarked on
+LISTED = [f for f in sorted(CORPUS.glob("*.pres"))
+          if parse_presentation(f.read_text()).ngens >= 2]
 
 
 def run(capsys, *argv):
@@ -35,14 +43,47 @@ class TestAb:
         assert code == 0 and doc["betti"] == 2
 
 
+def ref_textualize(obj, indent=0) -> str:
+    """The text format of a whole object at once: the renderer the CLI
+    used before it wrote a listing one class at a time."""
+    pad = "  " * indent
+    if isinstance(obj, dict):
+        lines = []
+        for k in sorted(obj):
+            v = obj[k]
+            if isinstance(v, (dict, list)):
+                lines.append(f"{pad}{k}:")
+                lines.append(ref_textualize(v, indent + 1))
+            else:
+                lines.append(f"{pad}{k}: {v}")
+        return "\n".join(lines)
+    if isinstance(obj, list):
+        return "\n".join(ref_textualize(v, indent) for v in obj) or f"{pad}(none)"
+    return f"{pad}{obj}"
+
+
+def child_env():
+    """The environment for a child ``python`` that imports ``largeness``
+    from this source checkout, uninstalled."""
+    return dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+
+
 def test_python_m_largeness():
     # the package runs as a module from a source checkout, uninstalled
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = dict(os.environ, PYTHONPATH=src)
+    env = child_env()
     proc = subprocess.run([sys.executable, "-m", "largeness", "ab", "< a | a^2 >"],
                           capture_output=True, text=True, env=env, timeout=60)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"betti": 0, "torsion": [2], "display": "Z/2"}
+
+
+@pytest.mark.parametrize("argv", [("subgroups", "{dir}", "--max-index", "2"),
+                                  ("verify", "--cert", "{dir}")])
+def test_unreadable_input_is_input_error(capsys, argv):
+    # a directory given as the input file: one error line, exit 1
+    code, out, err = run(capsys, *(a.format(dir=CORPUS) for a in argv))
+    assert (code, out) == (1, "")
+    assert err == f"error: [Errno 21] Is a directory: '{CORPUS}'\n"
 
 
 class TestAlex:
@@ -129,6 +170,86 @@ class TestSubgroupsAndRewrite:
         assert (code, out) == (2, "")
         assert err == ("resource bound exceeded: relator scans of 2877600 "
                        "entries exceed 2000000\n")
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    @pytest.mark.parametrize("path", LISTED, ids=lambda f: f.stem)
+    def test_streamed_listing_is_the_whole_object(self, capsys, path, fmt):
+        # the listing written one class at a time has the bytes of the
+        # whole object rendered at once
+        p = parse_presentation(path.read_text())
+        out = []
+        for table in low_index_subgroups(p, 4):
+            inv = cover_abelianization(p, table)
+            out.append({"index": table.degree, "table": table.to_json(),
+                        "abelianization": {"betti": inv.betti,
+                                           "torsion": list(inv.torsion),
+                                           "display": str(inv)}})
+        obj = {"classes": out, "count": len(out)}
+        want = (ref_textualize(obj) if fmt == "text"
+                else json.dumps(obj, sort_keys=True, indent=2)) + "\n"
+        code, got, err = run(capsys, "subgroups", str(path), "--max-index", "4",
+                             "--format", fmt)
+        assert (code, err) == (0, "") and got == want
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_empty_streamed_list(self, capsys, fmt):
+        # no command streams an empty list (every group has itself as a
+        # subgroup of index 1), so _emit is called by hand
+        obj = {"classes": [], "count": 0}
+        want = (ref_textualize(obj) if fmt == "text"
+                else json.dumps(obj, sort_keys=True, indent=2)) + "\n"
+        _emit({"classes": iter(()), "count": 0}, argparse.Namespace(format=fmt))
+        assert capsys.readouterr().out == want
+
+    @pytest.mark.parametrize("fmt", ["json", "text"])
+    def test_closed_stdout(self, fmt):
+        # the reader goes away after the first bytes of a 200-450 kB listing:
+        # exit 1 with nothing on stderr
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "largeness", "subgroups",
+             str(CORPUS / "free_rank2_and_z.pres"), "--max-index", "5",
+             "--format", fmt],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=child_env())
+        try:
+            assert proc.stdout.read(10)
+            proc.stdout.close()
+            err = proc.stderr.read()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+            proc.stderr.close()
+        assert (code, err) == (1, b"")
+
+    def test_listing_memory_does_not_grow_with_the_listing(self):
+        # 8,046 classes at index 6: peak RSS beyond an index-1 run is what
+        # the dedup keeps, not every table found or every class printed
+        # (31 MB when both were held, about 9 MB streamed, with CPython
+        # 3.11 on x86-64 Linux).  Linux carries
+        # a process's ru_maxrss across exec, so a child of the test runner
+        # starts at the runner's peak; the listing runs in a fork of a
+        # fresh interpreter, which starts at that interpreter's size
+        script = ("import os, sys\n"
+                  "from largeness.cli import main\n"
+                  "pid = os.fork()\n"
+                  "if not pid:\n"
+                  "    code = main(sys.argv[1:])\n"
+                  "    sys.stdout.flush()\n"
+                  "    os._exit(code)\n"
+                  "_, status, usage = os.wait4(pid, 0)\n"
+                  "print(os.waitstatus_to_exitcode(status), usage.ru_maxrss,\n"
+                  "      file=sys.stderr)\n")
+
+        def peak_kb(max_index):
+            proc = subprocess.run(
+                [sys.executable, "-c", script, "subgroups",
+                 str(CORPUS / "free_rank2_and_z.pres"), "--max-index", str(max_index)],
+                stderr=subprocess.PIPE, stdout=subprocess.DEVNULL, env=child_env(),
+                timeout=120, text=True)
+            code, kb = map(int, proc.stderr.split())
+            assert code == 0
+            return kb
+
+        assert peak_kb(6) - peak_kb(1) < 16 * 1024
 
 
 class TestCertify:

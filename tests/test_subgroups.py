@@ -3,6 +3,7 @@ import hashlib
 import io
 import itertools
 import random
+import time
 import tracemalloc
 from pathlib import Path
 from unittest import mock
@@ -455,8 +456,10 @@ class TestSearchKernel:
             # an unbounded search of a free group of rank 3 to index 6 is huge
             max_index = min(max_index, 3)
         cells = [None if nodes is None else [nodes] for _ in range(2)]
-        assert (subgroups._search_tables(p, max_index, cells[0])
-                == recursive_search_tables(p, max_index, cells[1]))
+        handed = []  # each table as the search hands it on
+        found, truncated = subgroups._search_tables(p, max_index, cells[0], handed)
+        assert found is handed
+        assert (handed, truncated) == recursive_search_tables(p, max_index, cells[1])
         assert cells[0] == cells[1]
 
     def test_corpus_certify_counts(self, monkeypatch):
@@ -466,9 +469,9 @@ class TestSearchKernel:
         counts = [0, 0, 0]
         search = subgroups._search_tables
 
-        def spy(p, max_index, cell=None):
+        def spy(p, max_index, cell=None, results=None):
             before = cell[0]
-            tables, truncated = search(p, max_index, cell)
+            tables, truncated = search(p, max_index, cell, results)
             counts[0] += before - cell[0]
             counts[1] += len(tables)
             counts[2] += truncated
@@ -487,6 +490,24 @@ class TestSearchKernel:
         assert subgroups._search_tables(p, 3, cells[0]) == ([(1, ())], False)
         assert recursive_search_tables(p, 3, cells[1]) == ([(1, ())], False)
         assert cells[0] == cells[1]
+
+    def test_first_table_is_handed_on_at_once(self):
+        # the subgroups of F_2 of index <= 12 take millions of nodes; the
+        # first table reaches its taker long before the search could end
+        class Taken(Exception):
+            pass
+
+        class First:
+            def append(self, table):
+                raise Taken(table)
+
+        p = parse_presentation("< a, b | >")
+        cell = [3_000_000]
+        start = time.perf_counter()
+        with pytest.raises(Taken) as taken:
+            subgroups._search_tables(p, 12, cell, First())
+        assert time.perf_counter() - start < 0.5
+        assert taken.value.args == ((1, (0, 0)),)
 
     def test_deep_path(self):
         # a path of thousands of nodes; the earlier recursive search raised
