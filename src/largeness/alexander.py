@@ -14,8 +14,8 @@ The matrix is built once over Z[t, t^-1] for each character.  One exact
 maximal minor over Z[t], packed into a single integer by Kronecker
 substitution, is shared by all fields: nonzero, it proves full rank over
 Q(t), and with a coefficient prime to p, over F_p(t).  A field left
-unproven is tried at a few units modulo a prime, and only then eliminated
-over F(t).
+unproven is eliminated over F(t).  A character whose packed minor would
+pass PACKED_BITS is refused, as one above CHI_BOUND is.
 """
 
 from __future__ import annotations
@@ -508,14 +508,13 @@ def lp_matrix_rank(rows, field) -> tuple:
 
 
 # ---------------------------------------------------------------------------
-# full-rank proofs by an exact packed minor, then by evaluation at units
+# full-rank proofs by an exact packed minor
 
 
-def _bareiss(mat, q: int = 0) -> int:
-    """Fraction-free elimination of an integer matrix over Z, or over F_q
-    for a prime ``q``; consumes ``mat``.  Returns 0 when the rows are
-    dependent, else the last pivot: up to sign, the maximal minor on the
-    pivot columns (mod q)."""
+def _bareiss(mat) -> int:
+    """Fraction-free elimination of an integer matrix over Z; consumes
+    ``mat``.  Returns 0 when the rows are dependent, else the last pivot:
+    up to sign, the maximal minor on the pivot columns."""
     rank, prev = 0, 1
     for j in range(len(mat[0])):
         piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
@@ -524,13 +523,9 @@ def _bareiss(mat, q: int = 0) -> int:
         mat[rank], mat[piv] = mat[piv], mat[rank]
         top = mat[rank]
         d = top[j]
-        f = pow(prev, -1, q) if q else None
         for i in range(rank + 1, len(mat)):
             a = mat[i][j]
-            if q:
-                mat[i] = [(x * d - a * y) * f % q for x, y in zip(mat[i], top)]
-            else:
-                mat[i] = [(x * d - a * y) // prev for x, y in zip(mat[i], top)]
+            mat[i] = [(x * d - a * y) // prev for x, y in zip(mat[i], top)]
         prev = d
         rank += 1
         if rank == len(mat):
@@ -545,21 +540,21 @@ PACKED_BITS = 2 ** 16
 
 def _packed_minor(rows):
     """The integer coefficients, lowest first, of the maximal minor on the
-    pivot columns over Q(t) of the rows, none of them zero, each shifted to
-    a polynomial; [] when the rank drops; None above PACKED_BITS.
+    pivot columns over Q(t) of the rows, each shifted to a polynomial; []
+    when the rank drops; None above PACKED_BITS.
 
     Kronecker substitution at t = 2^b, 2^b above twice the product P of
-    the rows' l1 norms: every Bareiss intermediate is a minor, with
-    coefficients at most P in absolute value, so it is 0 exactly when its
-    value at 2^b is.  ``_bareiss`` over Z thus takes the pivots it would
+    the rows' l1 norms (1 for a zero row): every Bareiss intermediate is a
+    minor, with coefficients at most P in absolute value, so it is 0
+    exactly when its value at 2^b is.  ``_bareiss`` over Z thus takes the pivots it would
     over Q[t], and its last pivot's balanced base-2^b digits are the
     minor's coefficients."""
     lows, span, bound = [], 0, 2
     for row in rows:
-        exps = [e for entry in row for e in entry]
+        exps = [e for entry in row for e in entry] or [0]  # a zero row packs to 0
         lows.append(min(exps))
         span = max(span, max(exps) - lows[-1])
-        bound *= sum(abs(c) for entry in row for c in entry.values())
+        bound *= sum(abs(c) for entry in row for c in entry.values()) or 1
     b = bound.bit_length()
     if b * (span + 1) * len(rows) > PACKED_BITS:
         return None
@@ -572,43 +567,21 @@ def _packed_minor(rows):
     return coeffs
 
 
-# A field the packed minor leaves unproven is tried modulo a prime q at a
-# few units: over F_p, q = p and those of t = -1, -2, -3 that are units;
-# over Q, q = 2**61 - 1 and three fixed units far from the small roots that
-# Alexander polynomials have.
-_Q_MODULUS = 2 ** 61 - 1
-_Q_UNITS = (0x1F83D9ABFB41BD6B, 0x1E3779B97F4A7C15, 0x0A09E667F3BCC909)
-
-
-def _full_rank_at_a_point(rows, field) -> bool:
-    """True when the integer rows have full row rank modulo q at one of the
-    units t = a above; False proves nothing.  A nonzero minor of degree d
-    vanishes at no more than d points (Schwartz 1980, Zippel 1979), so over
-    Q, with its large modulus, False is rare at full rank."""
-    if isinstance(field, RationalField):
-        q, units = _Q_MODULUS, _Q_UNITS
-    else:
-        q, units = field.p, range(field.p - 1, max(field.p - 4, 0), -1)
-    return any(_bareiss([[sum(c * pow(a, e, q) for e, c in entry.items()) % q
-                          for entry in row] for row in rows], q)
-               for a in units)
-
-
 def rank_witness(p: Presentation, chi: Chi, fields):
     """The first field in ``fields`` over which the Alexander invariant of
     ``chi`` vanishes, with the replayable evidence: ``(field, witness)``,
     the witness {"rank", "rows", "pivot_cols"} (plus "reason" when the
-    matrix is too narrow); None when it vanishes over none of them, or
-    when some value of ``chi`` exceeds CHI_BOUND in absolute value.
-    ValueError when ``chi`` is not a surjection that kills every relator.
+    matrix is too narrow); None when it vanishes over none of them, when
+    some value of ``chi`` exceeds CHI_BOUND in absolute value, or when its
+    packed minor would pass PACKED_BITS.  ValueError when ``chi`` is not a
+    surjection that kills every relator.
 
     The rows are the Fox Jacobian of ``p`` itself (see ``_fox_rows``), whose
     column prefixes have the ranks of the coordinate form, so the witness
     is the same.  They are built once over Z.  A field is passed over when
-    the packed minor (``_packed_minor``, shared by all fields) or, where
-    that leaves it open, an evaluation at a unit proves full rank; for the
-    others the rank and the pivot columns come from ``lp_matrix_rank`` over
-    field(t).
+    the packed minor (``_packed_minor``, shared by all fields) proves full
+    rank; for the others the rank and the pivot columns come from
+    ``lp_matrix_rank`` over field(t).
     """
     if any(abs(v) > CHI_BOUND for v in chi.values):
         return None
@@ -620,14 +593,13 @@ def rank_witness(p: Presentation, chi: Chi, fields):
     if len(rows[0]) < nrows:
         return fields[0], {"rank": 0, "rows": nrows, "pivot_cols": [],
                            "reason": "fewer relators than module generators"}
-    # a zero row, or a packed minor of [], drops the rank over every field,
-    # and then no evaluation can prove full rank; a coefficient prime to p
-    # keeps the minor nonzero over F_p(t)
-    coeffs = _packed_minor(rows) if all(any(row) for row in rows) else []
-    unproven = [f for f in fields if not coeffs or (
-        isinstance(f, PrimeField) and not any(c % f.p for c in coeffs))]
-    for field in unproven:
-        if coeffs != [] and _full_rank_at_a_point(rows, field):
+    # a packed minor of [] drops the rank over every field; a coefficient
+    # prime to p keeps the minor nonzero over F_p(t)
+    coeffs = _packed_minor(rows)
+    if coeffs is None:
+        return None
+    for field in fields:
+        if coeffs and (isinstance(field, RationalField) or any(c % field.p for c in coeffs)):
             continue
         rank, pivots = lp_matrix_rank(_reduce(rows, field), field)
         if rank < nrows:

@@ -13,7 +13,19 @@ from typing import Iterable, Optional, Sequence
 
 from .abelian import AbelianInvariants
 from .stallings import BoundExceeded, fold_loops, is_covering
-from .words import Presentation, Word, cyclic_reduce, exponent_vector, inverse
+from .words import (MAX_WORD_LEN, Presentation, Word, cyclic_reduce, exponent_vector,
+                    inverse)
+
+
+def _inverse_perms(perms) -> tuple:
+    """Per permutation of range(len(perm)) in ``perms``, its inverse."""
+    inv = []
+    for perm in perms:
+        ip = [0] * len(perm)
+        for i, j in enumerate(perm):
+            ip[j] = i
+        inv.append(tuple(ip))
+    return tuple(inv)
 
 
 @dataclass(frozen=True)
@@ -26,13 +38,7 @@ class CosetTable:
     @cached_property
     def inverse(self) -> tuple:
         """Per generator, the inverse permutation."""
-        inv = []
-        for perm in self.action:
-            ip = [0] * self.degree
-            for i, j in enumerate(perm):
-                ip[j] = i
-            inv.append(tuple(ip))
-        return tuple(inv)
+        return _inverse_perms(self.action)
 
     def apply(self, coset: int, lt: int) -> int:
         if lt > 0:
@@ -60,10 +66,10 @@ class CosetTable:
                           tuple(tuple(int(x) for x in p) for p in obj["action"]))
 
 
-def _first_visits(table: CosetTable, base: int):
+def _first_visits(table: CosetTable, inverse: tuple, base: int):
     """The cosets in first-visit scan order from ``base``, and per coset the
     coset that first reached it and the letter of that step (-1 and 0 for
-    ``base``).
+    ``base``); ``inverse`` is ``table.inverse``, or equal to it.
 
     The scan order is the one used everywhere in this module: cosets in
     that order, directions g1, g1^-1, g2, g2^-1, ...
@@ -71,7 +77,7 @@ def _first_visits(table: CosetTable, base: int):
     order = [base]
     parent = [-1] * table.degree
     via = [0] * table.degree
-    moves = list(enumerate(zip(table.action, table.inverse), 1))
+    moves = list(enumerate(zip(table.action, inverse), 1))
     for c in order:
         for g, (perm, ip) in moves:
             t = perm[c]
@@ -96,11 +102,8 @@ def _rebasings(degree: int, flat: tuple, bases: Iterable[int]):
     as a flat form."""
     perms = [flat[i:i + degree] for i in range(0, len(flat), degree)]
     moves = []  # g1, g1^-1, g2, g2^-1, ...
-    for perm in perms:
-        ip = [0] * degree
-        for i, j in enumerate(perm):
-            ip[j] = i
-        moves += (perm, ip)
+    for move in zip(perms, _inverse_perms(perms)):
+        moves += move
     for base in bases:
         new = [-1] * degree
         new[base] = 0
@@ -141,13 +144,14 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
 # Reidemeister-Schreier
 
 
-def _edge_index(table: CosetTable) -> tuple:
+def _edge_index(table: CosetTable, inverse: tuple) -> tuple:
     """The Schreier generators: per generator g and coset c, the number
     (from 1) of the one for the edge (c, g), or 0 when the edge is on the
     Schreier tree of first visits in scan order from coset 0.  The edges off
-    the tree are numbered in order of coset, then generator.  Raises
-    ValueError when the table is not transitive."""
-    order, parent, via = _first_visits(table, 0)
+    the tree are numbered in order of coset, then generator.  ``inverse``
+    is as ``_first_visits`` takes it.  Raises ValueError when the table is
+    not transitive."""
+    order, parent, via = _first_visits(table, inverse, 0)
     if len(order) != table.degree:
         raise ValueError("coset table is not transitive")
     index = [[1] * table.degree for _ in table.action]
@@ -196,7 +200,7 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
     Returns ``(presentation, edge_index)``, the numbering of ``_edge_index``
     that ``rewrite_word`` takes.
     """
-    edge_index = _edge_index(table)
+    edge_index = _edge_index(table, table.inverse)
     names = []
     for c in range(table.degree):
         for g in range(p.ngens):
@@ -218,14 +222,16 @@ def cover_abelianization(p: Presentation, table: CosetTable) -> AbelianInvariant
     rewritten by Reidemeister-Schreier, one per (relator, coset).
 
     Tietze moves do not change it, so it equals the abelianization of
-    ``cover_presentation(p, table)[0]``; no word is built.  Refuses the
-    tables ``reidemeister_schreier`` refuses, with the same errors.
+    ``cover_presentation(p, table)[0]``; no word is built, and nothing is
+    cached on ``table``.  Refuses the tables ``reidemeister_schreier``
+    refuses, with the same errors.
     """
-    edge_index = _edge_index(table)
+    inverse = _inverse_perms(table.action)
+    edge_index = _edge_index(table, inverse)
     nsub = (len(table.action) - 1) * table.degree + 1
     # per letter, per coset: (next coset, column of the edge crossed or -1)
     moves = {}
-    for g, (perm, ip, ids) in enumerate(zip(table.action, table.inverse, edge_index), 1):
+    for g, (perm, ip, ids) in enumerate(zip(table.action, inverse, edge_index), 1):
         moves[g] = [(t, k - 1) for t, k in zip(perm, ids)]
         moves[-g] = [(t, ids[t] - 1) for t in ip]
     rows = []  # sparse, as of_relations takes them
@@ -259,11 +265,15 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = ()):
     The output bytes depend on the choice rule.  Each step takes the first
     relator, in order of (length, place in the list), that has at most
     ``MAX_SUB_LEN`` + 1 letters and a generator occurring in it once, and
-    the first position in it of such a generator: rel = u g^e v.  It deletes
-    the relator and puts g^e = (v u)^-1 into every other relator and
-    ``carry`` word that has g; the lists keep their order, relators that
-    reduce to the empty word are dropped, and the generators left are
-    renumbered in their old order at the end.
+    the first position in it of such a generator, rel = u g^e v, that
+    passes the length bound: before anything is built, each relator and
+    ``carry`` word w is bounded by len(w) + (|rel| - 2) times the number of
+    g^+-1 in w, and a (relator, position) whose bound passes
+    ``words.MAX_WORD_LEN`` is passed over for the next in the same order.
+    The step deletes the relator and puts g^e = (v u)^-1 into every other
+    relator and ``carry`` word that has g; the lists keep their order,
+    relators that reduce to the empty word are dropped, and the generators
+    left are renumbered in their old order at the end.
 
     ``carry`` words (freely reduced) are rewritten through the same
     substitutions.  Returns ``(presentation, carry)``.
@@ -279,7 +289,10 @@ def tietze_simplify(p: Presentation, carry: Sequence[Word] = ()):
             if len(rel) - 1 > MAX_SUB_LEN:
                 break
             gens = list(map(abs, rel))
-            pos = next((k for k, x in enumerate(gens) if gens.count(x) == 1), None)
+            grow = len(rel) - 2  # the letters each g^+-1 gains
+            pos = next((k for k, x in enumerate(gens) if gens.count(x) == 1
+                        and all(len(w) + grow * (w.count(x) + w.count(-x)) <= MAX_WORD_LEN
+                                for w in rels + carry)), None)
             if pos is not None:
                 target = i, pos
                 break

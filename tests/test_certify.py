@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from largeness import subgroups
+from largeness import alexander, subgroups
 from largeness.alexander import QQ, rank_witness
 from largeness.abelian import abelianization
 from largeness.certify import (Certificate, CertifyConfig, ChainLink,
@@ -24,7 +24,7 @@ from largeness.certify import (Certificate, CertifyConfig, ChainLink,
                                sweep_vectors, verdict_to_json,
                                verify_certificate, verify_citation)
 from largeness.cli import main
-from largeness.subgroups import (cover_presentation, index_two_classes,
+from largeness.subgroups import (CosetTable, cover_presentation, index_two_classes,
                                  low_index_subgroups)
 from largeness.torus import (Endomorphism, PeriodicWitness, endo_is_injective,
                              mapping_torus, torus_bs_pipeline, torus_zz_pipeline)
@@ -850,7 +850,8 @@ def mutate_presentation(pres, where, data):
 
 def check_verify_cli(obj):
     """``largeness verify --cert`` on ``obj`` exits 0, 1 or 2, prints JSON
-    on success, at most one error line, and no traceback."""
+    on success, at most one error line, and no traceback; returns the exit
+    code and stdout."""
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "cert.json"
         path.write_text(json.dumps(obj))
@@ -862,6 +863,7 @@ def check_verify_cli(obj):
         assert set(json.loads(out.getvalue())) == {"valid"}
     assert err.getvalue().count("error:") <= 1
     assert "Traceback" not in err.getvalue()
+    return code, out.getvalue()
 
 
 def test_hostile_alexander_replay_is_quick():
@@ -878,6 +880,75 @@ def test_hostile_alexander_replay_is_quick():
                     "pivot_cols": []}}
     t0 = time.perf_counter()
     check_verify_cli(obj)
+    assert time.perf_counter() - t0 < 2.0  # the fuzz deadline
+
+
+# true alexander_zero claims whose characters spread each Jacobian entry
+# over some two million powers of t: a repeated relator, so the two rows
+# are dependent, and a generator in no relator, so its row is zero
+PACKED_ABOVE_THE_BOUND = [
+    (("a", "b", "c"), [(2, 1, 3) * 1000 + (-2, -1, -3) * 1000] * 2, [1, 1024, 1024],
+     {"rank": 1, "rows": 2, "pivot_cols": [0]}),
+    (("a", "b", "c", "d"), [(2, 1) * 1200 + (-2, -1) * 1200, (1, 3) * 1200 + (-1, -3) * 1200,
+                            (3, 1, 2) * 800 + (-3, -1, -2) * 800], [1, 1024, 1024, 0],
+     {"rank": 2, "rows": 3, "pivot_cols": [0, 1]}),
+]
+
+
+@pytest.mark.parametrize("gens,rels,chi,witness", PACKED_ABOVE_THE_BOUND)
+def test_alexander_zero_above_the_packing_bound_is_refused(gens, rels, chi, witness):
+    # the packed minor would pass PACKED_BITS, so the character is refused
+    # before any elimination
+    obj = {"kind": "alexander_zero", "chain": [],
+           "presentation": {"generators": list(gens),
+                            "relators": [word_to_text(free_reduce(r), gens) for r in rels]},
+           "data": {"chi": chi, "field": "Q", **witness}}
+    t0 = time.perf_counter()
+    assert check_verify_cli(obj) == (0, dumps({"valid": False}) + "\n")
+    assert time.perf_counter() - t0 < 2.0  # the fuzz deadline
+
+
+# sweep-panel inputs that certify by a chainless alexander_zero certificate
+ALEXANDER_ZERO_SOURCES = ["< x, y | x^-1 y^-1 x^-1 y x y^-1 x^-3 y^-1 >",
+                          "< x, y | x^-1 y^-1 x y^4 x^-1 y x y^-1 >",
+                          "< x, y | y^2 x^-1 y^-1 x y^-1 x y x^-1 y^-1 >"]
+
+
+@pytest.mark.parametrize("text", ALEXANDER_ZERO_SOURCES)
+def test_no_alexander_zero_above_the_packing_bound(monkeypatch, text):
+    # with no room for a packed minor, every character is refused: certify
+    # emits no alexander_zero certificate, and replay refuses the one it
+    # emits below the bound
+    config = CertifyConfig(max_index=4, budget=1)
+    p = parse_presentation(text)
+    cert = certify(p, config).certificate
+    assert cert.kind == "alexander_zero" and verify_certificate(p, cert)
+    monkeypatch.setattr(alexander, "PACKED_BITS", 0)
+    assert not verify_certificate(p, cert)
+    v = certify(p, config)
+    assert v.certificate is None or v.certificate.kind != "alexander_zero"
+
+
+def test_hostile_chain_on_a_doubling_relator_is_quick():
+    # each Tietze elimination in the second cover doubles its relator:
+    # without the length bound, regenerating that link ran past 1.5 GB of
+    # memory; with it the replay ends at once
+    p = parse_presentation("< a, b | b^-3 a^-1 b^-1 a b a^-1 >")
+    first = CosetTable(5, ((1, 4, 0, 2, 3), (3, 2, 4, 1, 0)))
+    sub, _ = cover_presentation(p, first)
+    second = CosetTable(5, ((1, 3, 0, 4, 2), (1, 3, 0, 4, 2)))
+    links = [{"table": t.to_json(),
+              "presentation": {"generators": list(sub.generators),
+                               "relators": [word_to_text(r, sub.generators)
+                                            for r in sub.relators]}}
+             for t in (first, second)]
+    obj = {"kind": "deficiency", "chain": links,
+           "presentation": {"generators": ["a", "b"],
+                            "relators": ["b^-3 a^-1 b^-1 a b a^-1"]},
+           "data": {"deficiency": 2}}
+    t0 = time.perf_counter()
+    code, _ = check_verify_cli(obj)
+    assert code in (0, 2)
     assert time.perf_counter() - t0 < 2.0  # the fuzz deadline
 
 

@@ -2,7 +2,10 @@ import contextlib
 import hashlib
 import io
 import itertools
+import os
 import random
+import subprocess
+import sys
 import time
 import tracemalloc
 from pathlib import Path
@@ -20,13 +23,14 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  cover_presentation,
                                  index_two_classes, low_index_subgroups, reidemeister_schreier,
                                  rewrite_word, subgroup_classes, tietze_simplify)
-from largeness.words import (Presentation, default_names, free_reduce,
+from largeness.words import (MAX_WORD_LEN, Presentation, default_names, free_reduce,
                              inverse, parse_presentation, parse_word)
 from oracles import (probe_coset_enumerate, schreier_generators,
                      search_tables as recursive_search_tables,
                      subgroup_count_by_index)
 
-CORPUS = Path(__file__).resolve().parents[1] / "corpus"
+ROOT = Path(__file__).resolve().parents[1]
+CORPUS = ROOT / "corpus"
 CORPUS_PRESENTATIONS = [parse_presentation(f.read_text())
                         for f in sorted(CORPUS.glob("*.pres"))]
 
@@ -798,6 +802,52 @@ class TestTietze:
             assert abelianization(simp) == abelianization(p)
 
 
+# each Tietze elimination in its covers used to double the one relator left
+DOUBLING = "< a, b | b^-3 a^-1 b^-1 a b a^-1 >"
+
+
+class TestTietzeLengthBound:
+    def test_an_elimination_is_bounded_before_it_is_built(self):
+        # a = (d b^59)^-1 puts 60 letters for each a: a^166 grows to 9,960
+        # letters, a^167 would grow to 10,020, so the next position, d, is
+        # taken instead
+        p = parse_presentation("< a, b, d | a d b^59 >")
+        simp, carry = tietze_simplify(p, [(1,) * 166])
+        assert simp == Presentation(("b", "d"), ()) and len(carry[0]) == 9960
+        simp, carry = tietze_simplify(p, [(1,) * 167])
+        assert simp == Presentation(("a", "b"), ()) and carry == [(1,) * 167]
+        # relators are bounded the same way
+        p = parse_presentation("< a, b, c, d | a d b^59, a^167 c >")
+        simp, _ = tietze_simplify(p)
+        assert simp == parse_presentation("< a, b, c | a^167 c >")
+
+    def test_covers_stay_within_the_word_bound(self, monkeypatch):
+        longest = []
+        tietze = subgroups.tietze_simplify
+
+        def spy(p, carry=()):
+            q, carried = tietze(p, carry)
+            longest.append(max(map(len, (*q.relators, *carried)), default=0))
+            return q, carried
+        monkeypatch.setattr(subgroups, "tietze_simplify", spy)
+        v = certify(parse_presentation(DOUBLING), CertifyConfig(max_index=5, budget=2))
+        assert v.status == "UNKNOWN"
+        assert longest and max(longest) <= MAX_WORD_LEN
+
+    def test_doubling_relator_ends_under_a_memory_limit(self):
+        # without the bound this config ran out of memory: grandchild cover
+        # relators of 2^k + 2 letters
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))\n"
+                "from largeness import CertifyConfig, certify, parse_presentation\n"
+                f"p = parse_presentation({DOUBLING!r})\n"
+                "print(certify(p, CertifyConfig(max_index=5, budget=2)).status)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "UNKNOWN\n"
+
+
 # ---------------------------------------------------------------------------
 # abelianizations read off coset tables
 
@@ -844,6 +894,14 @@ class TestCoverAbelianization:
             with pytest.raises(ValueError, match=message):
                 cover_abelianization(p, t)
             assert outcome(cover_abelianization, p, t) == outcome(reidemeister_schreier, p, t)
+
+    def test_nothing_is_cached_on_the_table(self):
+        # a listing holds its classes to the end, so a cached inverse on each
+        # would grow its memory with the classes written
+        p = parse_presentation("< x, y | x^2 y x^-2 y^-1 >")
+        for t in low_index_subgroups(p, 4):
+            cover_abelianization(p, t)
+            assert "inverse" not in vars(t)
 
 
 
