@@ -349,10 +349,11 @@ def cover_presentation(p: Presentation, table: CosetTable,
 class _ClassKeys:
     """Takes the tables of a search by ``append`` as it finds them, and
     keeps ``keys``, one ``(degree, flat form)`` per conjugacy class, as
-    ``subgroup_classes`` describes; ``len`` is the number of tables taken."""
+    ``subgroup_classes`` describes; ``len`` is the number of tables taken,
+    each the only one of its class if ``least``."""
 
-    def __init__(self):
-        self.keys, self.pending, self.taken = [], set(), 0
+    def __init__(self, least=False):
+        self.keys, self.taken, self.pending = [], 0, None if least else set()
 
     def __len__(self):
         return self.taken
@@ -361,15 +362,16 @@ class _ClassKeys:
         # flats of different degrees differ in length, so a flat names its pair
         self.taken += 1
         d, flat = table
-        if flat in self.pending:
+        if self.pending is not None and flat in self.pending:
             self.pending.remove(flat)
             return
         # a table found is canonical: its own rebasing at coset 0
         orbit = set(_rebasings(d, flat, range(1, d)))
         orbit.add(flat)
         self.keys.append((d, min(orbit)))
-        orbit.remove(flat)
-        self.pending |= orbit
+        if self.pending is not None:
+            orbit.remove(flat)
+            self.pending |= orbit
 
 
 def subgroup_classes(p: Presentation, max_index: int,
@@ -382,16 +384,20 @@ def subgroup_classes(p: Presentation, max_index: int,
     visit, decremented in place, so that searches handed the same list
     share one bound; None: unbounded.
 
-    The search yields each subgroup exactly once, as its canonical table,
-    and the orbit of a table, its rebasings at every coset, is the set of
-    tables of its class.  So taking the tables as the search finds them
-    keeps a class at its first member, represented by the least table of
-    the orbit, and sets the other members aside until they come up; memory
-    is one key per class plus one flat tuple per conjugate not met yet.
+    The orbit of a table, its rebasings at every coset, is the set of
+    tables of its class, and its least flat form represents the class.  An
+    unbounded search runs in least mode: one table per class, so memory is
+    one key per class.  A budgeted one yields each subgroup once, so the
+    class is kept at its first member and the others are set aside until
+    they come up: memory is also one flat tuple per conjugate not met yet.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
-    found, truncated = _search_tables(p, max_index, node_budget, _ClassKeys())
+    if node_budget is None:
+        found, truncated = _search_tables(p, max_index, None, _ClassKeys(least=True),
+                                          least=True)
+    else:
+        found, truncated = _search_tables(p, max_index, node_budget, _ClassKeys())
     return [_from_flat(d, flat) for d, flat in sorted(found.keys)], truncated
 
 
@@ -437,17 +443,44 @@ def index_two_classes(p: Presentation):
 MAX_SCAN_ENTRIES = 2_000_000
 
 
+def _least_so_far(tab: list, nd: int, degree: int) -> bool:
+    """Whether no rebasing at a coset b > 0 of the first ``degree`` rows of
+    ``tab`` is smaller than they are so far: each is walked in scan order
+    against ``tab``, cell by cell as row offsets, to the first cell that
+    differs; an unset cell in either leaves it undecided."""
+    for b in range(nd, degree * nd, nd):
+        if tab[b] is None or (tab[b] == b) != (tab[0] == 0):  # the first cells differ
+            if tab[b] == b:  # 0 in the rebasing
+                return False
+            continue
+        new, order = {b: 0}, [b]
+        for k in range(degree * nd):
+            t, u = tab[order[k // nd] + k % nd], tab[k]
+            if t is None or u is None:
+                break
+            x = new.get(t)
+            if x is None:
+                x = new[t] = len(order) * nd
+                order.append(t)
+            if x != u:
+                if x < u:
+                    return False
+                break
+    return True
+
+
 def _search_tables(p: Presentation, max_index: int, node_budget=None,
-                   results=None):
+                   results=None, *, least=False):
     """All complete closed tables in scan-order numbering, one per subgroup
-    of index <= max_index, in search order, each as a pair ``(degree,
-    flat)`` in the form of ``CosetTable.flat``, and whether the search was
-    cut short.  Each pair goes to ``results.append`` as soon as it is found,
-    ``results`` a new list when None, and ``(results, truncated)`` comes
-    back.  ``node_budget``, an optional one-element list of the DFS nodes
-    left, is decremented by the nodes visited; an empty one returns
-    ``(results, True)`` before any relator is compiled, and relator scans of
-    more than ``MAX_SCAN_ENTRIES`` entries raise BoundExceeded before any is.
+    of index <= max_index (with ``least``, one per conjugacy class), in
+    search order, each as a pair ``(degree, flat)`` in the form of
+    ``CosetTable.flat``, and whether the search was cut short.  Each pair
+    goes to ``results.append`` as soon as it is found, ``results`` a new
+    list when None, and ``(results, truncated)`` comes back.
+    ``node_budget``, an optional one-element list of the DFS nodes left, is
+    decremented by the nodes visited; an empty one returns ``(results,
+    True)`` before any relator is compiled, and relator scans of more than
+    ``MAX_SCAN_ENTRIES`` entries raise BoundExceeded before any is.
 
     The partial table is one flat list: with ``nd = 2 * ngens`` directions
     (g1, g1^-1, g2, ...), cell ``c*nd + d`` holds the row offset ``e*nd``
@@ -468,6 +501,14 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
     any relator cycle at any coset, some edge is set last; when one of its
     half-edges is popped, the scan of the rotation that starts there walks
     the whole cycle, every edge set by then, and fails unless it closes.
+
+    With ``least``, ``_least_so_far`` (Sims's canonicity test, *Computation
+    with Finitely Presented Groups*, 1994, ch. 5) runs at each candidate that
+    opens a coset and at each complete table.  A rebasing it finds smaller
+    stays smaller in every completion, which keeps each cell walked: an
+    opening is undone like a contradiction, and a complete table is not
+    handed on, though its node counts.  So the least table of each class,
+    by cells in scan order, is handed on, once.
     """
     if results is None:
         results = []
@@ -502,8 +543,9 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
         size = degree * nd
         h = tab.index(None, pos)
         if h == size:
-            results.append((degree, tuple([e // nd for d in range(0, nd, 2)
-                                           for e in tab[d:size:nd]])))
+            if not least or _least_so_far(tab, nd, degree):
+                results.append((degree, tuple([e // nd for d in range(0, nd, 2)
+                                               for e in tab[d:size:nd]])))
         elif degree < max_index and len(tab) == size + 1:
             tab += [None] * nd
         # candidates: each coset with no d^-1 edge yet, then a new coset
@@ -557,7 +599,10 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
                         tab[x] = None
                     break
                 if tab[h] is not None:  # closed, not undone
-                    break
+                    if not least or e < degree * nd or _least_so_far(tab, nd, degree + 1):
+                        break
+                    for x in undo:  # no completion is the least of its class
+                        tab[x] = None
             else:
                 for x in stack.pop()[5]:
                     tab[x] = None

@@ -8,8 +8,9 @@ from pathlib import Path
 
 import pytest
 
+from largeness import cli
 from largeness.cli import _emit, main
-from largeness.subgroups import cover_abelianization, low_index_subgroups
+from largeness.subgroups import cover_abelianization, low_index_subgroups, subgroup_classes
 from largeness.words import MAX_WORD_LEN, parse_presentation
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -157,6 +158,25 @@ class TestSubgroupsAndRewrite:
                 code, ab, _ = run_json(capsys, "ab", inline)
                 assert code == 0 and ab == cls["abelianization"], (k, inline)
 
+    @pytest.mark.parametrize("name", ["bs_2_4", "f2_times_z", "hexagonal_balanced_2"])
+    def test_rewrite_matches_the_budgeted_search(self, capsys, monkeypatch, name):
+        # `rewrite` numbers the classes of the least-table search; the
+        # budgeted search, with its own dedup, must give the same bytes for
+        # every class index, and the same error one past the last
+        path = str(CORPUS / f"{name}.pres")
+        count = len(low_index_subgroups(parse_presentation(Path(path).read_text()), 4))
+        assert count > 10
+
+        def outputs():
+            return [run(capsys, "rewrite", path, "--max-index", "4", "--index-class", str(k))
+                    for k in range(count + 1)]
+
+        got = outputs()
+        monkeypatch.setattr(cli, "low_index_subgroups",
+                            lambda p, k: subgroup_classes(p, k, [10 ** 9])[0])
+        assert got == outputs()
+        assert got[-1][0] == 1 and all(code == 0 for code, _, _ in got[:-1])
+
     def test_rewrite_out_of_range(self, capsys):
         code, _, err = run(capsys, "rewrite", "< a | >", "--max-index", "2",
                            "--index-class", "99")
@@ -223,8 +243,9 @@ class TestSubgroupsAndRewrite:
     def test_listing_memory_does_not_grow_with_the_listing(self):
         # 8,046 classes at index 6: peak RSS beyond an index-1 run is what
         # the dedup keeps, not every table found or every class printed
-        # (31 MB when both were held, about 9 MB streamed, with CPython
-        # 3.11 on x86-64 Linux).  Linux carries
+        # (31 MB when both were held, about 9 MB streamed with every
+        # conjugate not met yet held, 5.4 MB from the least-table search,
+        # with CPython 3.11 on x86-64 Linux).  Linux carries
         # a process's ru_maxrss across exec, so a child of the test runner
         # starts at the runner's peak; the listing runs in a fork of a
         # fresh interpreter, which starts at that interpreter's size
@@ -249,7 +270,7 @@ class TestSubgroupsAndRewrite:
             assert code == 0
             return kb
 
-        assert peak_kb(6) - peak_kb(1) < 16 * 1024
+        assert peak_kb(6) - peak_kb(1) < 7 * 1024
 
 
 class TestCertify:

@@ -385,8 +385,8 @@ class TestCanonicalSearch:
         assert cut == (node_budget is not None)
 
     def test_classes_memory(self):
-        # 43,944 subgroups of index <= 6 in 8,046 classes: one flat tuple
-        # per subgroup found and per conjugate not met yet
+        # 43,944 subgroups of index <= 6 in 8,046 classes: one key per
+        # class, from one table per class (traced peak 5.1 MB)
         p = parse_presentation((CORPUS / "free_rank2_and_z.pres").read_text())
         tracemalloc.start()
         try:
@@ -560,6 +560,115 @@ class TestSearchKernel:
         v = certify(p, CertifyConfig(max_index=3, budget=1))
         assert v.status == "UNKNOWN"
         assert "search truncated at the scan bound" in v.diagnostics[-1]
+
+
+def scan_cells(table):
+    """``table`` as the search holds it: per coset, per direction g1,
+    g1^-1, g2, ..., the row offset of the coset it leads to."""
+    nd = 2 * len(table.action)
+    return [t * nd for c in range(table.degree)
+            for perm, ip in zip(table.action, table.inverse) for t in (perm[c], ip[c])]
+
+
+def complete_tables():
+    """Canonical transitive tables of 1 to 6 cosets on 1 to 3 generators."""
+    return st.tuples(st.integers(1, 3), st.integers(1, 6)).flatmap(
+        lambda shape: st.lists(st.permutations(range(shape[1])), min_size=shape[0],
+                               max_size=shape[0]).map(
+            lambda perms: CosetTable(shape[1], tuple(map(tuple, perms)))))
+
+
+class TestLeastSearch:
+    """The unbounded search's least mode, which hands on one table per
+    conjugacy class, against the budgeted path's dedup of every subgroup."""
+
+    def test_corpus_matches_budgeted_path(self):
+        for p in CORPUS_PRESENTATIONS:
+            for max_index in range(1, 7):
+                assert (subgroup_classes(p, max_index)
+                        == subgroup_classes(p, max_index, [10 ** 9])), max_index
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.just(n), st.lists(letter_lists(n, 1, 8), max_size=2))),
+           st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_random_presentations_match_budgeted_path(self, shape, max_index):
+        n, rels = shape
+        if n == 3:
+            # F_3 has 68,641 subgroups of index 5, too many to list twice
+            max_index = min(max_index, 4)
+        p = Presentation(default_names(n), tuple(free_reduce(tuple(r)) for r in rels))
+        assert subgroup_classes(p, max_index) == subgroup_classes(p, max_index, [10 ** 9])
+
+    def test_one_table_per_class(self, monkeypatch):
+        sinks = []
+
+        class Recording(subgroups._ClassKeys):
+            def __init__(self, *args, **kwargs):
+                super().__init__(*args, **kwargs)
+                sinks.append(self)
+
+        monkeypatch.setattr(subgroups, "_ClassKeys", Recording)
+        more = 0
+        for p in CORPUS_PRESENTATIONS:
+            classes, _ = subgroup_classes(p, 6)
+            sink, = sinks
+            sinks.clear()
+            assert sink.pending is None
+            assert len(sink) == len(sink.keys) == len(set(sink.keys)) == len(classes)
+            subgroup_classes(p, 6, [10 ** 9])
+            more += len(sinks.pop()) > len(classes)
+        # the budgeted path takes every subgroup, conjugates and all
+        assert more >= 10
+
+    def test_handed_on_tables_are_least(self):
+        # the least table of its class by cells in scan order, and canonical
+        for p in CORPUS_PRESENTATIONS:
+            found, _ = subgroups._search_tables(p, 5, None, least=True)
+            for d, flat in found:
+                t = subgroups._from_flat(d, flat)
+                assert canonical_rebase(t, 0) == t
+                assert all(scan_cells(t) <= scan_cells(canonical_rebase(t, b))
+                           for b in range(d))
+
+    @given(complete_tables())
+    @settings(max_examples=300, deadline=None)
+    def test_least_so_far_on_complete_tables(self, t):
+        assume(len(subgroups._first_visits(t, t.inverse, 0)[0]) == t.degree)
+        t = canonical_rebase(t, 0)
+        cells = scan_cells(t)
+        smaller = any(scan_cells(canonical_rebase(t, b)) < cells for b in range(1, t.degree))
+        assert subgroups._least_so_far(cells, 2 * len(t.action), t.degree) == (not smaller)
+
+    @given(complete_tables(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_least_so_far_prunes_only_non_least_completions(self, t, data):
+        # a partial table as the search holds it: every cell before the
+        # hole set, and some after it; a rebasing it finds smaller stays
+        # smaller in the complete table
+        assume(t.degree > 1)
+        assume(len(subgroups._first_visits(t, t.inverse, 0)[0]) == t.degree)
+        t = canonical_rebase(t, 0)
+        cells = scan_cells(t)
+        hole = data.draw(st.integers(1, len(cells) - 1))
+        unset = data.draw(st.sets(st.integers(hole, len(cells) - 1)))
+        partial = [None if i == hole or i in unset else x for i, x in enumerate(cells)]
+        nd = 2 * len(t.action)
+        if not subgroups._least_so_far(partial, nd, t.degree):
+            assert not subgroups._least_so_far(cells, nd, t.degree)
+
+    def test_huge_index_allocates_nothing_up_front(self):
+        # the least-mode twin of TestSearchKernel's test
+        p = parse_presentation("< a, b | a b a B B >")
+        cell = [1000]
+        tracemalloc.start()
+        try:
+            tables, truncated = subgroups._search_tables(p, 10 ** 8, cell, least=True)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert truncated and cell == [0] and tables
+        assert peak < 4 * 2 ** 20
 
 
 class TestIndexTwoClasses:
