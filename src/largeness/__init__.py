@@ -1,8 +1,8 @@
 """Largeness certificates for finitely presented groups."""
 
 from .words import (Presentation, Word, free_reduce, cyclic_reduce, substitute,
-                    is_commutator, is_proper_power, zxz_relator_check,
-                    parse_presentation, parse_word, word_to_text)
+                    is_commutator, is_proper_power, parse_presentation,
+                    parse_word, word_to_text)
 from .abelian import (AbelianInvariants, Chi, abelianization, exponent_matrix,
                       hom_to_Z_basis, image_span_rank, smith_normal_form)
 from .alexander import (LaurentPoly, PrimeField, QQ, alexander_matrix,

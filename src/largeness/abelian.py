@@ -1,7 +1,9 @@
 """Exact integer matrix algebra for abelianization invariants.
 
 Matrices are lists of lists of Python ints (arbitrary precision, row
-major).  Everything here is exact; no floating point anywhere.
+major).  Everything here is exact; no floating point anywhere.  One Smith
+elimination gives the invariant factors, with no transforms kept; one
+Hermite reduction gives lattice bases, integer kernels included.
 """
 
 from __future__ import annotations
@@ -12,85 +14,17 @@ from typing import Sequence
 from .words import Presentation, Word, exponent_vector
 
 
-def identity_matrix(n):
-    return [[1 if i == j else 0 for j in range(n)] for i in range(n)]
-
-
-def mat_copy(a):
-    return [row[:] for row in a]
-
-
-def transpose(a):
-    if not a:
-        return []
-    return [list(col) for col in zip(*a)]
-
-
-@dataclass(frozen=True)
-class SmithDecomposition:
-    """U.M.V = D with U, V unimodular and D diagonal, d1 | d2 | ..."""
-
-    U: list
-    D: list
-    V: list
-
-    @property
-    def diagonal(self):
-        return [self.D[i][i] for i in range(min(len(self.D), len(self.D[0]) if self.D else 0))]
-
-
-def smith_normal_form(m_in) -> SmithDecomposition:
-    """Smith normal form over Z.
+def smith_normal_form(m_in) -> list:
+    """The Smith diagonal over Z of a matrix: min(rows, cols) entries,
+    non-negative and a divisibility chain.  No transforms are kept, and the
+    input is copied, not changed.
 
     Pivots are chosen with smallest nonzero absolute value to limit entry
-    growth.  The diagonal is non-negative and forms a divisibility chain.
+    growth.
     """
-    m = mat_copy(m_in)
-    rows = len(m)
-    u = identity_matrix(rows)
-    v = identity_matrix(len(m[0]) if rows else 0)
-    _smith(m, u, v)
-    return SmithDecomposition(u, m, v)
-
-
-def smith_invariants(m_in) -> list:
-    """The diagonal of ``smith_normal_form(m_in)``, from the same elimination
-    with no transforms kept."""
-    m = mat_copy(m_in)
-    _smith(m, None, None)
-    return [m[i][i] for i in range(min(len(m), len(m[0]) if m else 0))]
-
-
-def _smith(m, u, v) -> None:
-    """Bring ``m`` to Smith form in place.  Row operations are applied to
-    ``u`` and column operations to ``v`` too, unless they are None."""
+    m = [row[:] for row in m_in]
     rows = len(m)
     cols = len(m[0]) if rows else 0
-
-    def row_op(i, j, q):  # row_i -= q * row_j
-        m[i] = [x - q * y for x, y in zip(m[i], m[j])]
-        if u is not None:
-            u[i] = [x - q * y for x, y in zip(u[i], u[j])]
-
-    def col_op(i, j, q):  # col_i -= q * col_j
-        for r in m:
-            r[i] -= q * r[j]
-        if v is not None:
-            for r in v:
-                r[i] -= q * r[j]
-
-    def swap_rows(i, j):
-        m[i], m[j] = m[j], m[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
-
-    def swap_cols(i, j):
-        for r in m:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
-
     k = 0
     while k < min(rows, cols):
         # the first entry, row by row, of least absolute value in the
@@ -108,18 +42,22 @@ def _smith(m, u, v) -> None:
                 break
         if not least:
             break
-        swap_rows(k, pi)
-        swap_cols(k, pj)
+        m[k], m[pi] = m[pi], m[k]
+        for r in m:
+            r[k], r[pj] = r[pj], r[k]
         piv = m[k][k]
         dirty = False
         for i in range(k + 1, rows):
             if m[i][k]:
-                row_op(i, k, m[i][k] // piv)
+                q = m[i][k] // piv
+                m[i] = [x - q * y for x, y in zip(m[i], m[k])]
                 if m[i][k]:
                     dirty = True
         for j in range(k + 1, cols):
             if m[k][j]:
-                col_op(j, k, m[k][j] // piv)
+                q = m[k][j] // piv
+                for r in m:
+                    r[j] -= q * r[k]
                 if m[k][j]:
                     dirty = True
         if dirty:
@@ -129,16 +67,11 @@ def _smith(m, u, v) -> None:
             offender = next((i for i in range(k + 1, rows)
                              if any(x % piv for x in m[i][k + 1:])), None)
             if offender is not None:
-                row_op(k, offender, -1)
+                m[k] = [x + y for x, y in zip(m[k], m[offender])]
                 continue
         k += 1
-
-    # m is diagonal by now, so negating a row of it negates one entry
-    for i in range(min(rows, cols)):
-        if m[i][i] < 0:
-            m[i][i] = -m[i][i]
-            if u is not None:
-                u[i] = [-x for x in u[i]]
+    # m is diagonal by now
+    return [abs(m[i][i]) for i in range(min(rows, cols))]
 
 
 @dataclass(frozen=True)
@@ -159,7 +92,7 @@ class AbelianInvariants:
         changed.  While some entry is +-1, its column is cleared from the
         other rows and its row and column dropped: each such pivot is one
         invariant 1.  What is left, with no entry +-1, goes to
-        ``smith_invariants``.
+        ``smith_normal_form``.
         """
         rows = [dict(row) for row in rows if row]
         units = 0
@@ -191,7 +124,7 @@ class AbelianInvariants:
             rows = keep
             i = 0  # a row passed over may have gained a unit
         cols = sorted(set().union(*rows))
-        diag = smith_invariants([[r.get(j, 0) for j in cols] for r in rows])
+        diag = smith_normal_form([[r.get(j, 0) for j in cols] for r in rows])
         return AbelianInvariants(ngens - units - sum(1 for d in diag if d),
                                  tuple(d for d in diag if d > 1))
 
@@ -259,16 +192,21 @@ def hermite_rows(basis):
     return out
 
 
-def integer_kernel(a, n: int) -> list:
-    """Hermite-reduced basis of the integer vectors x with a.x = 0, where
-    ``a`` has n columns (or no rows): the columns of V in the Smith
-    decomposition that meet a zero of the diagonal."""
-    if not a:
-        return hermite_rows(identity_matrix(n))
-    snf = smith_normal_form(a)
-    diag = snf.diagonal
-    return hermite_rows([[snf.V[i][j] for i in range(n)]
-                         for j in range(n) if j >= len(diag) or diag[j] == 0])
+def integer_kernel(images) -> list:
+    """Hermite-reduced basis of the integer vectors x with
+    sum_j x_j * images[j] = 0, given one image row per unknown.
+
+    The rows (images[j] | e_j) span the graph of x -> image of x; its
+    vectors with zero image are the kernel.  In the Hermite form of those
+    rows they are spanned by the rows with no pivot in the image part, so
+    the right-hand parts of these rows are the Hermite form of the kernel,
+    which is unique.
+    """
+    n = len(images)
+    m = len(images[0]) if n else 0
+    rows = hermite_rows([list(img) + [int(i == j) for i in range(n)]
+                         for j, img in enumerate(images)])
+    return [r[m:] for r in rows if not any(r[:m])]
 
 
 @dataclass(frozen=True)
@@ -293,8 +231,9 @@ def hom_to_Z_basis(p: Presentation):
 
     Raises ValueError when the first Betti number is zero.
     """
-    # chi must satisfy chi . column = 0 for each relator column
-    basis = integer_kernel(transpose(exponent_matrix(p)), p.ngens)
+    # chi(relator) = sum over g of chi(g) * (exponent sum of g in it), so
+    # generator g's image is its row of exponent_matrix
+    basis = integer_kernel(exponent_matrix(p))
     if not basis:
         raise ValueError("first Betti number is zero; no homomorphism onto Z")
     return [Chi(tuple(row)) for row in basis]

@@ -49,13 +49,14 @@ def _config_from_args(args) -> CertifyConfig:
 
 
 def _emit(obj: dict, args) -> None:
-    """Print ``dumps(obj)``, or ``_textualize(obj)`` for ``--format text``,
-    one top-level key at a time, and flush, so that a closed stdout raises
-    here and not at exit.  An iterator value stands for the list of its
-    entries and is rendered one entry at a time, so the whole text is never
-    held."""
-    text = getattr(args, "format", "json") == "text"
-    sys.stdout.writelines((_text_pieces if text else _json_pieces)(obj))
+    """Print ``dumps(obj)``, or its ``_text_lines`` for ``--format text``,
+    piece by piece, and flush, so that a closed stdout raises here and not
+    at exit.  An iterator value stands for the list of its entries and is
+    rendered one entry at a time, so the whole text is never held."""
+    if getattr(args, "format", "json") == "text":
+        sys.stdout.writelines(line + "\n" for line in _text_lines(obj))
+    else:
+        sys.stdout.writelines(_json_pieces(obj))
     sys.stdout.flush()
 
 
@@ -76,37 +77,30 @@ def _json_pieces(obj: dict):
     yield "\n}\n"
 
 
-def _text_pieces(obj: dict):
-    for k in sorted(obj):
-        v = obj[k]
-        if not isinstance(v, Iterator):
-            nested = isinstance(v, (dict, list))
-            yield f"{k}:\n{_textualize(v, 1)}\n" if nested else f"{k}: {v}\n"
-            continue
-        yield f"{k}:\n"
-        empty = True
-        for x in v:
-            yield _textualize(x, 1) + "\n"
-            empty = False
-        if empty:
-            yield "  (none)\n"
-
-
-def _textualize(obj, indent=0) -> str:
+def _text_lines(obj, indent=0):
+    """The text format, line by line: a key per line with nested values
+    indented under it, list entries one after another, ``(none)`` for an
+    empty list and an empty line for an empty dict."""
     pad = "  " * indent
     if isinstance(obj, dict):
-        lines = []
+        if not obj:
+            yield ""
         for k in sorted(obj):
             v = obj[k]
-            if isinstance(v, (dict, list)):
-                lines.append(f"{pad}{k}:")
-                lines.append(_textualize(v, indent + 1))
+            if isinstance(v, (dict, list, Iterator)):
+                yield f"{pad}{k}:"
+                yield from _text_lines(v, indent + 1)
             else:
-                lines.append(f"{pad}{k}: {v}")
-        return "\n".join(lines)
-    if isinstance(obj, list):
-        return "\n".join(_textualize(v, indent) for v in obj) or f"{pad}(none)"
-    return f"{pad}{obj}"
+                yield f"{pad}{k}: {v}"
+    elif isinstance(obj, (list, Iterator)):
+        empty = True
+        for x in obj:
+            empty = False
+            yield from _text_lines(x, indent)
+        if empty:
+            yield f"{pad}(none)"
+    else:
+        yield f"{pad}{obj}"
 
 
 def lp_to_json(poly):
@@ -309,7 +303,8 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except BoundExceeded as exc:
+    except (BoundExceeded, RecursionError) as exc:
+        # RecursionError: input nested deeper than Python's recursion limit
         print(f"resource bound exceeded: {exc}", file=sys.stderr)
         return 2
 

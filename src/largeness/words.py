@@ -212,21 +212,6 @@ def is_commutator(w: Word, max_len: int = 64) -> Optional[CommutatorWitness]:
     return None
 
 
-def zxz_relator_check(w: Word) -> bool:
-    """True when a 2-generator 1-relator group with relator ``w`` is Z x Z.
-
-    ``w`` must be freely and cyclically reduced and use exactly 2 generators;
-    the test is whether w is a cyclic conjugate of [a,b] or [b,a].
-    """
-    gens = sorted({gen_of(lt) for lt in w})
-    if len(gens) != 2:
-        raise ValueError("relator must use exactly 2 generators")
-    a, b = letter(gens[0]), letter(gens[1])
-    targets = {rotate(commutator((a,), (b,)), k) for k in range(4)}
-    targets |= {rotate(commutator((b,), (a,)), k) for k in range(4)}
-    return w in targets
-
-
 # ---------------------------------------------------------------------------
 # presentations
 

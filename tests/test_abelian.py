@@ -7,8 +7,8 @@ from hypothesis import given, settings, strategies as st
 
 from largeness.abelian import (AbelianInvariants, abelianization,
                                exponent_matrix, hermite_rows, hom_to_Z_basis,
-                               image_span_rank, smith_invariants,
-                               smith_normal_form, sparse_rows, transpose)
+                               image_span_rank, integer_kernel,
+                               smith_normal_form, sparse_rows)
 from largeness.words import (Presentation, default_names, exponent_vector,
                              free_reduce, parse_presentation, parse_word)
 from oracles import determinant, mat_mul
@@ -68,36 +68,43 @@ def invariant_factors_oracle(m):
     return out
 
 
+def transpose(m):
+    return [list(col) for col in zip(*m)]
+
+
 def snf_checks(m):
-    snf = smith_normal_form(m)
-    assert mat_mul(mat_mul(snf.U, m), snf.V) == snf.D
-    assert abs(determinant(snf.U)) == 1
-    assert abs(determinant(snf.V)) == 1
-    diag = snf.diagonal
-    for i in range(len(diag)):
-        assert diag[i] >= 0
-        for j in range(len(snf.D[i])):
-            if j != i:
-                assert snf.D[i][j] == 0
+    """The Smith diagonal of ``m``: min(rows, cols) entries, non-negative,
+    each dividing the next, with the input left alone."""
+    before = [row[:] for row in m]
+    diag = smith_normal_form(m)
+    assert m == before
+    assert len(diag) == min(len(m), len(m[0]) if m else 0)
+    for i, d in enumerate(diag):
+        assert d >= 0
         if i and diag[i - 1]:
-            assert diag[i] % diag[i - 1] == 0
+            assert d % diag[i - 1] == 0
         if i and diag[i - 1] == 0:
-            assert diag[i] == 0
-    return snf
+            assert d == 0
+    return diag
+
+
+def sympy_diagonal(m):
+    from sympy import Matrix, ZZ
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+    rows, cols = len(m), len(m[0]) if m else 0
+    d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
+    return [abs(d[i, i]) for i in range(min(d.shape))]
 
 
 class TestSmith:
     def test_diag_2_3(self):
-        snf = snf_checks([[2, 0], [0, 3]])
-        assert snf.diagonal == [1, 6]
+        assert snf_checks([[2, 0], [0, 3]]) == [1, 6]
 
     def test_zero(self):
-        snf = snf_checks([[0, 0], [0, 0]])
-        assert snf.diagonal == [0, 0]
+        assert snf_checks([[0, 0], [0, 0]]) == [0, 0]
 
     def test_identity(self):
-        snf = snf_checks([[1, 0], [0, 1]])
-        assert snf.diagonal == [1, 1]
+        assert snf_checks([[1, 0], [0, 1]]) == [1, 1]
 
     @given(small_matrices)
     @settings(max_examples=120, deadline=None)
@@ -108,41 +115,31 @@ class TestSmith:
     @settings(max_examples=60, deadline=None)
     def test_minor_gcd_oracle(self, m):
         # the nonzero diagonal must match the gcd-of-minors computation
-        diag = [d for d in smith_normal_form(m).diagonal if d]
+        diag = [d for d in smith_normal_form(m) if d]
         assert diag == invariant_factors_oracle(m)
 
     @given(small_matrices)
     @settings(max_examples=100, deadline=None)
     def test_sympy_oracle(self, m):
-        from sympy import Matrix, ZZ
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-        d = sympy_snf(Matrix(m), domain=ZZ)
-        want = [abs(d[i, i]) for i in range(min(d.shape))]
-        assert smith_normal_form(m).diagonal == want
+        assert smith_normal_form(m) == sympy_diagonal(m)
 
     @given(sparse_matrices)
     @settings(max_examples=200, deadline=None)
     def test_invariants_without_transforms(self, m):
-        # the same elimination with no U and V kept gives the same diagonal,
-        # and leaves its input alone
-        before = [row[:] for row in m]
-        assert smith_invariants(m) == smith_normal_form(m).diagonal
-        assert m == before
+        # zero rows and columns and empty shapes included; no transform is
+        # kept and the input is left alone
+        snf_checks(m)
 
     @given(sparse_matrices)
     @settings(max_examples=100, deadline=None)
     def test_invariants_sympy_oracle(self, m):
-        from sympy import Matrix, ZZ
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-        rows, cols = len(m), len(m[0]) if m else 0
-        d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
-        assert smith_invariants(m) == [abs(d[i, i]) for i in range(min(d.shape))]
+        assert smith_normal_form(m) == sympy_diagonal(m)
 
     def test_invariants_of_empty_matrices(self):
         for m in ([], [[]], [[], []], [[0, 0, 0]], [[0], [0]]):
-            assert smith_invariants(m) == smith_normal_form(m).diagonal
-        assert smith_invariants([[], []]) == []
-        assert smith_invariants([[0], [0]]) == [0]
+            assert smith_normal_form(m) == sympy_diagonal(m)
+        assert smith_normal_form([[], []]) == []
+        assert smith_normal_form([[0], [0]]) == [0]
 
     @given(sparse_matrices, st.integers(0, 3))
     @settings(max_examples=100, deadline=None)
@@ -152,19 +149,19 @@ class TestSmith:
         rows = [row + [0] * extra for row in m]
         inv = AbelianInvariants.of_relations(sparse_rows(rows), n)
         assert inv == AbelianInvariants.of_relations(sparse_rows(transpose(rows)), n)
-        diag = smith_normal_form(rows).diagonal
+        diag = smith_normal_form(rows)
         assert inv.betti == n - sum(1 for x in diag if x)
         assert inv.torsion == tuple(x for x in diag if x > 1)
 
     def test_unimodular_invariance(self):
         rnd = random.Random(5)
         m = [[rnd.randint(-5, 5) for _ in range(3)] for _ in range(3)]
-        diag = smith_normal_form(m).diagonal
+        diag = smith_normal_form(m)
         for _ in range(10):
             left = _random_unimodular(rnd, 3)
             right = _random_unimodular(rnd, 3)
             m2 = mat_mul(mat_mul(left, m), right)
-            assert smith_normal_form(m2).diagonal == diag
+            assert smith_normal_form(m2) == diag
 
 
 class TestUnitPivots:
@@ -174,16 +171,13 @@ class TestUnitPivots:
 
     @staticmethod
     def check(m):
-        from sympy import Matrix, ZZ
-        from sympy.matrices.normalforms import smith_normal_form as sympy_snf
-        rows, cols = len(m), len(m[0]) if m else 0
+        cols = len(m[0]) if m else 0
         sparse = sparse_rows(m)
         before = [dict(row) for row in sparse]
         inv = AbelianInvariants.of_relations(sparse, cols)
         assert sparse == before
-        diag = smith_invariants(m)
-        d = sympy_snf(Matrix(rows, cols, [x for row in m for x in row]), domain=ZZ)
-        assert diag == [abs(d[i, i]) for i in range(min(d.shape))]
+        diag = smith_normal_form(m)
+        assert diag == sympy_diagonal(m)
         assert inv == AbelianInvariants(cols - sum(1 for x in diag if x),
                                         tuple(x for x in diag if x > 1))
 
@@ -331,6 +325,22 @@ def maximal_minors(rows, r, cols):
             for chosen in combinations(range(len(rows)), r)]
 
 
+def hermite_pivots(rows):
+    """The pivot columns of ``rows``, after checking that they are in
+    Hermite form: each pivot positive and right of the one above, every
+    entry above a pivot in [0, pivot)."""
+    pivots = []
+    for row in rows:
+        pc = next(j for j, x in enumerate(row) if x)
+        assert row[pc] > 0
+        assert not pivots or pc > pivots[-1]
+        pivots.append(pc)
+    for i, pc in enumerate(pivots):
+        for k in range(i):
+            assert 0 <= rows[k][pc] < rows[i][pc]
+    return pivots
+
+
 class TestHermite:
     def test_deterministic_and_primitive(self):
         # lattice spanned by (2,4) and (3,5) has index 2 in Z^2
@@ -349,16 +359,7 @@ class TestHermite:
                            min_size=n, max_size=n))))
     def test_hermite_normal_form(self, basis):
         out = hermite_rows(basis)
-        pivots = []
-        for row in out:
-            pc = next(j for j, x in enumerate(row) if x)
-            assert row[pc] > 0
-            assert not pivots or pc > pivots[-1]
-            pivots.append(pc)
-        # every entry above a pivot lies in [0, pivot)
-        for i, pc in enumerate(pivots):
-            for k in range(i):
-                assert 0 <= out[k][pc] < out[i][pc]
+        pivots = hermite_pivots(out)
         # every input row lies in the lattice of the output rows
         for row in basis:
             rest = list(row)
@@ -378,6 +379,52 @@ class TestHermite:
         for row, pc in zip(out, pivots):
             product *= row[pc]
         assert gcd(*maximal_minors(basis, r, pivots)) == product
+
+
+# a: 0 to 6 equations in 1 to 7 unknowns, some rows zero and some repeated
+equation_systems = st.tuples(st.integers(0, 6), st.integers(1, 7)).flatmap(
+    lambda shape: st.tuples(
+        st.lists(st.one_of(st.just([0] * shape[1]),
+                           st.lists(st.integers(-6, 6), min_size=shape[1],
+                                    max_size=shape[1])),
+                 min_size=shape[0], max_size=shape[0]),
+        st.lists(st.integers(0, 5), max_size=6 - shape[0]),
+        st.just(shape[1]))).map(
+    lambda t: ([*t[0], *(t[0][i % len(t[0])] for i in t[1] if t[0])], t[2]))
+
+
+class TestIntegerKernel:
+    """Properties that fix the kernel basis whatever computes it: the rows
+    solve a.x = 0, are in Hermite form, number n - rank(a), and span a
+    saturated lattice (their maximal minors have gcd 1).  A saturated
+    sublattice of the kernel with its rank is the whole kernel lattice,
+    whose Hermite form is unique."""
+
+    @given(equation_systems)
+    @settings(max_examples=300, deadline=None)
+    def test_kernel_properties(self, system):
+        from sympy import Matrix
+        a, n = system
+        kernel = integer_kernel([[row[j] for row in a] for j in range(n)])
+        for x in kernel:
+            assert len(x) == n
+            assert all(sum(c * v for c, v in zip(row, x)) == 0 for row in a)
+        hermite_pivots(kernel)
+        rank = Matrix(len(a), n, [x for row in a for x in row]).rank() if a else 0
+        r = len(kernel)
+        assert r == n - rank
+        if r:
+            assert gcd(*(m for cols in combinations(range(n), r)
+                         for m in maximal_minors(kernel, r, cols))) == 1
+
+    def test_no_equations(self):
+        assert integer_kernel([[], [], []]) == [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+        assert integer_kernel([]) == []
+
+    def test_examples(self):
+        # 2x + 4y = 0 and 3x + 6y = 0
+        assert integer_kernel([[2, 3], [4, 6]]) == [[2, -1]]
+        assert integer_kernel([[1, 0], [0, 1]]) == []
 
 
 class TestCoverBettiMonotone:

@@ -611,7 +611,8 @@ class TestLowIndexRoute:
         calls = []
         search = subgroups._search_tables
         monkeypatch.setattr(subgroups, "_search_tables",
-                            lambda p, k, *a: calls.append((p, k)) or search(p, k, *a))
+                            lambda p, k, *a, **kw:
+                            calls.append((p, k)) or search(p, k, *a, **kw))
         cases = torus_cases(40)
 
         def searches():

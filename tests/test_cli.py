@@ -221,6 +221,19 @@ class TestSubgroupsAndRewrite:
         _emit({"classes": iter(()), "count": 0}, argparse.Namespace(format=fmt))
         assert capsys.readouterr().out == want
 
+    @pytest.mark.parametrize("obj", [
+        {}, {"a": {}}, {"a": [], "b": {"c": {}, "d": "x"}},
+        {"a": [[], [1, 2], {"b": [{"c": 3}]}], "e": 4}])
+    def test_text_of_nested_and_empty_values(self, capsys, obj):
+        # an empty dict is one empty line, an empty list "(none)", and an
+        # iterator anywhere renders as the list of its entries
+        want = ref_textualize(obj) + "\n"
+        _emit(obj, argparse.Namespace(format="text"))
+        assert capsys.readouterr().out == want
+        streamed = {k: iter(v) if isinstance(v, list) else v for k, v in obj.items()}
+        _emit(streamed, argparse.Namespace(format="text"))
+        assert capsys.readouterr().out == want
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     def test_closed_stdout(self, fmt):
         # the reader goes away after the first bytes of a 200-450 kB listing:
@@ -544,6 +557,23 @@ class TestVerify:
         code, doc, _ = run_json(capsys, "verify", "--cert", str(path))
         assert code == 0 and doc == {"valid": valid}
         assert time.perf_counter() - start < 0.5
+
+    @pytest.mark.parametrize("case", ["list", "cited_family"])
+    def test_deep_nesting_is_a_resource_bound(self, capsys, tmp_path, case):
+        # JSON nested deeper than the recursion limit: one line on stderr,
+        # exit 2, no traceback
+        if case == "list":
+            text = "[" * 200_000 + "]" * 200_000
+        else:
+            _, cert = self._emit_cert(capsys, tmp_path, "< x, y | x^2 y x^-2 y^-2 >")
+            assert cert["kind"] == "cited_family"
+            text = json.dumps(cert).replace(
+                json.dumps(cert["data"]), "[" * 5000 + "]" * 5000)
+        path = tmp_path / "deep.json"
+        path.write_text(text)
+        code, out, err = run(capsys, "verify", "--cert", str(path))
+        assert (code, out) == (2, "")
+        assert err.startswith("resource bound exceeded: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize("text", [
         "[]",

@@ -6,8 +6,7 @@ from largeness.words import (MAX_WORD_LEN, CommutatorWitness, ParseError,
                              conjugator_between, cyclic_reduce, exponent_vector,
                              free_reduce, inverse, is_commutator,
                              is_proper_power, parse_presentation, parse_word,
-                             power, substitute, word_to_text,
-                             zxz_relator_check)
+                             power, substitute, word_to_text)
 
 letters = st.sampled_from([1, -1, 2, -2, 3, -3])
 raw_words = st.lists(letters, max_size=30)
@@ -173,17 +172,6 @@ class TestIsProperPower:
     def test_exponent_maximality(self):
         root, e = is_proper_power(power((1, 2), 6))
         assert (root, e) == ((1, 2), 6)
-
-
-class TestZxZ:
-    def test_examples(self):
-        assert zxz_relator_check((1, 2, -1, -2)) is True
-        assert zxz_relator_check((-2, 1, 2, -1)) is True
-        assert zxz_relator_check((1, 1, 2, -1, -1, -2)) is False
-
-    def test_wrong_generator_count(self):
-        with pytest.raises(ValueError):
-            zxz_relator_check((1, 1))
 
 
 class TestConjugatorBetween:
