@@ -2,8 +2,9 @@
 """Soundness sweep over random small presentations.
 
 Certifies seeded random presentations (n <= 3 generators, relators of
-length <= 12) and replays every LARGE certificate.  Also reruns each case
-to confirm byte-identical output.
+length <= 12), replays every LARGE certificate and verifies the citation of
+every NOT_LARGE_KNOWN verdict.  Also reruns each case to confirm
+byte-identical output.
 
 Usage: python scripts/soundness_sweep.py [--count 100] [--seed 7]
            [--max-index 4] [--budget 1] [--ngens N] [--limit-s S] [--digest]
@@ -26,8 +27,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from largeness.certify import (CertifyConfig, certify, dumps, verdict_to_json,
-                               verify_certificate)
+from largeness.certify import (NOT_LARGE_KNOWN, CertifyConfig, certify, dumps,
+                               verdict_to_json, verify_certificate, verify_citation)
 from largeness.words import Presentation, default_names, free_reduce
 
 
@@ -99,6 +100,9 @@ def main() -> int:
         if verdict.certificate is not None and not verify_certificate(p, verdict.certificate):
             print(f"replay failed: {p}", file=sys.stderr)
             failures += 1
+        if verdict.status == NOT_LARGE_KNOWN and not verify_citation(p, verdict.citation):
+            print(f"citation refused: {p}", file=sys.stderr)
+            failures += 1
         if text != dumps(verdict_to_json(again)):
             print(f"nondeterministic output: {p}", file=sys.stderr)
             failures += 1
@@ -110,7 +114,8 @@ def main() -> int:
     if failures:
         print(f"{failures} failures", file=sys.stderr)
         return 1
-    print("all LARGE certificates replayed; reruns byte-identical")
+    print("all LARGE certificates replayed; all NOT_LARGE_KNOWN citations "
+          "verified; reruns byte-identical")
     return 0
 
 if __name__ == "__main__":

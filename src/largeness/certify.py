@@ -5,8 +5,10 @@ free group.  ``certify`` tries, in a fixed order: presentation deficiency,
 syntactic one-relator classification, proper-power relators, commutator
 relators with homology conditions, a bounded character sweep testing
 whether the Alexander invariant vanishes, and a bounded low-index cover
-sweep with recursion.  Every LARGE verdict carries a certificate that
-``verify_certificate`` replays from scratch.
+sweep with recursion, which stops at the first cover that is not large.
+Every LARGE verdict carries a certificate that ``verify_certificate``
+replays from scratch, and every NOT_LARGE_KNOWN verdict a citation that
+``verify_citation`` replays.
 """
 
 from __future__ import annotations
@@ -24,8 +26,9 @@ from . import abelian
 from .alexander import (PrimeField, QQ, field_by_name, is_prime,
                         prime_factors, rank_witness)
 from .abelian import Chi, abelianization, image_span_rank
-from .subgroups import (BoundExceeded, CosetTable, cover_abelianization,
-                        cover_presentation, index_two_classes, subgroup_classes)
+from .subgroups import (BoundExceeded, CosetTable, canonical_rebase,
+                        cover_abelianization, cover_presentation,
+                        index_two_classes, subgroup_classes)
 from .words import (MAX_WORD_LEN, Presentation, SearchCapExceeded, Word,
                     commutator, conjugator_between, cyclic_reduce, gen_of,
                     inverse, is_commutator, is_proper_power, parse_word, power,
@@ -118,19 +121,14 @@ def presentation_from_json(obj) -> Presentation:
     return Presentation(names, rels)
 
 
-def certificate_to_json(c: Certificate):
-    return {"kind": c.kind,
-            "presentation": presentation_to_json(c.presentation),
-            "chain": [{"table": link.table.to_json(),
-                       "presentation": presentation_to_json(link.presentation)}
-                      for link in c.chain],
-            "data": c.data}
+def _link_to_json(link: ChainLink):
+    return {"table": link.table.to_json(),
+            "presentation": presentation_to_json(link.presentation)}
 
 
-def certificate_from_json(obj) -> Certificate:
-    """Parse certificate JSON; ValueError or KeyError on a wrong shape."""
-    _check(isinstance(obj, dict), "the top level must be an object")
-    links = obj["chain"]
+def _links_from_json(links) -> tuple:
+    """Parse the JSON of a chain of links, as certificates and ``chain``
+    citations hold it; ValueError or KeyError on a wrong shape."""
     _check(isinstance(links, list) and all(isinstance(l, dict) for l in links),
            "the chain must be a list of objects")
     for l in links:
@@ -141,9 +139,22 @@ def certificate_from_json(obj) -> Certificate:
                        and all(isinstance(x, int) for x in perm)
                        for perm in t["action"]),
                "a table must have an integer degree and integer permutations")
-    chain = tuple(ChainLink(CosetTable.from_json(l["table"]),
-                            presentation_from_json(l["presentation"]))
-                  for l in links)
+    return tuple(ChainLink(CosetTable.from_json(l["table"]),
+                           presentation_from_json(l["presentation"]))
+                 for l in links)
+
+
+def certificate_to_json(c: Certificate):
+    return {"kind": c.kind,
+            "presentation": presentation_to_json(c.presentation),
+            "chain": [_link_to_json(link) for link in c.chain],
+            "data": c.data}
+
+
+def certificate_from_json(obj) -> Certificate:
+    """Parse certificate JSON; ValueError or KeyError on a wrong shape."""
+    _check(isinstance(obj, dict), "the top level must be an object")
+    chain = _links_from_json(obj["chain"])
     return Certificate(obj["kind"], presentation_from_json(obj["presentation"]),
                        chain, obj["data"])
 
@@ -432,10 +443,11 @@ def _route_deficiency(p: Presentation, diags) -> Optional[Verdict]:
 
 
 def _route_one_relator(p: Presentation, diags) -> Optional[Verdict]:
-    if p.ngens == 1:
+    if p.ngens <= 1:
         inv = abelianization(p)
         order = "infinite" if inv.betti else str(inv.torsion[0] if inv.torsion else 1)
-        diags.append(f"one-generator presentation: cyclic group, order {order}")
+        diags.append(f"one-generator presentation: cyclic group, order {order}"
+                     if p.ngens else "no generators: trivial group")
         return Verdict(NOT_LARGE_KNOWN, None,
                        {"reason": "cyclic", "order": order}, tuple(diags))
     if p.ngens != 2 or p.nrels != 1 or not p.relators[0]:
@@ -653,6 +665,19 @@ def _route_low_index(p: Presentation, config, diags, wits, own,
                 f"cover of index {table.degree} certified large "
                 f"({child.certificate.kind})")
             return Verdict(LARGE, cert, None, tuple(diags))
+        if child.status == NOT_LARGE_KNOWN:
+            # largeness passes to and from finite-index subgroups (Pride
+            # 1980), so no other cover can help; a child's own chain is
+            # extended, never nested
+            links, inner = [_link_to_json(ChainLink(table, sub))], child.citation
+            if inner["reason"] == "chain":
+                links, inner = links + inner["chain"], inner["citation"]
+            diags.append(
+                f"cover of index {table.degree} is not large "
+                f"({inner['reason']}), so neither is the group")
+            return Verdict(NOT_LARGE_KNOWN, None,
+                           {"reason": "chain", "chain": links, "citation": inner},
+                           tuple(diags))
     note = f"; search truncated {truncated[0]}" if truncated[0] else ""
     diags.append(
         f"low-index route: {tried} proper covers up to index "
@@ -788,9 +813,22 @@ def _verify(p: Presentation, cert: Certificate) -> bool:
 
 def verify_citation(p: Presentation, citation: dict) -> bool:
     """Whether ``citation`` is, as JSON, the non-largeness citation that
-    the one-relator route emits for ``p``, which is run again; False on
-    any other input.  Never raises."""
+    the one-relator route emits for ``p``, which is run again, or a
+    ``chain`` of proper covers, replayed from ``p``, with that citation for
+    the last cover; False on any other input.  Never raises."""
     try:
+        if isinstance(citation, dict) and citation.get("reason") == "chain":
+            if set(citation) != {"reason", "chain", "citation"} or not citation["chain"]:
+                return False
+            links = _links_from_json(citation["chain"])
+            pres = _replay_chain(p, links)
+            # the route emits proper covers, each table in the standard
+            # form of the search
+            if pres is None or any(link.table.degree < 2
+                                   or canonical_rebase(link.table, 0) != link.table
+                                   for link in links):
+                return False
+            p, citation = pres[-1], citation["citation"]
         route = _route_one_relator(p, [])
         return (route is not None and route.citation is not None
                 and dumps(route.citation) == dumps(citation))

@@ -13,7 +13,7 @@ from largeness.alexander import (LaurentPoly, QQ, alexander_polynomial,
                                  fox_derivative)
 from largeness.abelian import Chi
 from largeness.certify import (CertifyConfig, certify, dumps, verdict_to_json,
-                               verify_certificate)
+                               verify_certificate, verify_citation)
 from largeness.subgroups import low_index_subgroups, reidemeister_schreier
 from largeness.torus import (Endomorphism, PeriodicWitness, mapping_torus,
                              torus_bs_pipeline, torus_zz_pipeline)
@@ -188,6 +188,8 @@ def test_criterion_8_soundness_sweep():
         v = certify(p, config)
         if v.certificate is not None:
             assert verify_certificate(p, v.certificate), pres_file.stem
+        if v.citation is not None:
+            assert verify_citation(p, v.citation), pres_file.stem
         again = certify(p, config)
         assert dumps(verdict_to_json(v)) == dumps(verdict_to_json(again))
         checked += 1
@@ -209,9 +211,11 @@ def test_criterion_8_soundness_sweep():
         v = certify(p, config)
         if v.certificate is not None:
             assert verify_certificate(p, v.certificate), str(p)
+        if v.citation is not None:
+            assert verify_citation(p, v.citation), str(p)
         again = certify(p, config)
         assert dumps(verdict_to_json(v)) == dumps(verdict_to_json(again)), str(p)
         checked += 1
-    report(8, True, f"no unverifiable LARGE and byte-identical reruns over "
-           f"{checked} presentations", time.time() - t0, 300.0)
+    report(8, True, f"no unverifiable LARGE or NOT_LARGE_KNOWN verdict, and "
+           f"byte-identical reruns over {checked} presentations", time.time() - t0, 300.0)
 

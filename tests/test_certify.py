@@ -11,7 +11,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from largeness import alexander, subgroups
 from largeness.alexander import QQ, rank_witness
@@ -491,11 +491,13 @@ INDEX_TWO_LARGE = "< x, y | x y^3 x y^-1 >"
 CORPUS = Path(__file__).resolve().parents[1] / "corpus"
 
 
-def ref_route_low_index(p, config, diags, wits, own, pool, searched):
+def ref_route_low_index(p, config, diags, wits, own, pool, searched, stop=True):
     """The low-index route in its earlier form: one search to ``max_index``,
     and every cover presentation built before the first one is tried.
     ``searched`` is taken and left empty, so a torus pipeline runs its own
-    search as it did before reusing the route's."""
+    search as it did before reusing the route's.  With ``stop`` false, a
+    cover that is not large is passed over, as before the route stopped
+    there."""
     if config.budget < 1:
         diags.append("low-index route: recursion budget exhausted")
         return None
@@ -532,6 +534,16 @@ def ref_route_low_index(p, config, diags, wits, own, pool, searched):
                 f"cover of index {table.degree} certified large "
                 f"({child.certificate.kind})")
             return C.Verdict(C.LARGE, cert, None, tuple(diags))
+        if stop and child.status == C.NOT_LARGE_KNOWN:
+            link = {"table": table.to_json(), "presentation": C.presentation_to_json(sub)}
+            cited = child.citation
+            chain = [link] + cited.get("chain", [])
+            inner = cited["citation"] if "chain" in cited else cited
+            diags.append(f"cover of index {table.degree} is not large "
+                         f"({inner['reason']}), so neither is the group")
+            return C.Verdict(C.NOT_LARGE_KNOWN, None,
+                             {"reason": "chain", "chain": chain, "citation": inner},
+                             tuple(diags))
     note = "; search truncated at the node budget" if truncated else ""
     diags.append(
         f"low-index route: {len(covers)} proper covers up to index "
@@ -665,14 +677,14 @@ class TestLowIndexRoute:
                             lambda q, cfg, pool=None: events.append(("decide", q))
                             or decide(q, cfg, pool))
         v = certify(p, LI_FAST)
-        assert v.status == "UNKNOWN"
+        assert v.status == "NOT_LARGE_KNOWN" and v.citation["citation"] == {"reason": "ZxZ"}
         first_child = [e for e, _ in events].index("decide", 1)
         checked = [t for e, t in events[:first_child] if e == "ab"]
         want = [t for t in low_index_subgroups(p, LI_FAST.max_index) if t.degree > 1]
         assert len(want) > 1 and checked == want
-        # one cover presentation per child, each built just before it
-        kinds = [e for e, _ in events[first_child - 1:]]
-        assert kinds[:4] == ["cover", "decide", "cover", "decide"]
+        # the first child's cover presentation is built just before it, and
+        # that child, Z x Z again, ends the route
+        assert [e for e, _ in events[first_child - 1:]] == ["cover", "decide"]
         assert [e for e, _ in events[:first_child]].count("cover") == 1
 
     def test_truncated_search_keeps_every_index_two_cover(self, monkeypatch):
@@ -1046,10 +1058,19 @@ def test_citations_shape():
 def test_mutated_citations(data):
     # verify_citation returns a bool on any citation JSON and any
     # presentation, and never raises
-    p, text = data.draw(st.sampled_from(citations()))
+    p, text = data.draw(st.sampled_from(citations() + chain_citations()))
     citation = json.loads(text)
     for _ in range(data.draw(st.integers(1, 3))):
-        where = data.draw(st.sampled_from(("value", "drop", "reason", "whole", "presentation")))
+        where = data.draw(st.sampled_from(("value", "drop", "reason", "whole", "presentation",
+                                           "link")))
+        if where == "link":
+            # the links of a chain citation that earlier steps left whole
+            if (isinstance(citation, dict) and "citation" in citation
+                    and isinstance(citation.get("chain"), list) and citation["chain"]
+                    and all(isinstance(l, dict) and "table" in l for l in citation["chain"])):
+                mutate_chain_citation(citation, data.draw(st.sampled_from(CHAIN_MUTATIONS)),
+                                      data)
+            continue
         if not isinstance(citation, dict):
             citation = {"reason": citation}
         if where == "value":
@@ -1143,6 +1164,208 @@ class TestCitationContract:
             assert cert.kind == "cited_family"
             for bad in changed_maps(cert.data):
                 assert not verify_certificate(p, replace(cert, data=bad)), bad
+
+
+# ---------------------------------------------------------------------------
+# chain citations: the low-index route stops at a cover that is not large
+
+# its index-2 cover has an index-5 cover that is BS(1, 1024)
+DOUBLING = "< a, b | b^-3 a^-1 b^-1 a b a^-1 >"
+DOUBLING_CFG = CertifyConfig(max_index=5, budget=2)
+
+
+class TestNotLargeCover:
+    """A finite-index subgroup that is not large shows that the group is not
+    large (Pride 1980): the low-index route returns at the first cover it
+    finds not large, with a ``chain`` citation that ``verify_citation``
+    replays."""
+
+    def test_z(self, monkeypatch):
+        searches = []
+        search = subgroups._search_tables
+        monkeypatch.setattr(subgroups, "_search_tables",
+                            lambda *a, **kw: searches.append(a) or search(*a, **kw))
+        _, v = check("< a, b | a b^2 >", "NOT_LARGE_KNOWN", LI_FAST)
+        assert v.citation == {
+            "reason": "chain",
+            "chain": [{"table": {"degree": 2, "action": [[0, 1], [1, 0]]},
+                       "presentation": {"generators": ["b_1"], "relators": []}}],
+            "citation": {"reason": "cyclic", "order": "infinite"}}
+        assert v.diagnostics[-1] == ("cover of index 2 is not large (cyclic), "
+                                     "so neither is the group")
+        # the index-2 stage ends the route before any search
+        assert searches == []
+
+    def test_infinite_dihedral_group(self, monkeypatch):
+        # Z/2 * Z/2: two index-2 covers like itself, undecided at budget 0,
+        # then Z, which ends the route
+        seen = []
+        decide = C.decide
+
+        def spy(q, cfg, pool=None, searched=None):
+            v = decide(q, cfg, pool, searched)
+            seen.append((q, v.status))
+            return v
+        monkeypatch.setattr(C, "decide", spy)
+        p, v = check("< a, b | a^2, b^2 >", "NOT_LARGE_KNOWN", LI_FAST)
+        assert [status for _, status in seen] == ["UNKNOWN", "UNKNOWN",
+                                                  "NOT_LARGE_KNOWN", "NOT_LARGE_KNOWN"]
+        assert seen[-1][0] == p
+        assert [l["table"]["degree"] for l in v.citation["chain"]] == [2]
+        assert v.citation["citation"] == {"reason": "cyclic", "order": "infinite"}
+
+    def test_two_link_chain(self):
+        # the index-2 child stopped at its own cover: its chain is extended
+        _, v = check(DOUBLING, "NOT_LARGE_KNOWN", DOUBLING_CFG)
+        cited = v.citation
+        assert [l["table"]["degree"] for l in cited["chain"]] == [2, 5]
+        assert cited["citation"] == {"reason": "BS_coprime", "l": -1024, "m": -1}
+
+    def test_cover_with_no_generators(self):
+        # Z/2: its index-2 cover is the trivial group
+        _, v = check("< a, b | a^2, b >", "NOT_LARGE_KNOWN", LI_FAST)
+        assert v.citation["chain"][0]["presentation"] == {"generators": [], "relators": []}
+        assert v.citation["citation"] == {"reason": "cyclic", "order": "1"}
+
+    def test_no_generators(self):
+        p = Presentation((), ())
+        v = certify(p)
+        assert v.status == "NOT_LARGE_KNOWN" and v.diagnostics[-1] == "no generators: trivial group"
+        assert v.citation == {"reason": "cyclic", "order": "1"}
+        assert verify_citation(p, v.citation)
+        assert not verify_citation(p, {"reason": "cyclic", "order": "infinite"})
+
+    def test_degree_one_link_is_refused(self):
+        # a trivial cover of the last presentation is that presentation
+        # again, so the chain still replays and the inner citation still
+        # holds; the route never emits such a link
+        p, v = check(DOUBLING, "NOT_LARGE_KNOWN", DOUBLING_CFG)
+        last = C.presentation_from_json(v.citation["chain"][-1]["presentation"])
+        trivial = CosetTable(1, ((0,),) * last.ngens)
+        assert cover_presentation(last, trivial)[0] == last
+        link = {"table": trivial.to_json(), "presentation": C.presentation_to_json(last)}
+        longer = {**v.citation, "chain": v.citation["chain"] + [link]}
+        assert not verify_citation(p, longer)
+
+    def test_forms_never_emitted_are_refused(self):
+        # an empty chain around a true citation, and extra keys
+        zxz = parse_presentation("< a, b | a b A B >")
+        assert verify_citation(zxz, {"reason": "ZxZ"})
+        assert not verify_citation(zxz, {"reason": "chain", "chain": [],
+                                         "citation": {"reason": "ZxZ"}})
+        p, v = check(DOUBLING, "NOT_LARGE_KNOWN", DOUBLING_CFG)
+        assert not verify_citation(p, {**v.citation, "note": ""})
+
+    def test_decided_verdicts_unchanged(self, monkeypatch):
+        # stopping only turns UNKNOWN into NOT_LARGE_KNOWN: every other
+        # verdict of the reference route keeps its bytes
+        rnd = random.Random(2025)
+        inputs = [random_two_generator(rnd) for _ in range(300)]
+        new = [certify(p, LI_FAST) for p in inputs]
+        monkeypatch.setattr(C, "_route_low_index",
+                            functools.partial(ref_route_low_index, stop=False))
+        old = [certify(p, LI_FAST) for p in inputs]
+        stopped = 0
+        for p, a, b in zip(inputs, new, old):
+            if b.status != "UNKNOWN":
+                assert verdict_bytes(a) == verdict_bytes(b)
+            elif a.status == "NOT_LARGE_KNOWN":
+                assert a.citation["reason"] == "chain" and verify_citation(p, a.citation)
+                stopped += 1
+            else:
+                assert verdict_bytes(a) == verdict_bytes(b)
+        assert stopped >= 50
+
+
+@functools.lru_cache(maxsize=None)
+def chain_citations():
+    """(presentation, citation JSON) for a chain of one link (Z at index 2)
+    and one of two links (``DOUBLING``)."""
+    out = []
+    for text, cfg in (("< a, b | a b^2 >", LI_FAST), (DOUBLING, DOUBLING_CFG)):
+        p = parse_presentation(text)
+        out.append((p, json.dumps(certify(p, cfg).citation)))
+    return tuple(out)
+
+
+def test_chain_citations_shape():
+    got = [json.loads(c) for _, c in chain_citations()]
+    assert [len(c["chain"]) for c in got] == [1, 2]
+    assert all(verify_citation(p, json.loads(c)) for p, c in chain_citations())
+
+
+CHAIN_MUTATIONS = ("drop", "duplicate", "reorder", "permute", "presentation", "inner",
+                   "nest", "extra", "empty", "degree_one")
+
+
+def mutate_chain_citation(cited, where, data):
+    """One mutation in place of a ``chain`` citation, which makes it one that
+    the route never emits."""
+    chain = cited["chain"]
+    k = data.draw(st.integers(0, len(chain) - 1))
+    if where == "drop":
+        del chain[k]
+    elif where == "duplicate":
+        chain.insert(k, json.loads(json.dumps(chain[k])))
+    elif where == "reorder":
+        order = data.draw(st.permutations(range(len(chain))))
+        assume(order != sorted(order))
+        cited["chain"] = [chain[i] for i in order]
+    elif where == "permute":
+        # the cosets renumbered: a conjugate subgroup, or the same one in a
+        # table the search does not emit
+        table = chain[k]["table"]
+        sigma = data.draw(st.permutations(range(table["degree"])))
+        inv = sorted(range(len(sigma)), key=sigma.__getitem__)
+        action = [[sigma[perm[inv[j]]] for j in range(len(perm))] for perm in table["action"]]
+        assume(action != table["action"])
+        table["action"] = action
+    elif where == "presentation":
+        pres = chain[k]["presentation"]
+        gens, rels = pres["generators"], pres["relators"]
+        edit = data.draw(st.sampled_from(("drop relator", "add relator", "rename", "drop generator")))
+        if edit == "drop relator" and rels:
+            rels.pop(data.draw(st.integers(0, len(rels) - 1)))
+        elif edit == "add relator" and gens:
+            rels.append(data.draw(st.sampled_from(gens)) + "^2")
+        elif edit == "rename" and gens:
+            gens[data.draw(st.integers(0, len(gens) - 1))] = "z9"
+        elif gens:
+            gens.pop(data.draw(st.integers(0, len(gens) - 1)))
+        else:
+            gens.append("z9")
+    elif where == "inner":
+        others = [json.loads(c) for _, c in citations()]
+        others += [json.loads(c)["citation"] for _, c in chain_citations()]
+        inner = data.draw(st.sampled_from(others))
+        assume(inner != cited["citation"])
+        cited["citation"] = inner
+    elif where == "nest":
+        j = data.draw(st.integers(1, len(chain)))
+        cited["chain"] = chain[:j]
+        cited["citation"] = ({"reason": "chain", "chain": chain[j:],
+                              "citation": cited["citation"]} if j < len(chain)
+                             else json.loads(json.dumps(cited)))
+    elif where == "extra":
+        key = data.draw(st.sampled_from(["note", "order", "l", ""]))
+        cited[key] = data.draw(JSON_VALUES)
+    elif where == "empty":
+        cited["chain"] = []
+    else:
+        # a true trivial cover of the last presentation, as in
+        # TestNotLargeCover.test_degree_one_link_is_refused
+        pres = chain[-1]["presentation"]
+        chain.append({"table": {"degree": 1, "action": [[0]] * len(pres["generators"])},
+                      "presentation": json.loads(json.dumps(pres))})
+
+
+@given(st.data())
+@settings(max_examples=300, deadline=2000)
+def test_mutated_chain_citations_are_refused(data):
+    p, text = data.draw(st.sampled_from(chain_citations()))
+    cited = json.loads(text)
+    mutate_chain_citation(cited, data.draw(st.sampled_from(CHAIN_MUTATIONS)), data)
+    assert verify_citation(p, cited) is False
 
 
 class TestOneRelatorOracle:
