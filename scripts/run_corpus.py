@@ -2,7 +2,8 @@
 """Certify every corpus presentation and compare against the sidecars.
 
 Usage: python scripts/run_corpus.py [--max-index N] [--budget B]
-Exits nonzero on any mismatch or failed certificate replay.
+Exits nonzero on any mismatch, failed certificate replay or refused
+NOT_LARGE_KNOWN citation.
 """
 
 import argparse
@@ -13,7 +14,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from largeness.certify import CertifyConfig, certify, verify_certificate
+from largeness.certify import (NOT_LARGE_KNOWN, CertifyConfig, certify, verify_certificate,
+                               verify_citation)
 from largeness.words import parse_presentation
 
 
@@ -36,10 +38,13 @@ def main() -> int:
         replay = True
         if verdict.certificate is not None:
             replay = verify_certificate(p, verdict.certificate)
+        elif verdict.status == NOT_LARGE_KNOWN:
+            replay = verify_citation(p, verdict.citation)
         ok = ok and replay
         failures += not ok
         mark = "ok  " if ok else "FAIL"
-        kind = verdict.certificate.kind if verdict.certificate else "-"
+        kind = (verdict.certificate.kind if verdict.certificate
+                else verdict.citation["reason"] if verdict.citation else "-")
         print(f"{mark} {pres_file.stem:28s} {verdict.status:16s} "
               f"[{kind}] {dt:6.2f}s  expected {expected['status']}")
     print(f"{failures} failures")

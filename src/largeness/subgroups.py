@@ -217,41 +217,57 @@ def reidemeister_schreier(p: Presentation, table: CosetTable):
 
 
 def cover_abelianization(p: Presentation, table: CosetTable) -> AbelianInvariants:
-    """The abelianization of the subgroup with coset table ``table``:
-    Z^(Schreier generators) modulo the exponent vectors of the relators
-    rewritten by Reidemeister-Schreier, one per (relator, coset).
+    """The abelianization of the subgroup with coset table ``table``, read
+    off the chain complex of the covering 2-complex (K. S. Brown, *Cohomology
+    of Groups*, 1982, ch. II): Z^(edges), one edge (c, g) per coset and
+    generator, modulo the boundary of each relator lifted to each coset.  A
+    letter g crosses edge (c, g) forward from c, and g^-1 crosses edge
+    (c.g^-1, g) backward.  The coset graph is connected, so the edges'
+    boundaries in the chains of the d cosets span a free group of rank
+    d - 1, and that quotient is H1 + Z^(d-1): the torsion is H1's, and
+    d - 1 comes off the Betti number.
 
     Tietze moves do not change it, so it equals the abelianization of
     ``cover_presentation(p, table)[0]``; no word is built, and nothing is
     cached on ``table``.  Refuses the tables ``reidemeister_schreier``
     refuses, with the same errors.
     """
-    inverse = _inverse_perms(table.action)
-    edge_index = _edge_index(table, inverse)
-    nsub = (len(table.action) - 1) * table.degree + 1
-    # per letter, per coset: (next coset, column of the edge crossed or -1)
-    moves = {}
-    for g, (perm, ip, ids) in enumerate(zip(table.action, inverse, edge_index), 1):
-        moves[g] = [(t, k - 1) for t, k in zip(perm, ids)]
-        moves[-g] = [(t, ids[t] - 1) for t in ip]
-    rows = []  # sparse, as of_relations takes them
+    d, action = table.degree, table.action
+    seen = [True] + [False] * (d - 1)
+    order = [0]
+    for c in order:
+        for perm in action:
+            t = perm[c]
+            if not seen[t]:
+                seen[t] = True
+                order.append(t)
+    if len(order) != d:
+        raise ValueError("coset table is not transitive")
+    inverse = _inverse_perms(action)
+    rows = []  # sparse, as of_relations takes them; edge (c, g) is column g*d + c
     for r in p.relators:
-        steps = [(moves[lt], 1 if lt > 0 else -1) for lt in r]
-        for start in range(table.degree):
+        steps = [(action[lt - 1], (lt - 1) * d, 1) if lt > 0
+                 else (inverse[-lt - 1], (-lt - 1) * d, -1) for lt in r]
+        for start in range(d):
             row = {}
             c = start
-            for move, sign in steps:
-                c, k = move[c]
-                if k >= 0:
-                    x = row.get(k, 0) + sign
-                    if x:
-                        row[k] = x
-                    else:
-                        del row[k]
+            for perm, col, sign in steps:
+                if sign > 0:
+                    k = col + c
+                    c = perm[c]
+                else:
+                    c = perm[c]
+                    k = col + c
+                x = row.get(k, 0) + sign
+                if x:
+                    row[k] = x
+                else:
+                    del row[k]
             if c != start:
                 raise ValueError("coset table is not closed under the relators")
             rows.append(row)
-    return AbelianInvariants.of_relations(rows, nsub)
+    inv = AbelianInvariants.of_relations(rows, len(action) * d)
+    return AbelianInvariants(inv.betti - (d - 1), inv.torsion)
 
 
 # the longest substitution a Tietze elimination may make
@@ -362,16 +378,22 @@ class _ClassKeys:
         # flats of different degrees differ in length, so a flat names its pair
         self.taken += 1
         d, flat = table
-        if self.pending is not None and flat in self.pending:
+        # a table found is canonical: its own rebasing at coset 0
+        if self.pending is None:
+            # a rebasing's flat form starts with 0 just when g1 fixes its
+            # base, so the least is at such a base when g1 fixes any coset
+            fixed = [c for c, t in enumerate(flat[:d]) if c == t]
+            bases = [c for c in fixed if c] if fixed else range(1, d)
+            self.keys.append((d, min([flat, *_rebasings(d, flat, bases)])))
+            return
+        if flat in self.pending:
             self.pending.remove(flat)
             return
-        # a table found is canonical: its own rebasing at coset 0
         orbit = set(_rebasings(d, flat, range(1, d)))
         orbit.add(flat)
         self.keys.append((d, min(orbit)))
-        if self.pending is not None:
-            orbit.remove(flat)
-            self.pending |= orbit
+        orbit.remove(flat)
+        self.pending |= orbit
 
 
 def subgroup_classes(p: Presentation, max_index: int,
@@ -387,9 +409,10 @@ def subgroup_classes(p: Presentation, max_index: int,
     The orbit of a table, its rebasings at every coset, is the set of
     tables of its class, and its least flat form represents the class.  An
     unbounded search runs in least mode: one table per class, so memory is
-    one key per class.  A budgeted one yields each subgroup once, so the
-    class is kept at its first member and the others are set aside until
-    they come up: memory is also one flat tuple per conjugate not met yet.
+    one key per class, sought only at the cosets g1 fixes, if any.  A
+    budgeted one yields each subgroup once, so the class is kept at its
+    first member and the others are set aside until they come up: memory is
+    also one flat tuple per conjugate not met yet.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
@@ -448,7 +471,8 @@ def _least_so_far(tab: list, nd: int, degree: int) -> bool:
     ``tab`` is smaller than they are so far: each is walked in scan order
     against ``tab``, cell by cell as row offsets, to the first cell that
     differs; an unset cell in either leaves it undecided."""
-    for b in range(nd, degree * nd, nd):
+    for c in range(1, degree):
+        b = c * nd  # a row offset: no step of nd, which is 0 with no generators
         if tab[b] is None or (tab[b] == b) != (tab[0] == 0):  # the first cells differ
             if tab[b] == b:  # 0 in the rebasing
                 return False

@@ -1,15 +1,17 @@
 """Reference implementations that only the tests use: group ring
 arithmetic, integer matrix products and determinants, subgroup counts, the
-Schreier generators of a coset table as words in the ambient group, the
-conjugated-power match split by split, coset enumeration with its
-earlier closure probe, Stallings folding in its earlier batch form, the
-low-index search in its earlier recursive form, and the one-relator
-verdicts on two generators built from the shapes they name."""
+Schreier generators of a coset table as words in the ambient group, a
+cover's abelianization over the Schreier generators, the conjugated-power
+match split by split, coset enumeration with its earlier closure probe,
+Stallings folding in its earlier batch form, the low-index search in its
+earlier recursive form, and the one-relator verdicts on two generators
+built from the shapes they name."""
 
 import json
 from math import gcd
 
 from largeness import subgroups
+from largeness.abelian import AbelianInvariants
 from largeness.stallings import StallingsGraph, uf_find
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  low_index_subgroups)
@@ -116,6 +118,34 @@ def schreier_generators(table) -> list:
     return [((c, g), concat(path[c], (g + 1,), inverse(path[table.action[g][c]])))
             for c in range(table.degree) for g in range(len(table.action))
             if (c, g) not in tree]
+
+
+def schreier_cover_abelianization(p, table):
+    """``subgroups.cover_abelianization`` in its earlier form: Z to the
+    Schreier generators of ``subgroups._edge_index``, modulo the exponent
+    vectors of the relators rewritten by Reidemeister-Schreier, one per
+    (relator, coset).  Raises what it raises."""
+    inverse = subgroups._inverse_perms(table.action)
+    edge_index = subgroups._edge_index(table, inverse)
+    nsub = (len(table.action) - 1) * table.degree + 1
+    # per letter, per coset: (next coset, column of the edge crossed or -1)
+    moves = {}
+    for g, (perm, ip, ids) in enumerate(zip(table.action, inverse, edge_index), 1):
+        moves[g] = [(t, k - 1) for t, k in zip(perm, ids)]
+        moves[-g] = [(t, ids[t] - 1) for t in ip]
+    rows = []
+    for r in p.relators:
+        for start in range(table.degree):
+            row = {}
+            c = start
+            for lt in r:
+                c, k = moves[lt][c]
+                if k >= 0:
+                    row[k] = row.get(k, 0) + (1 if lt > 0 else -1)
+            if c != start:
+                raise ValueError("coset table is not closed under the relators")
+            rows.append({k: x for k, x in row.items() if x})
+    return AbelianInvariants.of_relations(rows, nsub)
 
 
 def conjugated_power_by_splits(w):

@@ -1,5 +1,6 @@
 import contextlib
 import functools
+import importlib.util
 import io
 import json
 import random
@@ -33,6 +34,7 @@ from largeness.words import (MAX_WORD_LEN, Presentation, free_reduce,
 from oracles import one_relator_verdicts
 
 FAST = CertifyConfig(max_index=5, budget=1)
+RUN_CORPUS = Path(__file__).resolve().parents[1] / "scripts" / "run_corpus.py"
 
 
 def check(text, status, config=CertifyConfig()):
@@ -1164,6 +1166,21 @@ class TestCitationContract:
             assert cert.kind == "cited_family"
             for bad in changed_maps(cert.data):
                 assert not verify_certificate(p, replace(cert, data=bad)), bad
+
+    def test_run_corpus_counts_a_refused_citation(self, monkeypatch, capsys):
+        # bs_1_2, bs_2_3, z and zxz are NOT_LARGE_KNOWN by citation
+        spec = importlib.util.spec_from_file_location("run_corpus", RUN_CORPUS)
+        run_corpus = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(run_corpus)
+        monkeypatch.setattr(sys, "argv", ["run_corpus.py", "--max-index", "4",
+                                          "--budget", "1"])
+        assert run_corpus.main() == 0
+        assert capsys.readouterr().out.endswith("\n0 failures\n")
+        monkeypatch.setattr(run_corpus, "verify_citation", lambda p, citation: False)
+        assert run_corpus.main() == 1
+        failed = [line.split()[1] for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("FAIL")]
+        assert failed == ["bs_1_2", "bs_2_3", "z", "zxz"]
 
 
 # ---------------------------------------------------------------------------

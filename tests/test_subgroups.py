@@ -25,8 +25,8 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  rewrite_word, subgroup_classes, tietze_simplify)
 from largeness.words import (MAX_WORD_LEN, Presentation, default_names, free_reduce,
                              inverse, parse_presentation, parse_word)
-from oracles import (probe_coset_enumerate, schreier_generators,
-                     search_tables as recursive_search_tables,
+from oracles import (probe_coset_enumerate, schreier_cover_abelianization,
+                     schreier_generators, search_tables as recursive_search_tables,
                      subgroup_count_by_index)
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -583,7 +583,8 @@ class TestLeastSearch:
     conjugacy class, against the budgeted path's dedup of every subgroup."""
 
     def test_corpus_matches_budgeted_path(self):
-        for p in CORPUS_PRESENTATIONS:
+        # and the trivial group, whose table has no cells
+        for p in (*CORPUS_PRESENTATIONS, Presentation((), ())):
             for max_index in range(1, 7):
                 assert (subgroup_classes(p, max_index)
                         == subgroup_classes(p, max_index, [10 ** 9])), max_index
@@ -988,6 +989,17 @@ class TestCoverAbelianization:
         for t in low_index_subgroups(p, max_index):
             assert cover_abelianization(p, t) == abelianization(cover_presentation(p, t)[0])
 
+    def test_subgroups_panel_matches_schreier_generators(self):
+        # every class the subgroups benchmark lists, against the earlier
+        # reading over the Schreier generators
+        count = 0
+        for p in CORPUS_PRESENTATIONS:
+            if p.ngens >= 2:
+                for t in low_index_subgroups(p, 6):
+                    assert cover_abelianization(p, t) == schreier_cover_abelianization(p, t)
+                    count += 1
+        assert count == 9448
+
     @given(random_tables(), st.lists(st.lists(st.sampled_from([1, -1, 2, -2]),
                                               min_size=1, max_size=6), max_size=2))
     @settings(max_examples=200, deadline=None)
@@ -996,6 +1008,7 @@ class TestCoverAbelianization:
         # is refused with the error rewriting gives
         p = Presentation(("x", "y"), tuple(free_reduce(tuple(r)) for r in rels))
         got = outcome(cover_abelianization, p, t)
+        assert got == outcome(schreier_cover_abelianization, p, t)
         want = outcome(reidemeister_schreier, p, t)
         if want[0] == "ValueError":
             assert got == want
