@@ -821,12 +821,16 @@ def verify_citation(p: Presentation, citation: dict) -> bool:
             if set(citation) != {"reason", "chain", "citation"} or not citation["chain"]:
                 return False
             links = _links_from_json(citation["chain"])
-            pres = _replay_chain(p, links)
             # the route emits proper covers, each table in the standard
-            # form of the search
-            if pres is None or any(link.table.degree < 2
-                                   or canonical_rebase(link.table, 0) != link.table
-                                   for link in links):
+            # form of the search: checked against the claimed presentations
+            # before the replay, whose Tietze work grows as degree squared
+            claimed = [p, *(link.presentation for link in links)]
+            if any(link.table.degree < 2 or not _table_valid(q, link.table)
+                   or canonical_rebase(link.table, 0) != link.table
+                   for q, link in zip(claimed, links)):
+                return False
+            pres = _replay_chain(p, links)
+            if pres is None:
                 return False
             p, citation = pres[-1], citation["citation"]
         route = _route_one_relator(p, [])

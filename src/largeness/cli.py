@@ -3,7 +3,7 @@
 Exit codes: 0 = a result was produced (UNKNOWN and failed verifications
 included), 1 = input error, an unreadable input file included, or stdout
 closed by its reader before the output was written, 2 = resource bound
-exceeded.
+exceeded, memory included.
 """
 
 from __future__ import annotations
@@ -303,9 +303,10 @@ def main(argv=None) -> int:
     except (ParseError, OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
-    except (BoundExceeded, RecursionError) as exc:
-        # RecursionError: input nested deeper than Python's recursion limit
-        print(f"resource bound exceeded: {exc}", file=sys.stderr)
+    except (BoundExceeded, RecursionError, MemoryError) as exc:
+        # RecursionError: input nested deeper than Python's recursion limit;
+        # MemoryError: a search or a replay larger than the memory allowed
+        print(f"resource bound exceeded: {str(exc) or 'out of memory'}", file=sys.stderr)
         return 2
 
 

@@ -364,36 +364,25 @@ def cover_presentation(p: Presentation, table: CosetTable,
 
 class _ClassKeys:
     """Takes the tables of a search by ``append`` as it finds them, and
-    keeps ``keys``, one ``(degree, flat form)`` per conjugacy class, as
-    ``subgroup_classes`` describes; ``len`` is the number of tables taken,
-    each the only one of its class if ``least``."""
+    keeps ``keys``, the set of their classes' ``(degree, flat form)`` keys,
+    as ``subgroup_classes`` describes; ``len`` is the number of tables
+    taken."""
 
-    def __init__(self, least=False):
-        self.keys, self.taken, self.pending = [], 0, None if least else set()
+    def __init__(self):
+        self.keys, self.taken = set(), 0
 
     def __len__(self):
         return self.taken
 
     def append(self, table):
-        # flats of different degrees differ in length, so a flat names its pair
         self.taken += 1
         d, flat = table
-        # a table found is canonical: its own rebasing at coset 0
-        if self.pending is None:
-            # a rebasing's flat form starts with 0 just when g1 fixes its
-            # base, so the least is at such a base when g1 fixes any coset
-            fixed = [c for c, t in enumerate(flat[:d]) if c == t]
-            bases = [c for c in fixed if c] if fixed else range(1, d)
-            self.keys.append((d, min([flat, *_rebasings(d, flat, bases)])))
-            return
-        if flat in self.pending:
-            self.pending.remove(flat)
-            return
-        orbit = set(_rebasings(d, flat, range(1, d)))
-        orbit.add(flat)
-        self.keys.append((d, min(orbit)))
-        orbit.remove(flat)
-        self.pending |= orbit
+        # a table found is canonical: its own rebasing at coset 0; a
+        # rebasing's flat form starts with 0 just when g1 fixes its base,
+        # so the least is at such a base when g1 fixes any coset
+        fixed = [c for c, t in enumerate(flat[:d]) if c == t]
+        bases = [c for c in fixed if c] if fixed else range(1, d)
+        self.keys.add((d, min([flat, *_rebasings(d, flat, bases)])))
 
 
 def subgroup_classes(p: Presentation, max_index: int,
@@ -407,18 +396,16 @@ def subgroup_classes(p: Presentation, max_index: int,
     share one bound; None: unbounded.
 
     The orbit of a table, its rebasings at every coset, is the set of
-    tables of its class, and its least flat form represents the class.  An
-    unbounded search runs in least mode: one table per class, so memory is
-    one key per class, sought only at the cosets g1 fixes, if any.  A
-    budgeted one yields each subgroup once, so the class is kept at its
-    first member and the others are set aside until they come up: memory is
-    also one flat tuple per conjugate not met yet.
+    tables of its class, and its least flat form represents the class.
+    Every table of a class has that orbit, so any one gives the key, sought
+    only at the cosets g1 fixes, if any; memory is one key per class.  An
+    unbounded search runs in least mode and finds one table per class; a
+    budgeted one keeps its node order and finds every subgroup.
     """
     if max_index < 1:
         raise ValueError("max_index must be >= 1")
     if node_budget is None:
-        found, truncated = _search_tables(p, max_index, None, _ClassKeys(least=True),
-                                          least=True)
+        found, truncated = _search_tables(p, max_index, None, _ClassKeys(), least=True)
     else:
         found, truncated = _search_tables(p, max_index, node_budget, _ClassKeys())
     return [_from_flat(d, flat) for d, flat in sorted(found.keys)], truncated

@@ -4,8 +4,9 @@ Schreier generators of a coset table as words in the ambient group, a
 cover's abelianization over the Schreier generators, the conjugated-power
 match split by split, coset enumeration with its earlier closure probe,
 Stallings folding in its earlier batch form, the low-index search in its
-earlier recursive form, and the one-relator verdicts on two generators
-built from the shapes they name."""
+earlier recursive form, the budgeted class dedup in its earlier form with
+pending conjugates, and the one-relator verdicts on two generators built
+from the shapes they name."""
 
 import json
 from math import gcd
@@ -412,6 +413,41 @@ def search_tables(p, max_index: int, node_budget=None):
 
     dfs(0, 1)
     return results, truncated[0]
+
+
+class PendingClassKeys:
+    """``subgroups._ClassKeys`` of a budgeted search in its earlier form:
+    a class is keyed at its first table by the least flat form of its whole
+    orbit, and its other tables are held as pending until they come up."""
+
+    def __init__(self):
+        self.keys, self.taken, self.pending = [], 0, set()
+
+    def __len__(self):
+        return self.taken
+
+    def append(self, table):
+        # flats of different degrees differ in length, so a flat names its pair
+        self.taken += 1
+        d, flat = table
+        if flat in self.pending:
+            self.pending.remove(flat)
+            return
+        orbit = set(subgroups._rebasings(d, flat, range(1, d)))
+        orbit.add(flat)
+        self.keys.append((d, min(orbit)))
+        orbit.remove(flat)
+        self.pending |= orbit
+
+
+def pending_subgroup_classes(p, max_index: int, node_budget: list):
+    """``subgroups.subgroup_classes`` under a node budget, from the
+    recursive ``search_tables`` and the ``PendingClassKeys`` dedup."""
+    found, truncated = search_tables(p, max_index, node_budget)
+    keys = PendingClassKeys()
+    for table in found:
+        keys.append(table)
+    return [subgroups._from_flat(d, flat) for d, flat in sorted(keys.keys)], truncated
 
 
 def one_relator_verdicts(max_len: int) -> dict:

@@ -1264,6 +1264,33 @@ class TestNotLargeCover:
         longer = {**v.citation, "chain": v.citation["chain"] + [link]}
         assert not verify_citation(p, longer)
 
+    def test_cheap_refusals_come_before_any_replay(self, monkeypatch):
+        # a degree-1 link and a renumbered table are refused before any
+        # cover presentation is built: that Tietze work grows with the
+        # square of the degree
+        p, v = check(DOUBLING, "NOT_LARGE_KNOWN", DOUBLING_CFG)
+        chain = v.citation["chain"]
+        trivial = {"table": CosetTable(1, ((0,),) * 2).to_json(),
+                   "presentation": chain[-1]["presentation"]}
+        cover = C.presentation_from_json(chain[0]["presentation"])
+        table = CosetTable.from_json(chain[1]["table"])
+        swap = [0, 2, 1, 3, 4]  # cosets 1 and 2 change numbers
+        renumbered = CosetTable(5, tuple(tuple(swap[perm[swap[c]]] for c in range(5))
+                                         for perm in table.action))
+        assert renumbered.is_closed_under(cover.relators)
+        assert subgroups.canonical_rebase(renumbered, 0) != renumbered
+        moved = {"table": renumbered.to_json(), "presentation":
+                 C.presentation_to_json(cover_presentation(cover, renumbered)[0])}
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            pytest.fail("a cover presentation was built")
+        monkeypatch.setattr(C, "cover_presentation", spy)
+        for links in (chain + [trivial], [chain[0], moved]):
+            assert not verify_citation(p, {**v.citation, "chain": links})
+        assert built == []
+
     def test_forms_never_emitted_are_refused(self):
         # an empty chain around a true citation, and extra keys
         zxz = parse_presentation("< a, b | a b A B >")

@@ -191,6 +191,15 @@ class TestSubgroupsAndRewrite:
         assert err == ("resource bound exceeded: relator scans of 2877600 "
                        "entries exceed 2000000\n")
 
+    def test_memory_error_is_a_resource_bound(self, capsys, monkeypatch):
+        # one line on stderr, exit 2, no traceback
+        def exhausted(args):
+            raise MemoryError
+
+        monkeypatch.setattr(cli, "cmd_certify", exhausted)
+        code, out, err = run(capsys, "certify", "< a, b | a b a B B >")
+        assert (code, out, err) == (2, "", "resource bound exceeded: out of memory\n")
+
     @pytest.mark.parametrize("fmt", ["json", "text"])
     @pytest.mark.parametrize("path", LISTED, ids=lambda f: f.stem)
     def test_streamed_listing_is_the_whole_object(self, capsys, path, fmt):

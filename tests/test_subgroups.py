@@ -25,9 +25,9 @@ from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
                                  rewrite_word, subgroup_classes, tietze_simplify)
 from largeness.words import (MAX_WORD_LEN, Presentation, default_names, free_reduce,
                              inverse, parse_presentation, parse_word)
-from oracles import (probe_coset_enumerate, schreier_cover_abelianization,
-                     schreier_generators, search_tables as recursive_search_tables,
-                     subgroup_count_by_index)
+from oracles import (pending_subgroup_classes, probe_coset_enumerate,
+                     schreier_cover_abelianization, schreier_generators,
+                     search_tables as recursive_search_tables, subgroup_count_by_index)
 
 ROOT = Path(__file__).resolve().parents[1]
 CORPUS = ROOT / "corpus"
@@ -615,10 +615,12 @@ class TestLeastSearch:
             classes, _ = subgroup_classes(p, 6)
             sink, = sinks
             sinks.clear()
-            assert sink.pending is None
-            assert len(sink) == len(sink.keys) == len(set(sink.keys)) == len(classes)
+            assert len(sink) == len(set(sink.keys)) == len(classes)
             subgroup_classes(p, 6, [10 ** 9])
-            more += len(sinks.pop()) > len(classes)
+            sink, = sinks
+            sinks.clear()
+            assert len(set(sink.keys)) == len(classes)
+            more += len(sink) > len(classes)
         # the budgeted path takes every subgroup, conjugates and all
         assert more >= 10
 
@@ -670,6 +672,46 @@ class TestLeastSearch:
             tracemalloc.stop()
         assert truncated and cell == [0] and tables
         assert peak < 4 * 2 ** 20
+
+
+class TestClassKeys:
+    """One key rule for both search modes: any table of a class gives the
+    class key, so a budgeted search holds no pending conjugates."""
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.just(n), st.lists(letter_lists(n, 1, 8), max_size=2))),
+           st.integers(1, 5))
+    @settings(max_examples=40, deadline=None)
+    def test_cut_searches_match_pending_dedup(self, shape, max_index):
+        n, rels = shape
+        if n == 3:
+            # F_3 has 68,641 subgroups of index 5, too many to list often
+            max_index = min(max_index, 4)
+        p = Presentation(default_names(n), tuple(free_reduce(tuple(r)) for r in rels))
+        cell = [10 ** 9]
+        subgroup_classes(p, max_index, cell)
+        nodes = 10 ** 9 - cell[0]
+        for budget in sorted({1, 5, 20, 60, 200, nodes, nodes - 1}):
+            cells = [budget], [budget]
+            got = subgroup_classes(p, max_index, cells[0])
+            assert got == pending_subgroup_classes(p, max_index, cells[1]), budget
+            assert cells[0] == cells[1]
+            assert got[1] == (budget < nodes)
+
+    def test_large_index_under_a_memory_limit(self):
+        # the pending conjugates ran out of memory here even at 512 MB;
+        # one key per class takes about 72 MB of peak RSS
+        code = ("import resource\n"
+                "resource.setrlimit(resource.RLIMIT_AS, (256 << 20, 256 << 20))\n"
+                "from largeness.subgroups import subgroup_classes\n"
+                "from largeness.words import parse_presentation\n"
+                "p = parse_presentation('< a, b | a b a B B >')\n"
+                "classes, truncated = subgroup_classes(p, 40, [120000])\n"
+                "print(len(classes), truncated)\n")
+        proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                              env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout.split() == ["35389", "True"]
 
 
 class TestIndexTwoClasses:
