@@ -3,7 +3,8 @@
 
 Usage: python scripts/run_corpus.py [--max-index N] [--budget B]
 Exits nonzero on any mismatch, failed certificate replay or refused
-NOT_LARGE_KNOWN citation.
+NOT_LARGE_KNOWN citation.  Certificates and citations are replayed as read
+back from the verdict's JSON text, as `largeness verify` reads them.
 """
 
 import argparse
@@ -14,7 +15,8 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from largeness.certify import (NOT_LARGE_KNOWN, CertifyConfig, certify, verify_certificate,
+from largeness.certify import (NOT_LARGE_KNOWN, CertifyConfig, certificate_from_json,
+                               certify, dumps, verdict_to_json, verify_certificate,
                                verify_citation)
 from largeness.words import parse_presentation
 
@@ -35,11 +37,12 @@ def main() -> int:
         verdict = certify(p, config)
         dt = time.time() - t0
         ok = verdict.status == expected["status"]
+        doc = json.loads(dumps(verdict_to_json(verdict)))
         replay = True
-        if verdict.certificate is not None:
-            replay = verify_certificate(p, verdict.certificate)
+        if doc["certificate"] is not None:
+            replay = verify_certificate(p, certificate_from_json(doc["certificate"]))
         elif verdict.status == NOT_LARGE_KNOWN:
-            replay = verify_citation(p, verdict.citation)
+            replay = verify_citation(p, doc["citation"])
         ok = ok and replay
         failures += not ok
         mark = "ok  " if ok else "FAIL"

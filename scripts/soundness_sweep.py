@@ -3,7 +3,8 @@
 
 Certifies seeded random presentations (n <= 3 generators, relators of
 length <= 12), replays every LARGE certificate and verifies the citation of
-every NOT_LARGE_KNOWN verdict.  Also reruns each case to confirm
+every NOT_LARGE_KNOWN verdict, each read back from the verdict's JSON text
+as `largeness verify` reads a certificate.  Also reruns each case to confirm
 byte-identical output.
 
 Usage: python scripts/soundness_sweep.py [--count 100] [--seed 7]
@@ -19,6 +20,7 @@ each, with a fixed line in place of a skipped input's verdict.
 
 import argparse
 import hashlib
+import json
 import random
 import signal
 import sys
@@ -27,8 +29,9 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
 
-from largeness.certify import (NOT_LARGE_KNOWN, CertifyConfig, certify, dumps,
-                               verdict_to_json, verify_certificate, verify_citation)
+from largeness.certify import (NOT_LARGE_KNOWN, CertifyConfig, certificate_from_json,
+                               certify, dumps, verdict_to_json, verify_certificate,
+                               verify_citation)
 from largeness.words import Presentation, default_names, free_reduce
 
 
@@ -97,10 +100,12 @@ def main() -> int:
         text = dumps(verdict_to_json(verdict))
         digest.update(text.encode() + b"\n")
         tallies[verdict.status] = tallies.get(verdict.status, 0) + 1
-        if verdict.certificate is not None and not verify_certificate(p, verdict.certificate):
+        doc = json.loads(text)
+        if (doc["certificate"] is not None
+                and not verify_certificate(p, certificate_from_json(doc["certificate"]))):
             print(f"replay failed: {p}", file=sys.stderr)
             failures += 1
-        if verdict.status == NOT_LARGE_KNOWN and not verify_citation(p, verdict.citation):
+        if verdict.status == NOT_LARGE_KNOWN and not verify_citation(p, doc["citation"]):
             print(f"citation refused: {p}", file=sys.stderr)
             failures += 1
         if text != dumps(verdict_to_json(again)):

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd, isqrt, lcm
 from typing import Sequence
 
 from .abelian import Chi
@@ -62,19 +62,34 @@ def is_prime(n: int) -> bool:
     return True
 
 
+# the bound on trial division in prime_factors, and the numbers prime to 30
+# from 7 to 31, by which it steps
+TRIAL_BOUND = 2 ** 24
+_WHEEL = (7, 11, 13, 17, 19, 23, 29, 31)
+
+
 def prime_factors(n: int) -> tuple:
-    """The distinct primes dividing ``n``, ascending; () for 0 and +-1."""
-    n = abs(n)
-    out = []
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            out.append(d)
-            while n % d == 0:
-                n //= d
-        d += 1
-    if n > 1:
-        out.append(n)
+    """The distinct primes dividing ``n``, ascending; () for 0 and +-1.
+    Trial division by 2, 3, 5 and the numbers prime to 30, up to the
+    square root or TRIAL_BOUND, ends at a cofactor of 1 or one that passes
+    ``is_prime``; ValueError when the cofactor left is neither."""
+    m, out = abs(n), []
+    done = m < 2 or m < PRIME_BOUND and is_prime(m)
+    base, end = 0, min(isqrt(m), TRIAL_BOUND)
+    while not done and base <= end:
+        for r in _WHEEL if base else (2, 3, 5, *_WHEEL):
+            d = base + r
+            if m % d == 0:
+                out.append(d)
+                while m % d == 0:
+                    m //= d
+                done = m == 1 or m < PRIME_BOUND and is_prime(m)
+        base += 30
+    if m > 1:
+        if m >= PRIME_BOUND or not is_prime(m):
+            raise ValueError(f"{abs(n)} is not factored: {m} has no prime divisor up "
+                             f"to {TRIAL_BOUND} and is not a prime below 2**64")
+        out.append(m)
     return tuple(out)
 
 

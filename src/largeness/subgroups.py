@@ -66,31 +66,6 @@ class CosetTable:
                           tuple(tuple(int(x) for x in p) for p in obj["action"]))
 
 
-def _first_visits(table: CosetTable, inverse: tuple, base: int):
-    """The cosets in first-visit scan order from ``base``, and per coset the
-    coset that first reached it and the letter of that step (-1 and 0 for
-    ``base``); ``inverse`` is ``table.inverse``, or equal to it.
-
-    The scan order is the one used everywhere in this module: cosets in
-    that order, directions g1, g1^-1, g2, g2^-1, ...
-    """
-    order = [base]
-    parent = [-1] * table.degree
-    via = [0] * table.degree
-    moves = list(enumerate(zip(table.action, inverse), 1))
-    for c in order:
-        for g, (perm, ip) in moves:
-            t = perm[c]
-            if not via[t] and t != base:
-                parent[t], via[t] = c, g
-                order.append(t)
-            t = ip[c]
-            if not via[t] and t != base:
-                parent[t], via[t] = c, -g
-                order.append(t)
-    return order, parent, via
-
-
 def _from_flat(degree: int, flat: tuple) -> CosetTable:
     return CosetTable(degree, tuple(flat[i:i + degree]
                                     for i in range(0, len(flat), degree)))
@@ -98,8 +73,11 @@ def _from_flat(degree: int, flat: tuple) -> CosetTable:
 
 def _rebasings(degree: int, flat: tuple, bases: Iterable[int]):
     """Per base in ``bases``, the table with flat form ``flat`` renumbered
-    by first visit from that base in the scan order of ``_first_visits``,
-    as a flat form."""
+    by first visit from that base in scan order, as a flat form.
+
+    The scan order is the one used everywhere in this module: cosets in
+    order of first visit, directions g1, g1^-1, g2, g2^-1, ...
+    """
     perms = [flat[i:i + degree] for i in range(0, len(flat), degree)]
     moves = []  # g1, g1^-1, g2, g2^-1, ...
     for move in zip(perms, _inverse_perms(perms)):
@@ -147,20 +125,25 @@ def coset_enumerate(p: Presentation, subgens: Sequence[Word]) -> CosetTable:
 def _edge_index(table: CosetTable, inverse: tuple) -> tuple:
     """The Schreier generators: per generator g and coset c, the number
     (from 1) of the one for the edge (c, g), or 0 when the edge is on the
-    Schreier tree of first visits in scan order from coset 0.  The edges off
-    the tree are numbered in order of coset, then generator.  ``inverse``
-    is as ``_first_visits`` takes it.  Raises ValueError when the table is
-    not transitive."""
-    order, parent, via = _first_visits(table, inverse, 0)
+    Schreier tree of first visits in scan order from coset 0 (see
+    ``_rebasings``).  The edges off the tree are numbered in order of coset,
+    then generator.  ``inverse`` is ``table.inverse``, or equal to it.
+    Raises ValueError when the table is not transitive."""
+    index = [[1] * table.degree for _ in table.action]
+    seen = [True] + [False] * (table.degree - 1)
+    order = [0]
+    for c in order:
+        for perm, ip, row in zip(table.action, inverse, index):
+            t = perm[c]
+            if not seen[t]:  # reached along (c, g)
+                seen[t], row[c] = True, 0
+                order.append(t)
+            t = ip[c]
+            if not seen[t]:  # reached along (t, g) backwards
+                seen[t], row[t] = True, 0
+                order.append(t)
     if len(order) != table.degree:
         raise ValueError("coset table is not transitive")
-    index = [[1] * table.degree for _ in table.action]
-    for tgt in order[1:]:
-        lt = via[tgt]
-        if lt > 0:
-            index[lt - 1][parent[tgt]] = 0
-        else:
-            index[-lt - 1][tgt] = 0
     k = 0
     for c in range(table.degree):
         for row in index:

@@ -345,7 +345,7 @@ def _subgroup_setup(e: Endomorphism, wit: PeriodicWitness, diags: list):
 
 def _fields_for(e_eff: int) -> list:
     """Q when the conjugation exponent is 1, else F_q for each prime q
-    dividing 1 - e."""
+    dividing 1 - e; ValueError when ``prime_factors`` cannot factor 1 - e."""
     return [QQ] if e_eff == 1 else [PrimeField(q) for q in prime_factors(1 - e_eff)]
 
 
@@ -409,7 +409,11 @@ def _torus_pipeline(e: Endomorphism, wit: PeriodicWitness,
     # d = 2 cover repairs the exponent-2 case, where 1 - e has no prime
     for d in range(1, max(2, config.max_index) + 1):
         e_eff = exponent ** d
-        fields = _fields_for(e_eff)
+        try:
+            fields = _fields_for(e_eff)
+        except ValueError as exc:
+            tried.append(f"d={d}: |1-e| = {exc}")
+            continue
         if not fields:
             tried.append(f"d={d}: |1-e| = {abs(1 - e_eff)} has no prime divisor")
             continue

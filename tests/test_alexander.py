@@ -271,6 +271,21 @@ class TestPrimes:
         assert prime_factors(-12) == (2, 3)
         assert prime_factors(97) == (97,)
         assert prime_factors(2 * 3 * 3 * 101) == (2, 3, 101)
+        # a cofactor above TRIAL_BOUND is kept when it passes is_prime
+        assert prime_factors(2 ** 61 - 1) == (2 ** 61 - 1,)
+        assert prime_factors(2 * 13097927 * 17189128703) == (2, 13097927, 17189128703)
+        # and refused when it is composite with no prime divisor up to the
+        # bound, or a prime above PRIME_BOUND
+        for n in ((2 ** 31 - 1) * (2 ** 61 - 1), 3 * (2 ** 89 - 1)):
+            with pytest.raises(ValueError, match="is not factored"):
+                prime_factors(n)
+
+    @given(st.integers(-2 ** 48, 2 ** 48))
+    @settings(max_examples=300, deadline=None)
+    def test_prime_factors_match_sympy(self, n):
+        # below TRIAL_BOUND squared, trial division always ends the search
+        from sympy import primefactors
+        assert prime_factors(n) == tuple(primefactors(n))
 
 
 class TestTorusKnotFormula:

@@ -25,8 +25,8 @@ from largeness.certify import (Certificate, CertifyConfig, ChainLink,
                                sweep_vectors, verdict_to_json,
                                verify_certificate, verify_citation)
 from largeness.cli import main
-from largeness.subgroups import (CosetTable, cover_presentation, index_two_classes,
-                                 low_index_subgroups)
+from largeness.subgroups import (CosetTable, canonical_rebase, cover_presentation,
+                                 index_two_classes, low_index_subgroups)
 from largeness.torus import (Endomorphism, PeriodicWitness, endo_is_injective,
                              mapping_torus, torus_bs_pipeline, torus_zz_pipeline)
 from largeness.words import (MAX_WORD_LEN, Presentation, free_reduce,
@@ -965,6 +965,46 @@ def test_hostile_chain_on_a_doubling_relator_is_quick():
     code, _ = check_verify_cli(obj)
     assert code in (0, 2)
     assert time.perf_counter() - t0 < 2.0  # the fuzz deadline
+
+
+class TestLinksCheckedFirst:
+    """Every table of a chain is checked, against the presentation the chain
+    claims before it, before any cover presentation is built: that Tietze
+    work grows with the square of the degree."""
+
+    ZXZ = parse_presentation("< a, b | a b a^-1 b^-1 >")
+    # a closed table with a acting as the cycle c -> c + 1 and b trivially:
+    # not in the search's standard form, which numbers cosets by first visit
+    RENUMBERED = CosetTable(4000, (tuple(range(1, 4000)) + (0,), tuple(range(4000))))
+
+    def certificate(self, table):
+        return Certificate("deficiency", self.ZXZ, (ChainLink(table, self.ZXZ),),
+                           {"deficiency": 2})
+
+    def test_renumbered_table_is_refused_before_any_cover(self, monkeypatch):
+        t = self.RENUMBERED
+        assert t.is_closed_under(self.ZXZ.relators) and canonical_rebase(t, 0) != t
+        built = []
+
+        def spy(*args):
+            built.append(args)
+            pytest.fail("a cover presentation was built")
+        monkeypatch.setattr(C, "cover_presentation", spy)
+        t0 = time.perf_counter()
+        assert not verify_certificate(self.ZXZ, self.certificate(t))
+        assert time.perf_counter() - t0 < 0.5
+        assert built == []
+
+    def test_standard_form_still_reaches_the_replay(self, monkeypatch):
+        # the same subgroup in standard form passes every check on its table;
+        # the cover, Z x Z again, then refutes the claimed deficiency
+        t = canonical_rebase(self.RENUMBERED, 0)
+        replayed_tables = []
+        cover = C.cover_presentation
+        monkeypatch.setattr(C, "cover_presentation",
+                            lambda q, table: replayed_tables.append(table) or cover(q, table))
+        assert not verify_certificate(self.ZXZ, self.certificate(t))
+        assert replayed_tables == [t]
 
 
 # ---------------------------------------------------------------------------

@@ -391,6 +391,13 @@ class TestTorus:
         assert code == 0
         assert doc["witness_valid"] is True
         assert doc["verdict"]["status"] == "LARGE"
+        # its first link is the d = 1 cover, a degree-1 table, which the
+        # chain replay takes as it takes any other
+        cert = doc["verdict"]["certificate"]
+        assert cert["chain"][0]["table"]["degree"] == 1
+        path = tmp_path / "cert.json"
+        path.write_text(json.dumps(cert))
+        assert run_json(capsys, "verify", "--cert", str(path))[:2] == (0, {"valid": True})
 
     def test_without_certify(self, capsys, tmp_path):
         endo = tmp_path / "endo.txt"

@@ -1,4 +1,5 @@
 import random
+import time
 
 import pytest
 
@@ -252,6 +253,31 @@ class TestPipelines:
         v = torus_zz_pipeline(IDENTITY2, PeriodicWitness((1, 1), 1, (), 1))
         assert v.status == "LARGE"
         assert verify_certificate(mapping_torus(IDENTITY2), v.certificate)
+
+    def test_fields_bound_their_factoring(self):
+        # 1 - 3^43 = -2 * 431 * (a 59-bit prime): is_prime ends the trial
+        # division; 1 - 3^61 leaves a 77-bit prime, above the primality
+        # bound, after trial division up to TRIAL_BOUND
+        t0 = time.perf_counter()
+        assert [f.name for f in torus._fields_for(3 ** 43)] == [
+            "F2", "F431", "F380808546861411923"]
+        assert time.perf_counter() - t0 < 1.0
+        t0 = time.perf_counter()
+        with pytest.raises(ValueError, match="105293313660391861035901 has no prime divisor"):
+            torus._fields_for(3 ** 61)
+        assert time.perf_counter() - t0 < 1.0
+
+    def test_unfactored_cover_is_passed_over(self, monkeypatch):
+        # each d whose 1 - e^d is not factored is noted and passed over, as
+        # one with no prime divisor is
+        def unfactored(n):
+            raise ValueError(f"{abs(n)} is not factored")
+        monkeypatch.setattr(torus, "prime_factors", unfactored)
+        v = torus_bs_pipeline(CUBE_X, PeriodicWitness((1,), 1, (), 3),
+                              CertifyConfig(max_index=4, budget=1))
+        assert v.status == "UNKNOWN"
+        assert v.diagnostics[-4:] == tuple(f"d={d}: |1-e| = {3 ** d - 1} is not factored"
+                                           for d in range(1, 5))
 
     def test_non_injective_rejected(self):
         bad = Endomorphism(((1,), (1,)))
