@@ -120,7 +120,7 @@ def cmd_alex(args) -> int:
     p = _read_presentation(args.presentation)
     chi = Chi(tuple(int(x) for x in args.chi.split(",")))
     if len(chi.values) != p.ngens:
-        raise ParseError("chi needs one integer per generator")
+        raise ValueError("chi needs one integer per generator")
     fld = field_by_name(args.field)
     poly = alexander_polynomial(p, chi, fld).normalize()
     _emit({"polynomial": lp_to_json(poly), "display": str(poly),
@@ -147,7 +147,7 @@ def cmd_rewrite(args) -> int:
     p = _read_presentation(args.presentation)
     classes = low_index_subgroups(p, args.max_index)
     if not 0 <= args.index_class < len(classes):
-        raise ParseError(
+        raise ValueError(
             f"index-class {args.index_class} out of range (0..{len(classes) - 1})")
     table = classes[args.index_class]
     raw, _ = reidemeister_schreier(p, table)
@@ -199,7 +199,7 @@ def cmd_torus(args) -> int:
     if args.witness:
         parts = args.witness.split(",")
         if len(parts) != 4:
-            raise ParseError("witness must be w,i,v,k")
+            raise ValueError("witness must be w,i,v,k")
         w = parse_word(parts[0], e.names)
         v = parse_word(parts[2], e.names)
         wit = PeriodicWitness(w, int(parts[1]), v, int(parts[3]))
@@ -208,7 +208,7 @@ def cmd_torus(args) -> int:
         config = _config_from_args(args)
         if wit is not None:
             if not out["witness_valid"]:
-                raise ParseError("witness fails verification")
+                raise ValueError("witness fails verification")
             pipeline = torus_zz_pipeline if abs(wit.k) == 1 else torus_bs_pipeline
             verdict = pipeline(e, wit, config)
         else:
@@ -300,7 +300,7 @@ def main(argv=None) -> int:
         # the flush at exit raises nothing
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (ParseError, OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     except (BoundExceeded, RecursionError, MemoryError) as exc:

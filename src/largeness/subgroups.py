@@ -437,31 +437,44 @@ def index_two_classes(p: Presentation):
 MAX_SCAN_ENTRIES = 2_000_000
 
 
-def _least_so_far(tab: list, nd: int, degree: int) -> bool:
-    """Whether no rebasing at a coset b > 0 of the first ``degree`` rows of
-    ``tab`` is smaller than they are so far: each is walked in scan order
-    against ``tab``, cell by cell as row offsets, to the first cell that
-    differs; an unset cell in either leaves it undecided."""
-    for c in range(1, degree):
-        b = c * nd  # a row offset: no step of nd, which is 0 with no generators
-        if tab[b] is None or (tab[b] == b) != (tab[0] == 0):  # the first cells differ
-            if tab[b] == b:  # 0 in the rebasing
-                return False
+def _least_so_far(tab: list, nd: int, bases: list):
+    """Sims's canonicity test on the search's partial table ``tab``: None
+    when the rebasing at some row offset in ``bases`` is already smaller,
+    else the bases still undecided, in order.  Each rebasing is walked in
+    scan order against ``tab``, cell by cell as row offsets, to the first
+    cell that differs, which decides it; an unset cell in either leaves it
+    undecided, and the walk ends when the rows it reaches run out."""
+    first = tab[0] == 0
+    left = []
+    for b in bases:
+        t = tab[b]
+        if t is None:
+            left.append(b)
             continue
-        new, order = {b: 0}, [b]
-        for k in range(degree * nd):
-            t, u = tab[order[k // nd] + k % nd], tab[k]
-            if t is None or u is None:
-                break
-            x = new.get(t)
-            if x is None:
-                x = new[t] = len(order) * nd
-                order.append(t)
-            if x != u:
-                if x < u:
-                    return False
-                break
-    return True
+        if (t == b) != first:  # the first cells differ
+            if t == b:  # 0 in the rebasing
+                return None
+            continue
+        new, order, k = {b: 0}, [b], 0
+        for r in order:  # it grows as the walk meets cosets
+            for t in tab[r:r + nd]:
+                u = tab[k]
+                if t is None or u is None:
+                    left.append(b)
+                    break
+                x = new.get(t)
+                if x is None:
+                    x = new[t] = len(order) * nd
+                    order.append(t)
+                if x != u:
+                    if x < u:
+                        return None
+                    break
+                k += 1
+            else:
+                continue
+            break
+    return left
 
 
 def _search_tables(p: Presentation, max_index: int, node_budget=None,
@@ -498,12 +511,14 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
     the whole cycle, every edge set by then, and fails unless it closes.
 
     With ``least``, ``_least_so_far`` (Sims's canonicity test, *Computation
-    with Finitely Presented Groups*, 1994, ch. 5) runs at each candidate that
-    opens a coset and at each complete table.  A rebasing it finds smaller
-    stays smaller in every completion, which keeps each cell walked: an
-    opening is undone like a contradiction, and a complete table is not
-    handed on, though its node counts.  So the least table of each class,
-    by cells in scan order, is handed on, once.
+    with Finitely Presented Groups*, 1994, ch. 5) runs after each candidate
+    that closes, on the bases its node holds undecided, plus the new coset's
+    row offset if it opens one.  Set cells never change along the path, so
+    a rebasing decided smaller or larger stays so in every completion: a
+    smaller one undoes the candidate like a contradiction, a larger one is
+    dropped, and the child holds the rest.  So every complete table reached
+    was decided in full, and is the least of its class by cells in scan
+    order, handed on once.
     """
     if results is None:
         results = []
@@ -531,23 +546,24 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
     scans = [list(s.values()) for s in scans]
     tab = [None] * (nd + 1)
     left = node_budget[0] if node_budget is not None else -1
-    stack = []  # per node on the path: [hole, coset, dir, degree, candidates, cells set]
-    pos, degree, undo = 0, 1, ()
+    # per node on the path: [hole, coset, dir, degree, candidates, cells set,
+    # undecided bases]
+    stack = []
+    pos, degree, undo, bases = 0, 1, (), []
     while left:
         left -= 1
         size = degree * nd
         h = tab.index(None, pos)
         if h == size:
-            if not least or _least_so_far(tab, nd, degree):
-                results.append((degree, tuple([e // nd for d in range(0, nd, 2)
-                                               for e in tab[d:size:nd]])))
+            results.append((degree, tuple([e // nd for d in range(0, nd, 2)
+                                           for e in tab[d:size:nd]])))
         elif degree < max_index and len(tab) == size + 1:
             tab += [None] * nd
         # candidates: each coset with no d^-1 edge yet, then a new coset
         # (its row is empty) while there is room for one; none at a leaf
         cands = () if h == size else iter(range(0, size + nd * (degree < max_index), nd))
         c, d = (h, 0) if h == size else (h - h % nd, h % nd)
-        stack.append([h, c, d, degree, cands, undo])
+        stack.append([h, c, d, degree, cands, undo, bases])
         while True:
             di = d ^ 1
             for e in cands:
@@ -594,7 +610,11 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
                         tab[x] = None
                     break
                 if tab[h] is not None:  # closed, not undone
-                    if not least or e < degree * nd or _least_so_far(tab, nd, degree + 1):
+                    if not least:
+                        break
+                    kept = _least_so_far(tab, nd, bases + [e] if e == degree * nd else bases)
+                    if kept is not None:
+                        bases = kept
                         break
                     for x in undo:  # no completion is the least of its class
                         tab[x] = None
@@ -603,7 +623,7 @@ def _search_tables(p: Presentation, max_index: int, node_budget=None,
                     tab[x] = None
                 if not stack:
                     break
-                h, c, d, degree, cands, undo = stack[-1]
+                h, c, d, degree, cands, undo, bases = stack[-1]
                 continue
             pos, degree = h + 1, degree + (e == degree * nd)
             break

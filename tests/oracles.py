@@ -4,9 +4,10 @@ Schreier generators of a coset table as words in the ambient group, a
 cover's abelianization over the Schreier generators, the conjugated-power
 match split by split, coset enumeration with its earlier closure probe,
 Stallings folding in its earlier batch form, the low-index search in its
-earlier recursive form, the budgeted class dedup in its earlier form with
-pending conjugates, and the one-relator verdicts on two generators built
-from the shapes they name."""
+earlier recursive form, with the least mode that ran Sims's test only as a
+coset opens and at complete tables, the budgeted class dedup in its earlier
+form with pending conjugates, and the one-relator verdicts on two
+generators built from the shapes they name."""
 
 import json
 from math import gcd
@@ -316,12 +317,42 @@ def batch_fold(generators):
     return StallingsGraph(len(verts), tuple(adj), index[find(0)])
 
 
-def search_tables(p, max_index: int, node_budget=None):
+def opening_least_so_far(tab, nd: int, degree: int) -> bool:
+    """``subgroups._least_so_far`` in its earlier form: whether no
+    rebasing at a coset b > 0 of the first ``degree`` rows of ``tab`` is
+    smaller than they are so far, each walked from scratch over all of
+    them."""
+    for c in range(1, degree):
+        b = c * nd
+        if tab[b] is None or (tab[b] == b) != (tab[0] == 0):  # the first cells differ
+            if tab[b] == b:  # 0 in the rebasing
+                return False
+            continue
+        new, order = {b: 0}, [b]
+        for k in range(degree * nd):
+            t, u = tab[order[k // nd] + k % nd], tab[k]
+            if t is None or u is None:
+                break
+            x = new.get(t)
+            if x is None:
+                x = new[t] = len(order) * nd
+                order.append(t)
+            if x != u:
+                if x < u:
+                    return False
+                break
+    return True
+
+
+def search_tables(p, max_index: int, node_budget=None, *, least=False):
     """``subgroups._search_tables`` in its earlier form: a recursive DFS
     on a table of ``max_index`` rows made up front, whose back read takes
     the slice of the letters after the forward read's gap and checks the
     reverse cell of a deduced edge on its own.  Same arguments, result and
-    budget decrement."""
+    budget decrement.  Its ``least`` mode runs ``opening_least_so_far`` only
+    at a candidate that opens a coset, which it undoes when that fails, and
+    at a complete table, which it then does not hand on, though its node
+    counts."""
     if node_budget is not None and node_budget[0] <= 0:
         return [], True
     nd = 2 * p.ngens
@@ -393,8 +424,9 @@ def search_tables(p, max_index: int, node_budget=None):
         size = degree * nd
         h = tab.index(None, pos)
         if h >= size:
-            results.append((degree, tuple([e // nd for d in range(0, nd, 2)
-                                           for e in tab[d:size:nd]])))
+            if not least or opening_least_so_far(tab, nd, degree):
+                results.append((degree, tuple([e // nd for d in range(0, nd, 2)
+                                               for e in tab[d:size:nd]])))
             return
         d = h % nd
         c, di = h - d, d ^ 1
@@ -406,7 +438,8 @@ def search_tables(p, max_index: int, node_budget=None):
             tab[h] = e
             tab[e + di] = c
             undo = [h, e + di]
-            if propagate([(c, d, e), (e, di, c)], undo):
+            if propagate([(c, d, e), (e, di, c)], undo) and (
+                    not least or e < size or opening_least_so_far(tab, nd, degree + 1)):
                 dfs(h + 1, degree + (e == size))
             for x in undo:
                 tab[x] = None

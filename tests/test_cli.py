@@ -604,3 +604,23 @@ class TestVerify:
         code, out, err = run(capsys, "verify", "--cert", str(path))
         assert code == 1 and out == ""
         assert err.startswith("error: ") and err.count("\n") == 1
+
+
+class TestErrorsWithNoSourcePosition:
+    """Input errors that no place in a source text stands behind: exit 1,
+    one `error:` line, and no made-up line and column."""
+
+    @pytest.mark.parametrize("argv, message", [
+        (("alex", "< a, b | >", "--chi", "1"), "chi needs one integer per generator"),
+        (("rewrite", "< a | >", "--max-index", "2", "--index-class", "99"),
+         "index-class 99 out of range (0..1)"),
+        (("torus", "--endo", "{endo}", "--witness", "x,1"), "witness must be w,i,v,k"),
+        (("torus", "--endo", "{endo}", "--witness", "x,1,,1", "--certify"),
+         "witness fails verification"),
+    ])
+    def test_message_has_no_position(self, capsys, tmp_path, argv, message):
+        endo = tmp_path / "endo.txt"
+        endo.write_text("x -> x^2\n")
+        code, out, err = run(capsys, *(a.format(endo=endo) for a in argv))
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+        assert "(line" not in err

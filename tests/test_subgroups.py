@@ -58,6 +58,16 @@ SEARCH_NODES = {
     "zxz": (53, 21),
 }
 
+# DFS nodes and tables of the least-mode search at index 6, per corpus file
+LEAST_NODES = {
+    "bs_1_2": (51, 10), "bs_2_3": (195, 7), "bs_2_4": (638, 96),
+    "conjugate_square_commutes": (491, 117), "cyclic_quotients_only": (443, 6),
+    "deep_conjugator_family": (316, 10), "f2_times_z": (5296, 1000),
+    "free_rank2_and_z": (41865, 8046), "hexagonal_balanced_1": (290, 41),
+    "hexagonal_balanced_2": (437, 65), "trefoil": (156, 17), "z": (12, 6),
+    "zxz": (77, 33),
+}
+
 
 def words_of(p, *texts):
     return [parse_word(t, p.generators) for t in texts]
@@ -650,28 +660,79 @@ class TestLeastSearch:
     @given(complete_tables())
     @settings(max_examples=300, deadline=None)
     def test_least_so_far_on_complete_tables(self, t):
+        # every base is decided at a complete table
         assume(is_transitive(t))
         t = canonical_rebase(t, 0)
         cells = scan_cells(t)
+        nd = 2 * len(t.action)
         smaller = any(scan_cells(canonical_rebase(t, b)) < cells for b in range(1, t.degree))
-        assert subgroups._least_so_far(cells, 2 * len(t.action), t.degree) == (not smaller)
+        bases = list(range(nd, len(cells), nd))
+        assert subgroups._least_so_far(cells, nd, bases) == (None if smaller else [])
 
-    @given(complete_tables(), st.data())
-    @settings(max_examples=300, deadline=None)
-    def test_least_so_far_prunes_only_non_least_completions(self, t, data):
-        # a partial table as the search holds it: every cell before the
-        # hole set, and some after it; a rebasing it finds smaller stays
-        # smaller in the complete table
-        assume(t.degree > 1)
-        assume(is_transitive(t))
-        t = canonical_rebase(t, 0)
+    @staticmethod
+    def partial_of(t, data):
+        """A partial table as the search holds it, from the canonical table
+        ``t``: every cell before the hole set, and some after it.  Returns
+        it, the complete one and nd."""
         cells = scan_cells(t)
         hole = data.draw(st.integers(1, len(cells) - 1))
         unset = data.draw(st.sets(st.integers(hole, len(cells) - 1)))
         partial = [None if i == hole or i in unset else x for i, x in enumerate(cells)]
-        nd = 2 * len(t.action)
-        if not subgroups._least_so_far(partial, nd, t.degree):
-            assert not subgroups._least_so_far(cells, nd, t.degree)
+        return partial, cells, 2 * len(t.action)
+
+    @given(complete_tables(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_least_so_far_prunes_only_non_least_completions(self, t, data):
+        # a rebasing found smaller at a partial table stays smaller in the
+        # complete table
+        assume(t.degree > 1)
+        assume(is_transitive(t))
+        partial, cells, nd = self.partial_of(canonical_rebase(t, 0), data)
+        bases = list(range(nd, len(cells), nd))
+        if subgroups._least_so_far(partial, nd, bases) is None:
+            assert subgroups._least_so_far(cells, nd, bases) is None
+
+    @given(complete_tables(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_dropped_bases_are_not_smaller_in_the_completion(self, t, data):
+        # a base decided at a partial table and dropped is not smaller at
+        # the complete table, so testing the bases kept decides as all do
+        assume(t.degree > 1)
+        assume(is_transitive(t))
+        t = canonical_rebase(t, 0)
+        partial, cells, nd = self.partial_of(t, data)
+        bases = list(range(nd, len(cells), nd))
+        kept = subgroups._least_so_far(partial, nd, bases)
+        assume(kept is not None)
+        assert kept == [b for b in bases if b in kept]
+        for b in set(bases) - set(kept):
+            assert scan_cells(canonical_rebase(t, b // nd)) >= cells
+        assert subgroups._least_so_far(cells, nd, kept) == subgroups._least_so_far(
+            cells, nd, bases)
+
+    @pytest.mark.parametrize("name", sorted(LEAST_NODES))
+    def test_corpus_node_counts(self, name):
+        p = parse_presentation((CORPUS / f"{name}.pres").read_text())
+        cell = [10 ** 9]
+        tables, truncated = subgroups._search_tables(p, 6, cell, least=True)
+        assert (10 ** 9 - cell[0], len(tables)) == LEAST_NODES[name]
+        assert not truncated
+
+    @given(st.integers(1, 3).flatmap(lambda n: st.tuples(
+               st.just(n), st.lists(letter_lists(n, 1, 8), max_size=2))),
+           st.integers(1, 5))
+    @settings(max_examples=80, deadline=None)
+    def test_matches_the_opening_only_search(self, shape, max_index):
+        # the same tables in the same order as the search that tested only
+        # as cosets opened and at complete tables, in no more nodes
+        n, rels = shape
+        if n == 3:
+            max_index = min(max_index, 4)
+        p = Presentation(default_names(n), tuple(free_reduce(tuple(r)) for r in rels))
+        cell, ref_cell = [10 ** 9], [10 ** 9]
+        found = subgroups._search_tables(p, max_index, cell, least=True)
+        assert found == recursive_search_tables(p, max_index, ref_cell, least=True)
+        assert cell[0] >= ref_cell[0]
 
     def test_huge_index_allocates_nothing_up_front(self):
         # the least-mode twin of TestSearchKernel's test
