@@ -5,7 +5,7 @@ from itertools import permutations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from largeness import alexander, words
 from largeness.abelian import Chi, hom_to_Z_basis
@@ -411,6 +411,22 @@ def full_elimination_witness(p, chi, fields):
     return None
 
 
+def refused_at_packing_bound(p, chi):
+    """Whether ``rank_witness`` refuses ``chi`` at PACKED_BITS: the rows are
+    wide enough to need a minor, and b (the bits of twice the product of
+    their l1 norms, 1 for a zero row) times the widest row span plus one
+    times the rows passes the bound."""
+    rows = alexander._fox_rows(p.relators, chi.values)
+    if not rows or len(rows[0]) < len(rows):
+        return False
+    bound, span = 2, 0
+    for row in rows:
+        exps = [e for entry in row for e in entry] or [0]
+        span = max(span, max(exps) - min(exps))
+        bound *= sum(abs(c) for entry in row for c in entry.values()) or 1
+    return bound.bit_length() * (span + 1) * len(rows) > alexander.PACKED_BITS
+
+
 class TestIntegerPath:
     @given(presentation_and_character())
     @settings(max_examples=150, deadline=None)
@@ -425,15 +441,20 @@ class TestIntegerPath:
             assert alexander_matrix(p, chi, fld) == want
 
     @given(presentation_and_character() | large_character() | cover_character())
+    @example((Presentation(("x0", "x1", "x2"), ((), (1, 1, 1) + (-3,) * 3063)),
+              Chi((1021, 1, 1))))  # above the bound, with rank 1 of 2 over Q
     @settings(max_examples=200, deadline=None)
     def test_rank_witness_matches_full_elimination(self, case):
         # the oracle eliminates the coordinate form, a different matrix
-        # with the same column-prefix ranks
+        # with the same column-prefix ranks; a character whose packed minor
+        # would pass PACKED_BITS is refused, and matches once it is lifted
         p, chi = case
-        assert rank_witness(p, chi, FIELDS) == full_elimination_witness(p, chi, FIELDS)
-        for fld in FIELDS:
-            assert (rank_witness(p, chi, [fld])
-                    == full_elimination_witness(p, chi, [fld]))
+        refused = refused_at_packing_bound(p, chi)
+        for fields in [FIELDS] + [[fld] for fld in FIELDS]:
+            want = full_elimination_witness(p, chi, fields)
+            assert rank_witness(p, chi, fields) == (None if refused else want)
+            with mock.patch.object(alexander, "PACKED_BITS", 2 ** 32):
+                assert rank_witness(p, chi, fields) == want
 
     @given(presentation_and_character(), st.data())
     @settings(max_examples=80, deadline=None)
