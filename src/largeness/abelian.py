@@ -1,14 +1,15 @@
 """Exact integer matrix algebra for abelianization invariants.
 
 Matrices are lists of lists of Python ints (arbitrary precision, row
-major).  Everything here is exact; no floating point anywhere.  One Smith
-elimination gives the invariant factors, with no transforms kept; one
-Hermite reduction gives lattice bases, integer kernels included.
+major).  Everything here is exact; no floating point anywhere.  One
+Hermite reduction gives lattice bases, integer kernels and ranks included,
+and, on rows and columns in turn, the Smith invariant factors.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd, lcm
 from typing import Sequence
 
 from .words import Presentation, Word, exponent_vector
@@ -19,59 +20,25 @@ def smith_normal_form(m_in) -> list:
     non-negative and a divisibility chain.  No transforms are kept, and the
     input is copied, not changed.
 
-    Pivots are chosen with smallest nonzero absolute value to limit entry
-    growth.
+    Hermite forms of the rows and of the columns, taken in turn, are
+    unimodular operations, so none changes the Smith form; they end with
+    one nonzero entry in each row (Kannan and Bachem 1979), a diagonal
+    matrix up to order.  It presents the sum of the groups Z/d over its
+    entries d, and Z/a + Z/b is isomorphic to Z/gcd(a, b) + Z/lcm(a, b)
+    (Chinese remainder theorem), so gcd and lcm in place of each pair keep
+    the group and make the entries a divisibility chain, which the group
+    determines.
     """
-    m = [row[:] for row in m_in]
-    rows = len(m)
-    cols = len(m[0]) if rows else 0
-    k = 0
-    while k < min(rows, cols):
-        # the first entry, row by row, of least absolute value in the
-        # remaining block becomes the pivot; nothing is less than 1
-        least, pi, pj = 0, k, k
-        for i in range(k, rows):
-            row = m[i]
-            for j in range(k, cols):
-                x = row[j]
-                if x and (not least or abs(x) < least):
-                    least, pi, pj = abs(x), i, j
-                    if least == 1:
-                        break
-            if least == 1:
-                break
-        if not least:
-            break
-        m[k], m[pi] = m[pi], m[k]
-        for r in m:
-            r[k], r[pj] = r[pj], r[k]
-        piv = m[k][k]
-        dirty = False
-        for i in range(k + 1, rows):
-            if m[i][k]:
-                q = m[i][k] // piv
-                m[i] = [x - q * y for x, y in zip(m[i], m[k])]
-                if m[i][k]:
-                    dirty = True
-        for j in range(k + 1, cols):
-            if m[k][j]:
-                q = m[k][j] // piv
-                for r in m:
-                    r[j] -= q * r[k]
-                if m[k][j]:
-                    dirty = True
-        if dirty:
-            continue
-        # pivot must divide everything that remains
-        if least > 1:
-            offender = next((i for i in range(k + 1, rows)
-                             if any(x % piv for x in m[i][k + 1:])), None)
-            if offender is not None:
-                m[k] = [x + y for x, y in zip(m[k], m[offender])]
-                continue
-        k += 1
-    # m is diagonal by now
-    return [abs(m[i][i]) for i in range(min(rows, cols))]
+    size = min(len(m_in), len(m_in[0]) if m_in else 0)
+    m = hermite_rows(m_in)
+    while any(len(row) - row.count(0) > 1 for row in m):
+        m = hermite_rows(zip(*m))
+    # each row's one nonzero entry is its pivot, which is positive
+    diag = [max(row) for row in m] + [0] * (size - len(m))
+    for i in range(len(diag)):
+        for j in range(i + 1, len(diag)):
+            diag[i], diag[j] = gcd(diag[i], diag[j]), lcm(diag[i], diag[j])
+    return diag
 
 
 @dataclass(frozen=True)
@@ -222,9 +189,6 @@ class Chi:
             of_letter[g], of_letter[-g] = v, -v
         return sum(map(of_letter.__getitem__, w))
 
-    def __iter__(self):
-        return iter(self.values)
-
 
 def hom_to_Z_basis(p: Presentation):
     """Hermite-reduced basis of Hom(G, Z) as integer vectors on generators.
@@ -241,10 +205,10 @@ def hom_to_Z_basis(p: Presentation):
 
 def image_span_rank(p: Presentation, words: Sequence[Word]):
     """Rank of the span of the words' images in ab(G), and whether that
-    span has infinite index (rank < betti): the rank is b1(G) minus b1 of G
-    with the words added as relators."""
+    span has infinite index (rank < betti): the rank of the relators'
+    exponent vectors with the words' added, less their rank alone, which
+    is ngens - betti."""
     rels = [exponent_vector(r, p.ngens) for r in p.relators]
-    betti = AbelianInvariants.of_relations(sparse_rows(rels), p.ngens).betti
-    rels += [exponent_vector(w, p.ngens) for w in words]
-    rank = betti - AbelianInvariants.of_relations(sparse_rows(rels), p.ngens).betti
-    return rank, rank < betti
+    base = len(hermite_rows(rels))
+    rank = len(hermite_rows(rels + [exponent_vector(w, p.ngens) for w in words])) - base
+    return rank, rank < p.ngens - base

@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import re
 import sys
 from collections.abc import Iterator
 from pathlib import Path
@@ -119,8 +120,6 @@ def cmd_ab(args) -> int:
 def cmd_alex(args) -> int:
     p = _read_presentation(args.presentation)
     chi = Chi(tuple(int(x) for x in args.chi.split(",")))
-    if len(chi.values) != p.ngens:
-        raise ValueError("chi needs one integer per generator")
     fld = field_by_name(args.field)
     poly = alexander_polynomial(p, chi, fld).normalize()
     _emit({"polynomial": lp_to_json(poly), "display": str(poly),
@@ -191,6 +190,16 @@ def _parse_endo(path: str) -> Endomorphism:
     return Endomorphism(images, tuple(names))
 
 
+def _witness_int(text: str, at: int) -> int:
+    """The integer ``text``, which starts at column ``at`` + 1 of the
+    one-line witness; ParseError at its first non-blank column if it is
+    not an integer."""
+    if not re.fullmatch(r"\s*[-+]?\d+\s*", text):
+        raise ParseError(f"bad integer {text.strip()!r}", 1,
+                         at + len(text) - len(text.lstrip()) + 1)
+    return int(text)
+
+
 def cmd_torus(args) -> int:
     e = _parse_endo(args.endo)
     p0 = mapping_torus(e)
@@ -200,9 +209,12 @@ def cmd_torus(args) -> int:
         parts = args.witness.split(",")
         if len(parts) != 4:
             raise ValueError("witness must be w,i,v,k")
-        w = parse_word(parts[0], e.names)
-        v = parse_word(parts[2], e.names)
-        wit = PeriodicWitness(w, int(parts[1]), v, int(parts[3]))
+        at = [0]  # each part's offset in the argument
+        for part in parts[:-1]:
+            at.append(at[-1] + len(part) + 1)
+        w, v = (parse_word(parts[j], e.names, args.witness, at[j]) for j in (0, 2))
+        i, k = (_witness_int(parts[j], at[j]) for j in (1, 3))
+        wit = PeriodicWitness(w, i, v, k)
         out["witness_valid"] = witness_verify(e, wit)
     if args.certify:
         config = _config_from_args(args)

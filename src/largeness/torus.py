@@ -75,7 +75,7 @@ def endo_is_injective(e: Endomorphism) -> bool:
 
 
 def stable_letter_name(names) -> str:
-    for cand in ("t", "s", "u", "t0", "t1"):
+    for cand in ("t", "s", "u"):
         if cand not in names:
             return cand
     i = 0

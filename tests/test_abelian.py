@@ -3,7 +3,7 @@ from itertools import combinations
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from largeness.abelian import (AbelianInvariants, abelianization,
                                exponent_matrix, hermite_rows, hom_to_Z_basis,
@@ -17,6 +17,13 @@ small_matrices = st.integers(1, 4).flatmap(
     lambda n: st.integers(1, 4).flatmap(
         lambda m: st.lists(st.lists(st.integers(-9, 9), min_size=m, max_size=m),
                            min_size=n, max_size=n)))
+
+
+# 1 to 8 rows and columns with entries up to 10^6 in absolute value
+large_matrices = st.tuples(st.integers(1, 8), st.integers(1, 8)).flatmap(
+    lambda shape: st.lists(
+        st.lists(st.integers(-10**6, 10**6), min_size=shape[1], max_size=shape[1]),
+        min_size=shape[0], max_size=shape[0]))
 
 
 def sparse_matrix(rows, cols):
@@ -134,6 +141,12 @@ class TestSmith:
     @settings(max_examples=100, deadline=None)
     def test_invariants_sympy_oracle(self, m):
         assert smith_normal_form(m) == sympy_diagonal(m)
+
+    @given(large_matrices)
+    @example([[-2, -4, 5], [-1, -2, -4], [8, -4, 7]])  # 5 Hermite passes
+    @settings(max_examples=60, deadline=None)
+    def test_large_matrices_sympy_oracle(self, m):
+        assert snf_checks(m) == sympy_diagonal(m)
 
     def test_invariants_of_empty_matrices(self):
         for m in ([], [[]], [[], []], [[0, 0, 0]], [[0], [0]]):

@@ -444,6 +444,19 @@ class TestTorus:
             1, "", "error: unknown generator 'x' (line 2, column 10)\n")
 
     @pytest.mark.parametrize("witness, message", [
+        ("x,1,x x q,1", "unknown generator 'q' (line 1, column 9)"),
+        ("q,1,,1", "unknown generator 'q' (line 1, column 1)"),
+        ("x,a,,1", "bad integer 'a' (line 1, column 3)"),
+    ])
+    def test_witness_error_is_placed_in_the_argument(self, capsys, tmp_path,
+                                                     witness, message):
+        # columns count from the start of --witness, not of its part
+        endo = tmp_path / "endo.txt"
+        endo.write_text("x -> x^2\n")
+        code, out, err = run(capsys, "torus", "--endo", str(endo), "--witness", witness)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("witness, message", [
         ("x,40,,2", "theta^14(w) needs more than 10000 letters"),
         ("x,1,,100000000000", "v w^k v^-1 is longer than 10000 letters"),
         ("x,65,,1", "witness power 65 is above the bound 64"),
@@ -611,7 +624,7 @@ class TestErrorsWithNoSourcePosition:
     one `error:` line, and no made-up line and column."""
 
     @pytest.mark.parametrize("argv, message", [
-        (("alex", "< a, b | >", "--chi", "1"), "chi needs one integer per generator"),
+        (("alex", "< a, b | >", "--chi", "1"), "chi needs one value per generator"),
         (("rewrite", "< a | >", "--max-index", "2", "--index-class", "99"),
          "index-class 99 out of range (0..1)"),
         (("torus", "--endo", "{endo}", "--witness", "x,1"), "witness must be w,i,v,k"),

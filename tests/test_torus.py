@@ -9,8 +9,8 @@ from largeness.certify import (CertifyConfig, dumps, verdict_to_json,
 from largeness.stallings import BoundExceeded, fold, graph_basis, sg_membership
 from largeness.torus import (MAX_WITNESS_POWER, Endomorphism, PeriodicWitness,
                              endo_apply, endo_is_injective, endo_power,
-                             mapping_torus, preimage_subgroup, stable_pullback,
-                             torus_bs_pipeline, torus_zz_pipeline,
+                             mapping_torus, preimage_subgroup, stable_letter_name,
+                             stable_pullback, torus_bs_pipeline, torus_zz_pipeline,
                              whitehead_primitive_basis, witness_verify,
                              _whitehead_autos)
 from largeness.words import MAX_WORD_LEN, free_reduce, inverse, substitute
@@ -63,6 +63,12 @@ class TestMappingTorus:
                 imgs.append(free_reduce(tuple(word)))
             p = mapping_torus(Endomorphism(tuple(imgs)))
             assert p.ngens == n + 1 and p.nrels == n
+
+    def test_stable_letter_name(self):
+        # t, s, u, then the first free t0, t1, ...
+        assert stable_letter_name(()) == "t"
+        assert stable_letter_name(("t", "s", "u", "t0")) == "t1"
+        assert stable_letter_name(("t", "s", "u", "t0", "t1")) == "t2"
 
 
 class TestPreimage:
