@@ -14,8 +14,11 @@ The matrix is built once over Z[t, t^-1] for each character.  One exact
 maximal minor over Z[t], packed into a single integer by Kronecker
 substitution, is shared by all fields: nonzero, it proves full rank over
 Q(t), and with a coefficient prime to p, over F_p(t).  A field left
-unproven is eliminated over F(t).  A character whose packed minor would
-pass PACKED_BITS is refused, as one above CHI_BOUND is.
+unproven is eliminated by the same fraction-free routine on the packed
+integers, where an entry is zero over F_p when p divides each coefficient;
+the maximal minors of ``alexander_polynomial`` come from it too.  A
+character whose packed minor would pass PACKED_BITS is refused, as one
+above CHI_BOUND is.
 """
 
 from __future__ import annotations
@@ -245,33 +248,6 @@ def lp_const(field, n):
     return LaurentPoly.make(field, {0: field.of(n)})
 
 
-def lp_add(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out = a.as_dict()
-    red = a.field.reduce
-    for e, c in b.coeffs:
-        out[e] = red(out.get(e, 0) + c)
-    return LaurentPoly.make(a.field, out)
-
-
-def lp_neg(a: LaurentPoly) -> LaurentPoly:
-    red = a.field.reduce
-    return LaurentPoly.make(a.field, {e: red(-c) for e, c in a.coeffs})
-
-
-def lp_sub(a, b):
-    return lp_add(a, lp_neg(b))
-
-
-def lp_mul(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    out = {}
-    for e1, c1 in a.coeffs:
-        for e2, c2 in b.coeffs:
-            e = e1 + e2
-            out[e] = out.get(e, 0) + c1 * c2
-    red = a.field.reduce
-    return LaurentPoly.make(a.field, {e: red(c) for e, c in out.items()})
-
-
 def lp_shift(a: LaurentPoly, k: int) -> LaurentPoly:
     return LaurentPoly(a.field, tuple((e + k, c) for e, c in a.coeffs))
 
@@ -300,18 +276,6 @@ def lp_divmod(a: LaurentPoly, b: LaurentPoly):
             else:
                 rem.pop(e2, None)
     return LaurentPoly.make(field, quot), LaurentPoly.make(field, rem)
-
-
-def lp_exact_div(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
-    """Exact division in the Laurent ring (remainder must vanish)."""
-    if a.is_zero:
-        return a
-    sa = -a.coeffs[0][0]
-    sb = -b.coeffs[0][0]
-    q, r = lp_divmod(lp_shift(a, sa), lp_shift(b, sb))
-    if not r.is_zero:
-        raise ArithmeticError("inexact polynomial division")
-    return lp_shift(q, sb - sa)
 
 
 def lp_gcd(a: LaurentPoly, b: LaurentPoly) -> LaurentPoly:
@@ -487,52 +451,62 @@ def alexander_matrix(p: Presentation, chi: Chi, field) -> tuple:
     return _reduce(_fox_rows(p2.relators, unit), field)
 
 
-def _eliminate(rows, field) -> tuple:
-    """Fraction-free elimination over field[t, t^-1]: the rank, the pivot
-    columns, and the last pivot, which for a square matrix of full rank is
-    its determinant up to sign."""
-    m = [list(r) for r in rows]
-    nrows = len(m)
-    ncols = len(m[0]) if m else 0
-    rank = 0
-    prev = lp_const(field, 1)
-    pivot_cols = []
-    for j in range(ncols):
-        piv = next((i for i in range(rank, nrows) if not m[i][j].is_zero), None)
-        if piv is None:
-            continue
-        m[rank], m[piv] = m[piv], m[rank]
-        for i in range(rank + 1, nrows):
-            for jj in range(j + 1, ncols):
-                num = lp_sub(lp_mul(m[i][jj], m[rank][j]), lp_mul(m[i][j], m[rank][jj]))
-                m[i][jj] = lp_exact_div(num, prev)
-            m[i][j] = lp_zero(field)
-        prev = m[rank][j]
-        pivot_cols.append(j)
-        rank += 1
-        if rank == nrows:
-            break
-    return rank, tuple(pivot_cols), prev
+def _integer_rows(rows, field) -> tuple:
+    """Rows of Laurent polynomials over ``field`` as integer rows, with the
+    prime to eliminate them over, 0 for Q: over Q each row times the lcm of
+    its denominators, over F_p each coefficient as its balanced residue in
+    (-p/2, p/2], which keeps the packing small for a large p."""
+    if isinstance(field, RationalField):
+        lcms = [lcm(*(c.denominator for entry in row for _, c in entry.coeffs)) for row in rows]
+        return [[{e: c.numerator * (m // c.denominator) for e, c in entry.coeffs}
+                 for entry in row] for row, m in zip(rows, lcms)], 0
+    p, h = field.p, (field.p - 1) // 2
+    return [[{e: (c + h) % p - h for e, c in entry.coeffs} for entry in row]
+            for row in rows], p
 
 
-def lp_matrix_rank(rows, field) -> tuple:
-    """Rank over field(t) by fraction-free elimination; also returns the
-    pivot column list as a replayable witness."""
-    rank, pivot_cols, _ = _eliminate(rows, field)
-    return rank, pivot_cols
+def _packed_elimination(rows, p=0, limit=None):
+    """Fraction-free elimination (Bareiss 1968) of integer Laurent rows
+    over Q(t), or over F_p(t) for a prime p: the rank, the pivot columns,
+    and an iterator over the last pivot's balanced base-2^b digits, lowest
+    first, which at full rank are the coefficients of the maximal minor on
+    the pivot columns of the rows, each shifted to a polynomial; None when
+    b times the widest row span plus one times the rows passes ``limit``.
 
+    Kronecker substitution at t = 2^b, 2^b above twice the product P of
+    the rows' l1 norms (1 for a zero row): every intermediate is a minor
+    over Z[t], with coefficients at most P in absolute value, so it is 0
+    exactly when its value at 2^b is, and its digits are its coefficients.
+    Over F_p an entry counts as zero when p divides every digit: reduction
+    mod p is a ring map, so these are the pivots of the elimination over
+    F_p[t], and each division by the last pivot stays exact over Z."""
+    lows, span, bound = [], 0, 2
+    for row in rows:
+        exps = [e for entry in row for e in entry] or [0]  # a zero row packs to 0
+        lows.append(min(exps))
+        span = max(span, max(exps) - lows[-1])
+        bound *= sum(abs(c) for entry in row for c in entry.values()) or 1
+    b = bound.bit_length()
+    if limit is not None and b * (span + 1) * len(rows) > limit:
+        return None
+    mat = [[sum(c << b * (e - low) for e, c in entry.items()) for entry in row]
+           for row, low in zip(rows, lows)]
+    half, mask = 1 << (b - 1), (1 << b) - 1
 
-# ---------------------------------------------------------------------------
-# full-rank proofs by an exact packed minor
+    def digits(d):
+        while d:
+            c = ((d + half) & mask) - half
+            yield c
+            d = (d - c) >> b
 
+    def nonzero_mod_p(d):  # read from the lowest nonzero digit up
+        low = ((d & -d).bit_length() - 1) // b * b
+        return any(c % p for c in digits(d >> low))
 
-def _bareiss(mat) -> int:
-    """Fraction-free elimination of an integer matrix over Z; consumes
-    ``mat``.  Returns 0 when the rows are dependent, else the last pivot:
-    up to sign, the maximal minor on the pivot columns."""
-    rank, prev = 0, 1
-    for j in range(len(mat[0])):
-        piv = next((i for i in range(rank, len(mat)) if mat[i][j]), None)
+    rank, prev, pivot_cols = 0, 1, []
+    for j in range(len(mat[0]) if mat else 0):
+        piv = next((i for i in range(rank, len(mat))
+                    if mat[i][j] and (not p or nonzero_mod_p(mat[i][j]))), None)
         if piv is None:
             continue
         mat[rank], mat[piv] = mat[piv], mat[rank]
@@ -542,10 +516,22 @@ def _bareiss(mat) -> int:
             a = mat[i][j]
             mat[i] = [(x * d - a * y) // prev for x, y in zip(mat[i], top)]
         prev = d
+        pivot_cols.append(j)
         rank += 1
         if rank == len(mat):
-            return prev
-    return 0
+            break
+    return rank, tuple(pivot_cols), digits(prev)
+
+
+def lp_matrix_rank(rows, field) -> tuple:
+    """Rank over field(t) by the packed elimination; also returns the
+    pivot column list as a replayable witness."""
+    rank, pivot_cols, _ = _packed_elimination(*_integer_rows(rows, field))
+    return rank, pivot_cols
+
+
+# ---------------------------------------------------------------------------
+# full-rank proofs by an exact packed minor
 
 
 # the most bits, b times the widest row span plus one times the rows, of a
@@ -555,31 +541,10 @@ PACKED_BITS = 2 ** 16
 
 def _packed_minor(rows):
     """The integer coefficients, lowest first, of the maximal minor on the
-    pivot columns over Q(t) of the rows, each shifted to a polynomial; []
-    when the rank drops; None above PACKED_BITS.
-
-    Kronecker substitution at t = 2^b, 2^b above twice the product P of
-    the rows' l1 norms (1 for a zero row): every Bareiss intermediate is a
-    minor, with coefficients at most P in absolute value, so it is 0
-    exactly when its value at 2^b is.  ``_bareiss`` over Z thus takes the pivots it would
-    over Q[t], and its last pivot's balanced base-2^b digits are the
-    minor's coefficients."""
-    lows, span, bound = [], 0, 2
-    for row in rows:
-        exps = [e for entry in row for e in entry] or [0]  # a zero row packs to 0
-        lows.append(min(exps))
-        span = max(span, max(exps) - lows[-1])
-        bound *= sum(abs(c) for entry in row for c in entry.values()) or 1
-    b = bound.bit_length()
-    if b * (span + 1) * len(rows) > PACKED_BITS:
-        return None
-    d = _bareiss([[sum(c << b * (e - low) for e, c in entry.items()) for entry in row]
-                  for row, low in zip(rows, lows)])
-    half, coeffs = 1 << (b - 1), []
-    while d:
-        coeffs.append((d + half) % (1 << b) - half)
-        d = (d - coeffs[-1]) >> b
-    return coeffs
+    pivot columns over Q(t) of the integer Laurent rows, each shifted to a
+    polynomial; [] when the rank drops; None above PACKED_BITS."""
+    done = _packed_elimination(rows, 0, PACKED_BITS)
+    return done and (list(done[2]) if done[0] == len(rows) else [])
 
 
 def rank_witness(p: Presentation, chi: Chi, fields):
@@ -596,7 +561,7 @@ def rank_witness(p: Presentation, chi: Chi, fields):
     is the same.  They are built once over Z.  A field is passed over when
     the packed minor (``_packed_minor``, shared by all fields) proves full
     rank; for the others the rank and the pivot columns come from
-    ``lp_matrix_rank`` over field(t).
+    ``lp_matrix_rank``, the same packed elimination over field(t).
     """
     if any(abs(v) > CHI_BOUND for v in chi.values):
         return None
@@ -633,11 +598,13 @@ def alexander_polynomial(p: Presentation, chi: Chi, field) -> LaurentPoly:
     nrows, ncols = len(rows), len(rows[0])
     if ncols < nrows:
         return lp_zero(field)
+    ints, prime = _integer_rows(rows, field)
     g = lp_zero(field)
     for cols in combinations(range(ncols), nrows):
-        rank, _, d = _eliminate([[row[j] for j in cols] for row in rows], field)
+        rank, _, coeffs = _packed_elimination([[row[j] for j in cols] for row in ints], prime)
         if rank < nrows:
             continue
+        d = LaurentPoly.make(field, {e: field.of(c) for e, c in enumerate(coeffs)})
         g = d if g.is_zero else lp_gcd(g, d)
         if not g.is_zero and g.normalize().degree_span() == 0:
             break

@@ -119,7 +119,7 @@ def cmd_ab(args) -> int:
 
 def cmd_alex(args) -> int:
     p = _read_presentation(args.presentation)
-    chi = Chi(tuple(int(x) for x in args.chi.split(",")))
+    chi = Chi(tuple(_witness_int(*part) for part in _parts(args.chi)))
     fld = field_by_name(args.field)
     poly = alexander_polynomial(p, chi, fld).normalize()
     _emit({"polynomial": lp_to_json(poly), "display": str(poly),
@@ -190,9 +190,19 @@ def _parse_endo(path: str) -> Endomorphism:
     return Endomorphism(images, tuple(names))
 
 
+def _parts(text: str) -> list:
+    """The comma-separated parts of a one-line argument, each with its
+    offset in the argument."""
+    out, at = [], 0
+    for part in text.split(","):
+        out.append((part, at))
+        at += len(part) + 1
+    return out
+
+
 def _witness_int(text: str, at: int) -> int:
-    """The integer ``text``, which starts at column ``at`` + 1 of the
-    one-line witness; ParseError at its first non-blank column if it is
+    """The integer ``text``, which starts at column ``at`` + 1 of a
+    one-line argument; ParseError at its first non-blank column if it is
     not an integer."""
     if not re.fullmatch(r"\s*[-+]?\d+\s*", text):
         raise ParseError(f"bad integer {text.strip()!r}", 1,
@@ -206,14 +216,11 @@ def cmd_torus(args) -> int:
     out = {"presentation": presentation_to_json(p0)}
     wit = None
     if args.witness:
-        parts = args.witness.split(",")
+        parts = _parts(args.witness)
         if len(parts) != 4:
             raise ValueError("witness must be w,i,v,k")
-        at = [0]  # each part's offset in the argument
-        for part in parts[:-1]:
-            at.append(at[-1] + len(part) + 1)
-        w, v = (parse_word(parts[j], e.names, args.witness, at[j]) for j in (0, 2))
-        i, k = (_witness_int(parts[j], at[j]) for j in (1, 3))
+        w, v = (parse_word(parts[j][0], e.names, args.witness, parts[j][1]) for j in (0, 2))
+        i, k = (_witness_int(*parts[j]) for j in (1, 3))
         wit = PeriodicWitness(w, i, v, k)
         out["witness_valid"] = witness_verify(e, wit)
     if args.certify:

@@ -123,7 +123,17 @@ class TestAlex:
 
     def test_bad_chi_length(self, capsys):
         code, _, err = run(capsys, "alex", "< a, b | >", "--chi", "1")
-        assert code == 1 and "error" in err
+        assert code == 1 and err == "error: chi needs one value per generator\n"
+
+    @pytest.mark.parametrize("chi, message", [
+        ("1,a", "bad integer 'a' (line 1, column 3)"),
+        ("a,1", "bad integer 'a' (line 1, column 1)"),
+        ("1, x", "bad integer 'x' (line 1, column 4)"),
+    ])
+    def test_bad_chi_value_is_placed_in_the_argument(self, capsys, chi, message):
+        # columns count from the start of --chi, at the part's first non-blank
+        code, out, err = run(capsys, "alex", "< a, b | >", "--chi", chi)
+        assert (code, out, err) == (1, "", f"error: {message}\n")
 
 
 class TestSubgroupsAndRewrite:

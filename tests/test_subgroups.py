@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 import tracemalloc
+from math import gcd
 from pathlib import Path
 from unittest import mock
 
@@ -15,7 +16,7 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from largeness import subgroups
-from largeness.abelian import abelianization
+from largeness.abelian import abelianization, hom_to_Z_basis
 from largeness.certify import CertifyConfig, certify
 from largeness.cli import main
 from largeness.subgroups import (BoundExceeded, CosetTable, canonical_rebase,
@@ -1212,3 +1213,33 @@ def test_rewrite_bytes(name):
             assert main(["rewrite", str(path), "--max-index", "4",
                          "--index-class", str(k)]) == 0
     assert hashlib.sha256(out.getvalue().encode()).hexdigest() == REWRITE_SHA256[name]
+
+
+def alex_characters(p):
+    """The characters `largeness alex` is pinned on: each of
+    ``hom_to_Z_basis``, then the first surjection (coordinates -3..3 over
+    the basis) whose least nonzero |chi| is above 1, where one exists."""
+    basis = [chi.values for chi in hom_to_Z_basis(p)]
+    for coords in itertools.product(range(-3, 4), repeat=len(basis)):
+        values = tuple(sum(c * b[g] for c, b in zip(coords, basis)) for g in range(p.ngens))
+        if gcd(*values) == 1 and min(abs(v) for v in values if v) > 1:
+            return basis + [values]
+    return basis
+
+
+# sha256 of the stdout of `largeness alex FILE --chi CHI --field F` over the
+# corpus files, the characters of ``alex_characters`` and the fields Q, F2,
+# F3 and F5, in that order, recorded while each maximal minor came from a
+# fraction-free elimination over F[t]
+ALEX_SHA256 = "6befb8a3e5a0e3ddad6326c62263ba412f50da3f4bac30cdc38fbacc1f933ba8"
+
+
+def test_alex_bytes():
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        for path in sorted(CORPUS.glob("*.pres")):
+            for values in alex_characters(parse_presentation(path.read_text())):
+                for field in ("Q", "F2", "F3", "F5"):
+                    assert main(["alex", str(path), "--chi=" + ",".join(map(str, values)),
+                                 "--field", field]) == 0
+    assert hashlib.sha256(out.getvalue().encode()).hexdigest() == ALEX_SHA256
